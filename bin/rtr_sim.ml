@@ -377,9 +377,8 @@ let run_cmd =
           | Recoverable -> "recoverable"
           | Irrecoverable -> "irrecoverable");
         let session =
-          Rtr_core.Rtr.start topo scenario.damage
-            ~base_spt:(Rtr_sim.Topo_cache.base_spt cache case.initiator)
-            ~initiator:case.initiator ~trigger:case.trigger ()
+          Rtr_core.Rtr.start topo scenario.damage ~initiator:case.initiator
+            ~trigger:case.trigger ()
         in
         let p1 = Rtr_core.Rtr.phase1 session in
         Format.printf "phase 1 walk (%d hops, %.1f ms): %s@."
@@ -410,7 +409,7 @@ let run_cmd =
         let results =
           Rtr_sim.Parallel.map ~jobs
             (fun c ->
-              Rtr_sim.Runner.run_scenario ~cache ~mrc
+              Rtr_sim.Runner.run_scenario ~mrc
                 { scenario with Rtr_sim.Scenario.cases = [ c ] })
             (Array.of_list cases)
         in
@@ -476,12 +475,7 @@ let draw_cmd =
       match case with
       | None -> ([], None)
       | Some (initiator, trigger, dst, area) -> (
-          let cache = Rtr_sim.Topo_cache.shared topo in
-          let session =
-            Rtr_core.Rtr.start topo damage
-              ~base_spt:(Rtr_sim.Topo_cache.base_spt cache initiator)
-              ~initiator ~trigger ()
-          in
+          let session = Rtr_core.Rtr.start topo damage ~initiator ~trigger () in
           let p1 = Rtr_core.Rtr.phase1 session in
           let walk = Rtr_viz.Svg.Walk p1.Rtr_core.Phase1.walk in
           match Rtr_core.Rtr.recover session ~dst with
@@ -775,9 +769,8 @@ let microbench_cmd =
         let case = List.hd scenario.Rtr_sim.Scenario.cases in
         let open Rtr_sim.Scenario in
         let session =
-          Rtr_core.Rtr.start topo scenario.damage
-            ~base_spt:(Rtr_sim.Topo_cache.base_spt cache case.initiator)
-            ~initiator:case.initiator ~trigger:case.trigger ()
+          Rtr_core.Rtr.start topo scenario.damage ~initiator:case.initiator
+            ~trigger:case.trigger ()
         in
         ignore (Rtr_core.Rtr.recover session ~dst:case.dst);
         ignore (Rtr_core.Rtr.recovery_distance session ~dst:case.dst);

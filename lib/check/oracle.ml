@@ -87,7 +87,9 @@ let no_loop_run ~inject:_ spec =
         p1.Phase1.steps;
       (* Phase-2 routes are shortest paths over positive costs: any
          revisited router would be a loop in the source route. *)
-      let ph2 = Phase2.create topo damage ~phase1:p1 () in
+      let ph2 =
+        Phase2.create topo damage ~initiator ~removed:p1.Phase1.failed_links
+      in
       for dst = 0 to Graph.n_nodes g - 1 do
         if dst <> initiator then
           match Phase2.recovery_path ph2 ~dst with
@@ -139,7 +141,10 @@ let optimal_run ~inject spec =
                 { p1 with Phase1.failed_links = List.rev rest })
         | _ -> p1
       in
-      let ph2 = Phase2.create topo damage ~phase1 () in
+      let ph2 =
+        Phase2.create topo damage ~initiator
+          ~removed:phase1.Phase1.failed_links
+      in
       let truth_spt = Dijkstra.spt truth ~root:initiator () in
       for dst = 0 to Graph.n_nodes g - 1 do
         if dst <> initiator then begin
@@ -363,7 +368,10 @@ module Episode = struct
                with it — nothing to score. *)
             if Damage.node_ok d_next initiator then begin
               incr sessions;
-              let ph2 = Phase2.create topo d_next ~phase1:p1 () in
+              let ph2 =
+                Phase2.create topo d_next ~initiator
+                  ~removed:p1.Phase1.failed_links
+              in
               let truth_spt =
                 Dijkstra.spt (Damage.view d_next) ~root:initiator ()
               in
@@ -490,7 +498,8 @@ module Episode = struct
               (fun (initiator, trigger) ->
                 let p1 = Phase1.run topo damage ~initiator ~trigger () in
                 let ph2 =
-                  Phase2.create topo damage ~extra_removed:known ~phase1:p1 ()
+                  Phase2.create topo damage ~initiator
+                    ~removed:(known @ p1.Phase1.failed_links)
                 in
                 let spt =
                   Dijkstra.spt (Damage.view damage) ~root:initiator ()
@@ -780,9 +789,8 @@ let rmap_run ~inject:_ spec =
                      count (List.length cases))
               else
                 (* The independent twin of the compiler kernel: fresh
-                   sessions without the shared SPT cache, path costs
-                   summed link by link instead of read off the repaired
-                   SPT labels. *)
+                   sessions, path costs summed link by link instead of
+                   read off the session's SPT labels. *)
                 let sessions = Hashtbl.create 8 in
                 let session (c : Scenario.case) =
                   let key = (c.Scenario.initiator, c.Scenario.trigger) in

@@ -27,14 +27,6 @@ let run topo damage ~initiator ~trigger () =
     merged_failed_links;
   }
 
-let phase2_of_merged topo damage ?base_spt result =
-  (* Reuse the right walk's result record as the phase-1 carrier and
-     feed the left walk's extra links through the carried-failures
-     channel, exactly like the multi-area extension does. *)
-  let extra =
-    List.filter
-      (fun id -> not (List.mem id result.right.Phase1.failed_links))
-      result.merged_failed_links
-  in
-  Phase2.create topo damage ?base_spt ~extra_removed:extra ~phase1:result.right
-    ()
+let phase2_of_merged topo damage result =
+  Phase2.create topo damage ~initiator:result.right.Phase1.initiator
+    ~removed:result.merged_failed_links

@@ -37,10 +37,6 @@ val run :
   result
 
 val phase2_of_merged :
-  Rtr_topo.Topology.t ->
-  Rtr_failure.Damage.t ->
-  ?base_spt:Rtr_graph.Spt.t ->
-  result ->
-  Phase2.t
+  Rtr_topo.Topology.t -> Rtr_failure.Damage.t -> result -> Phase2.t
 (** Phase 2 over the merged collection (the "after both return"
-    view).  [base_spt] as in {!Phase2.create}. *)
+    view). *)

@@ -31,7 +31,10 @@ let recover topo damage ~initiator ~trigger ~dst ?(max_initiations = 16) () =
       =
     let phase1 = Phase1.run topo damage ~initiator:current ~trigger () in
     let p1_hops = p1_hops + phase1.Phase1.hops in
-    let phase2 = Phase2.create topo damage ~extra_removed:carried ~phase1 () in
+    let phase2 =
+      Phase2.create topo damage ~initiator:current
+        ~removed:(carried @ phase1.Phase1.failed_links)
+    in
     match Phase2.recovery_path phase2 ~dst with
     | None ->
         let legs_rev =

@@ -3,159 +3,72 @@ module View = Rtr_graph.View
 module Damage = Rtr_failure.Damage
 module Dijkstra = Rtr_graph.Dijkstra
 module Spt = Rtr_graph.Spt
-module Incremental_spt = Rtr_graph.Incremental_spt
 
 module Metrics = Rtr_obs.Metrics
 
 let c_creates = Metrics.counter "phase2.creates"
-let c_batched = Metrics.counter "phase2.batched"
-let c_repaired_nodes = Metrics.counter "phase2.repaired_nodes"
 let c_sp_calcs = Metrics.counter "phase2.sp_calcs"
 let c_cache_hits = Metrics.counter "phase2.cache_hits"
-let c_spt_cloned = Metrics.counter "phase2.spt_cloned"
-let c_spt_fresh = Metrics.counter "phase2.spt_fresh"
 
 type t = {
-  topo : Rtr_topo.Topology.t;
   initiator : Graph.node;
   view : View.t;
   removed_list : Graph.link_id list;
   spt : Spt.t;
-  (* In batched mode [spt] borrows the domain workspace: the pair is
-     the arena and the generation the tree was born under, compared on
-     every uncached query so an expired tree raises instead of reading
-     whatever run clobbered the arrays since. *)
-  lease : (Dijkstra.Workspace.t * int) option;
-  (* Cached (path, distance label) per destination: the distance is
-     captured while the tree is readable, so cached answers survive
-     the tree's expiry in batched mode. *)
-  cache : (Graph.node, Rtr_graph.Path.t option * int) Hashtbl.t;
+  cache : (Graph.node, Rtr_graph.Path.t option) Hashtbl.t;
   mutable sp_calcs : int;
-  repaired : int;
 }
 
-(* The initiator's post-phase-1 topology view: full graph minus the
-   phase-1 collection, the packet-carried extras and its own dead
-   links. *)
-let initiator_view topo damage ~extra_removed ~phase1 =
+let create topo damage ~initiator ~removed =
   let g = Rtr_topo.Topology.graph topo in
-  let initiator = phase1.Phase1.initiator in
-  let removed = Array.make (Graph.n_links g) false in
-  List.iter (fun id -> removed.(id) <- true) phase1.Phase1.failed_links;
-  List.iter (fun id -> removed.(id) <- true) extra_removed;
+  (* The initiator's post-phase-1 view: the full graph minus the
+     collected links and its own dead links. *)
+  let dead = Array.make (Graph.n_links g) false in
+  List.iter (fun id -> dead.(id) <- true) removed;
   List.iter
-    (fun (_, id) -> removed.(id) <- true)
+    (fun (_, id) -> dead.(id) <- true)
     (Damage.unreachable_neighbors damage g initiator);
   let removed_list =
-    List.filter (fun id -> removed.(id)) (List.init (Graph.n_links g) Fun.id)
+    List.filter (fun id -> dead.(id)) (List.init (Graph.n_links g) Fun.id)
   in
-  (initiator, removed_list, View.remove_links (View.full g) removed_list)
-
-let create topo damage ?base_spt ?(extra_removed = []) ~phase1 () =
-  let g = Rtr_topo.Topology.graph topo in
-  let initiator, removed_list, view =
-    initiator_view topo damage ~extra_removed ~phase1
-  in
-  (* The initiator already holds its pre-failure SPF tree; phase 2 only
-     repairs it around the removed links.  A cached pre-failure tree
-     (see Topo_cache in the simulator) is cloned instead of recomputed. *)
+  let view = View.remove_links (View.full g) removed_list in
+  (* One tree over the damaged view serves every destination.  It runs
+     in the domain workspace and is copied out, so the session owns its
+     labels and may overlap or outlive any other workspace run. *)
   let spt =
-    match base_spt with
-    | Some base ->
-        if base.Spt.graph != g then
-          invalid_arg "Phase2.create: base_spt over a different graph";
-        if base.Spt.root <> initiator then
-          invalid_arg "Phase2.create: base_spt rooted elsewhere";
-        if base.Spt.direction <> Spt.From_root then
-          invalid_arg "Phase2.create: base_spt has wrong direction";
-        Metrics.Counter.incr c_spt_cloned;
-        Spt.copy base
-    | None ->
-        Metrics.Counter.incr c_spt_fresh;
-        (* Run in the domain workspace, then copy: the tree is retained
-           and repaired in place below, so it must own its arrays. *)
-        Spt.copy
-          (Dijkstra.spt
-             ~workspace:(Dijkstra.Workspace.get ())
-             (View.full g) ~root:initiator ())
-  in
-  let repaired =
-    Incremental_spt.remove spt ~dead_links:removed_list ~view ()
+    Spt.copy
+      (Dijkstra.spt ~workspace:(Dijkstra.Workspace.get ()) view ~root:initiator
+         ())
   in
   Metrics.Counter.incr c_creates;
-  Metrics.Counter.add c_repaired_nodes repaired;
   {
-    topo;
     initiator;
     view;
     removed_list;
     spt;
-    lease = None;
     cache = Hashtbl.create 16;
     sp_calcs = 0;
-    repaired;
-  }
-
-let create_batched topo damage ?(extra_removed = []) ~phase1 () =
-  let initiator, removed_list, view =
-    initiator_view topo damage ~extra_removed ~phase1
-  in
-  (* One borrowed-workspace SPT over the damaged view serves every
-     destination of the session — no clone, no repair scratch.  By the
-     incremental-repair equivalence (checked by the incr_spt_vs_dijkstra
-     oracle) its labels are bit-identical to [create]'s repaired tree. *)
-  let ws = Dijkstra.Workspace.get () in
-  let spt = Dijkstra.spt ~workspace:ws view ~root:initiator () in
-  Metrics.Counter.incr c_creates;
-  Metrics.Counter.incr c_batched;
-  {
-    topo;
-    initiator;
-    view;
-    removed_list;
-    spt;
-    lease = Some (ws, Dijkstra.Workspace.generation ws);
-    cache = Hashtbl.create 16;
-    sp_calcs = 0;
-    repaired = 0;
   }
 
 let initiator t = t.initiator
 let removed_links t = t.removed_list
 let view t = t.view
-let batched t = t.lease <> None
-
-let expired t =
-  match t.lease with
-  | Some (ws, born) -> Dijkstra.Workspace.generation ws <> born
-  | None -> false
-
-let check_lease t =
-  match t.lease with
-  | Some (ws, born) when Dijkstra.Workspace.generation ws <> born ->
-      invalid_arg
-        "Phase2: batched session's tree expired (workspace reused); query \
-         all destinations before running other SPTs on this domain"
-  | _ -> ()
 
 let recovery_path t ~dst =
   match Hashtbl.find_opt t.cache dst with
-  | Some (cached, _) ->
+  | Some cached ->
       Metrics.Counter.incr c_cache_hits;
       cached
   | None ->
-      check_lease t;
       t.sp_calcs <- t.sp_calcs + 1;
       Metrics.Counter.incr c_sp_calcs;
       let path = Spt.path t.spt dst in
-      let dist = if path = None then max_int else Spt.dist t.spt dst in
-      Hashtbl.replace t.cache dst (path, dist);
+      Hashtbl.replace t.cache dst path;
       path
 
 let recovery_distance t ~dst =
   match recovery_path t ~dst with
   | None -> None
-  | Some _ -> Some (snd (Hashtbl.find t.cache dst))
+  | Some _ -> Some (Spt.dist t.spt dst)
 
 let sp_calculations t = t.sp_calcs
-let repaired_nodes t = t.repaired

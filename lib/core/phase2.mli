@@ -2,11 +2,10 @@
 
     The recovery initiator removes from its topology view the links
     collected in phase 1 plus its own links to unreachable neighbours,
-    repairs its pre-failure shortest-path tree incrementally
-    ([Rtr_graph.Incremental_spt]), and source-routes packets along the
-    resulting paths.  Paths are cached: one shortest-path calculation
-    per affected destination, which is the paper's computational-
-    overhead accounting for RTR. *)
+    computes one shortest-path tree over that view, and source-routes
+    packets along the tree's paths.  Paths are cached: one
+    shortest-path calculation per affected destination, which is the
+    paper's computational-overhead accounting for RTR. *)
 
 module Graph = Rtr_graph.Graph
 
@@ -15,62 +14,27 @@ type t
 val create :
   Rtr_topo.Topology.t ->
   Rtr_failure.Damage.t ->
-  ?base_spt:Rtr_graph.Spt.t ->
-  ?extra_removed:Graph.link_id list ->
-  phase1:Phase1.result ->
-  unit ->
+  initiator:Graph.node ->
+  removed:Graph.link_id list ->
   t
-(** Builds the initiator's view.  [Damage] is consulted only for the
-    initiator's {e local} knowledge (its own unreachable neighbours) —
-    phase 2 never peeks at the global failure state.  [extra_removed]
-    carries failure information already in the packet header, used by
-    the multiple-failure-area extension (Sec. III-E).
+(** Builds the initiator's view: the full graph minus [removed] (the
+    phase-1 collection, plus any failure information already carried
+    in the packet header, as in the multiple-failure-area extension of
+    Sec. III-E) minus the initiator's links to unreachable neighbours.
+    [Damage] is consulted only for that {e local} knowledge — phase 2
+    never peeks at the global failure state.
 
-    [base_spt] is the initiator's pre-failure [From_root] SPF tree,
-    e.g. from the simulator's per-topology cache; it is cloned (the
-    original is never mutated) and incrementally repaired, skipping the
-    from-scratch Dijkstra.  Raises [Invalid_argument] if it is rooted
-    elsewhere, oriented [To_root] or built over a different graph. *)
-
-val create_batched :
-  Rtr_topo.Topology.t ->
-  Rtr_failure.Damage.t ->
-  ?extra_removed:Graph.link_id list ->
-  phase1:Phase1.result ->
-  unit ->
-  t
-(** Like {!create}, but the session's shortest-path tree is a single
-    borrowed-workspace Dijkstra over the damaged view — no pre-failure
-    tree is cloned and no repair scratch runs, which is the cheap path
-    when one session serves a batch of destinations back to back.
-    Routes and distances are bit-identical to {!create}'s.
-
-    The tree aliases the calling domain's workspace: it stays readable
-    only until the next workspace operation on this domain (another
-    [~workspace] Dijkstra, an incremental repair, the next session).
-    Query every destination first; answers are cached with their
-    distance labels and survive the tree's expiry, but an {e uncached}
-    query after expiry raises [Invalid_argument].  Observable as
-    [phase2.batched]. *)
+    The session owns its shortest-path tree, so any number of sessions
+    may be live on one domain at once. *)
 
 val initiator : t -> Graph.node
-
-val batched : t -> bool
-(** Whether this session was built with {!create_batched}. *)
-
-val expired : t -> bool
-(** In batched mode: whether the borrowed tree's workspace has been
-    reused since, i.e. the next {e uncached} query would raise.  Cached
-    answers keep being served either way.  Always [false] for
-    {!create} sessions. *)
 
 val view : t -> Rtr_graph.View.t
 (** The initiator's post-phase-1 failure view: the full graph minus
     [removed_links]. *)
 
 val removed_links : t -> Graph.link_id list
-(** The links absent from the view: phase-1 collection plus
-    initiator-incident failures, deduplicated. *)
+(** The links absent from the view, ascending and deduplicated. *)
 
 val recovery_path : t -> dst:Graph.node -> Rtr_graph.Path.t option
 (** The shortest path from the initiator to [dst] in the view; [None]
@@ -82,7 +46,3 @@ val recovery_distance : t -> dst:Graph.node -> int option
 val sp_calculations : t -> int
 (** Number of distinct destinations for which a shortest path has been
     calculated so far — the paper counts exactly 1 per test case. *)
-
-val repaired_nodes : t -> int
-(** Nodes the incremental repair had to touch (ablation metric: how
-    local phase 2's recomputation is compared to a full SPF). *)

@@ -17,13 +17,13 @@ type t = {
   phase2 : Phase2.t;
 }
 
-let start topo damage ?base_spt ?(batched = false) ~initiator ~trigger () =
+let phase2_of topo damage phase1 =
+  Phase2.create topo damage ~initiator:phase1.Phase1.initiator
+    ~removed:phase1.Phase1.failed_links
+
+let start topo damage ?batched:_ ~initiator ~trigger () =
   let phase1 = Phase1.run topo damage ~initiator ~trigger () in
-  let phase2 =
-    if batched then Phase2.create_batched topo damage ~phase1 ()
-    else Phase2.create topo damage ?base_spt ~phase1 ()
-  in
-  { topo; damage; phase1; phase2 }
+  { topo; damage; phase1; phase2 = phase2_of topo damage phase1 }
 
 let phase1 t = t.phase1
 let phase2 t = t.phase2
@@ -32,16 +32,9 @@ let phase2 t = t.phase2
    from the SAME phase-1 collection (now stale — re-walking is a new
    recovery, not a resumption) against the new damage.  Local knowledge
    refreshes for free: [Phase2] re-reads the initiator's unreachable
-   neighbours from the damage it is given.  The mode is preserved, so a
-   batched session's old workspace tree is deliberately abandoned to
-   its lease. *)
+   neighbours from the damage it is given. *)
 let resume t damage =
-  let phase2 =
-    if Phase2.batched t.phase2 then
-      Phase2.create_batched t.topo damage ~phase1:t.phase1 ()
-    else Phase2.create t.topo damage ~phase1:t.phase1 ()
-  in
-  { t with damage; phase2 }
+  { t with damage; phase2 = phase2_of t.topo damage t.phase1 }
 
 let recover t ~dst =
   match Phase2.recovery_path t.phase2 ~dst with

@@ -5,6 +5,7 @@ module Route_table = Rtr_routing.Route_table
 module Delay = Rtr_routing.Delay
 module Convergence = Rtr_igp.Convergence
 module Sweep = Rtr_core.Sweep
+module Phase2 = Rtr_core.Phase2
 module Crossings = Rtr_topo.Crossings
 
 module Metrics = Rtr_obs.Metrics
@@ -101,10 +102,7 @@ type packet = {
    only what headers brought home. *)
 type session =
   | Collecting of { first_hop : Graph.node }
-  | Ready of {
-      view : View.t;
-      cache : (Graph.node, Graph.node list option) Hashtbl.t;
-    }
+  | Ready of Phase2.t
 
 type event = Arrival of { packet : packet; at : Graph.node; from : Graph.node option }
 
@@ -257,29 +255,18 @@ let sweep_next sim hdr ~at ~reference =
 (* Phase 2, from header contents plus the initiator's own adjacencies
    only. *)
 let install_ready sim initiator collected =
-  let removed =
-    collected
-    @ List.map snd
-        (Damage.unreachable_neighbors (cur_damage sim) sim.g initiator)
+  let ready =
+    Ready
+      (Phase2.create sim.topo (cur_damage sim) ~initiator ~removed:collected)
   in
-  let view = View.remove_links (View.full sim.g) removed in
-  let ready = Ready { view; cache = Hashtbl.create 8 } in
   Hashtbl.replace sim.sessions initiator (sim.cur, ready);
   ready
 
-let recovery_route initiator ready dst =
+let recovery_route ready dst =
   match ready with
   | Collecting _ -> assert false
-  | Ready { view; cache } -> (
-      match Hashtbl.find_opt cache dst with
-      | Some r -> r
-      | None ->
-          let route =
-            Rtr_graph.Dijkstra.shortest_path view ~src:initiator ~dst
-            |> Option.map Rtr_graph.Path.nodes
-          in
-          Hashtbl.replace cache dst route;
-          route)
+  | Ready phase2 ->
+      Option.map Rtr_graph.Path.nodes (Phase2.recovery_path phase2 ~dst)
 
 (* --- per-arrival dispatch ----------------------------------------- *)
 
@@ -395,7 +382,7 @@ and handle_phase1 sim t packet hdr ~at ~from =
         end
 
 and dispatch_recovered sim t packet ~at ~ready =
-  match recovery_route at ready packet.dst with
+  match recovery_route ready packet.dst with
   | None -> drop sim t Unreachable_in_view
   | Some route -> (
       (* route = at :: rest *)

@@ -34,14 +34,6 @@ module Workspace : sig
 
   val get : unit -> t
   (** The calling domain's arena ([Domain.DLS]-backed). *)
-
-  val generation : t -> int
-  (** Bumped by every run that acquires the arena.  A borrowed [Spt.t]
-      is readable exactly while the generation it was born under is
-      still current; holders that may outlive other workspace traffic
-      (e.g. batched phase-2 sessions) compare generations to fail fast
-      on expired trees instead of silently reading someone else's
-      labels. *)
 end
 
 val spt :

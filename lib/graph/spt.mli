@@ -42,8 +42,10 @@ val path : t -> Graph.node -> Path.t option
     the path from the node to the root.  [None] if unreachable. *)
 
 val copy : t -> t
-(** Deep copy (fresh arrays); the incremental algorithms mutate, so
-    benchmarks and tests copy first. *)
+(** Deep copy (fresh arrays).  Turns a tree borrowed from a workspace
+    run into an owned one (phase 2 keeps its session tree this way),
+    and lets the incremental algorithms mutate a copy, not the
+    original. *)
 
 val children : t -> Graph.node list array
 (** Tree children of every node, derived from the parent pointers. *)

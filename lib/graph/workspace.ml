@@ -31,9 +31,6 @@ type t = {
   mutable ltouched : int array;
   mutable n_ltouched : int;
   heap : Pqueue.t;
-  (* Bumped by every [acquire]: borrowed trees record it at birth so
-     stale reads can be detected instead of returning garbage. *)
-  mutable generation : int;
 }
 
 let create () =
@@ -53,7 +50,6 @@ let create () =
     ltouched = [||];
     n_ltouched = 0;
     heap = Pqueue.create ();
-    generation = 0;
   }
 
 let slot : t Rtr_util.Domain_local.t = Rtr_util.Domain_local.make create
@@ -110,10 +106,7 @@ let select_queue ws g =
       (Pqueue.dial_bound_for ~max_cost:(Graph.max_cost g)
          ~n_nodes:(Graph.n_nodes g))
 
-let generation ws = ws.generation
-
 let acquire ws g =
-  ws.generation <- ws.generation + 1;
   let n = Graph.n_nodes g and m = Graph.n_links g in
   if ws.n = n && ws.m = m then begin
     Rtr_obs.Metrics.Counter.incr c_ws_reuse;

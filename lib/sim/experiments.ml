@@ -207,8 +207,7 @@ let collect_legacy ?(log = fun _ -> ()) config =
       @@ fun () ->
       let topo = Isp.load preset in
       let g = Rtr_topo.Topology.graph topo in
-      let cache = Topo_cache.shared topo in
-      let table = Topo_cache.table cache in
+      let table = Topo_cache.table (Topo_cache.shared topo) in
       let mrc =
         match config.mrc_k with
         | Some k -> (
@@ -257,7 +256,7 @@ let collect_legacy ?(log = fun _ -> ()) config =
       done;
       let shard_results =
         Parallel.map ~jobs:config.jobs
-          (Runner.run_scenario ~cache ~mrc)
+          (Runner.run_scenario ~mrc)
           (Array.of_list (List.rev !work))
       in
       let rec_acc = ref [] and irr_acc = ref [] in
@@ -742,8 +741,7 @@ let ablation_constraints ?(cases = 500) config =
   let row (preset : Isp.preset) =
     let topo = Isp.load preset in
     let g = Rtr_topo.Topology.graph topo in
-    let cache = Topo_cache.shared topo in
-    let table = Topo_cache.table cache in
+    let table = Topo_cache.table (Topo_cache.shared topo) in
     let rng = Rtr_util.Rng.make (config.seed + preset.Isp.seed + 23) in
     let n_done = ref 0 in
     let ok_on = ref 0 and ok_off = ref 0 in
@@ -762,11 +760,10 @@ let ablation_constraints ?(cases = 500) config =
                   ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger
                   ()
               in
-              (* Batched: one borrowed-workspace SPT, queried for the
-                 single destination right below — no clone, no repair. *)
               let p2 =
-                Rtr_core.Phase2.create_batched topo scenario.Scenario.damage
-                  ~phase1:p1 ()
+                Rtr_core.Phase2.create topo scenario.Scenario.damage
+                  ~initiator:c.Scenario.initiator
+                  ~removed:p1.Rtr_core.Phase1.failed_links
               in
               let delivered =
                 match Rtr_core.Phase2.recovery_path p2 ~dst:c.Scenario.dst with
@@ -836,8 +833,7 @@ let extension_bidir ?(cases = 500) config =
   let row (preset : Isp.preset) =
     let topo = Isp.load preset in
     let g = Rtr_topo.Topology.graph topo in
-    let cache = Topo_cache.shared topo in
-    let table = Topo_cache.table cache in
+    let table = Topo_cache.table (Topo_cache.shared topo) in
     let rng = Rtr_util.Rng.make (config.seed + preset.Isp.seed + 31) in
     let n_done = ref 0 in
     let single_hops = ref 0 and first_hops = ref 0 and both_hops = ref 0 in
@@ -866,14 +862,13 @@ let extension_bidir ?(cases = 500) config =
               Rtr_core.Bidir.run topo scenario.Scenario.damage
                 ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger ()
             in
-            let base_spt = Topo_cache.base_spt cache c.Scenario.initiator in
             let p2_single =
-              Rtr_core.Phase2.create topo scenario.Scenario.damage ~base_spt
-                ~phase1:bid.Rtr_core.Bidir.right ()
+              Rtr_core.Phase2.create topo scenario.Scenario.damage
+                ~initiator:c.Scenario.initiator
+                ~removed:bid.Rtr_core.Bidir.right.Rtr_core.Phase1.failed_links
             in
             let p2_merged =
-              Rtr_core.Bidir.phase2_of_merged topo scenario.Scenario.damage
-                ~base_spt bid
+              Rtr_core.Bidir.phase2_of_merged topo scenario.Scenario.damage bid
             in
             if delivered p2_single then incr ok_single;
             if delivered p2_merged then incr ok_merged;
@@ -990,8 +985,7 @@ let ablation_mrc_k ?(cases = 500) ?(ks = [ 4; 6; 8; 12; 16 ]) config =
 let instance_variance ?(cases = 400) ?(instances = 5) config =
   let module Damage = Rtr_failure.Damage in
   let rate_on topo seed =
-    let cache = Topo_cache.shared topo in
-    let table = Topo_cache.table cache in
+    let table = Topo_cache.table (Topo_cache.shared topo) in
     let rng = Rtr_util.Rng.make seed in
     let n_done = ref 0 and ok = ref 0 in
     while !n_done < cases do
@@ -1000,10 +994,8 @@ let instance_variance ?(cases = 400) ?(instances = 5) config =
         (fun (c : Scenario.case) ->
           if c.Scenario.kind = Scenario.Recoverable && !n_done < cases then begin
             incr n_done;
-            (* Batched session, consumed for one destination before the
-               next scenario touches the workspace. *)
             let session =
-              Rtr_core.Rtr.start topo scenario.Scenario.damage ~batched:true
+              Rtr_core.Rtr.start topo scenario.Scenario.damage
                 ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger ()
             in
             match Rtr_core.Rtr.recover session ~dst:c.Scenario.dst with

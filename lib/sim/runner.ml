@@ -47,21 +47,11 @@ let stretch_of_cost ~shortest_after = function
   | None -> None
   | Some cost -> stretch_of_dist ~shortest_after cost
 
-(* The slice of a result that reads the RTR session's phase-2 tree.
-   Batched sessions borrow the domain workspace, so every leg of a
-   session must run before anything else (FCP, the next session) runs
-   an SPT on this domain — [run_scenario] groups cases accordingly. *)
-type rtr_leg = {
-  leg_recovered : bool;
-  leg_cost : int option;
-  leg_route_bytes : int;
-  leg_wasted_tx : int;
-  leg_calcs : int;
-}
-
-let run_rtr_leg session (case : Scenario.case) =
+(* One case's record: the RTR leg served by the (initiator, trigger)
+   session, then the two baselines. *)
+let run_case g topo ~mrc session damage (case : Scenario.case) =
   let calcs_before = Rtr.sp_calculations session in
-  let leg_recovered, leg_cost, leg_route_bytes, leg_wasted_tx =
+  let rtr_recovered, rtr_cost, rtr_route_bytes, rtr_wasted_tx =
     match Rtr.recover session ~dst:case.Scenario.dst with
     | Rtr.Recovered path ->
         (* The stretch numerator comes back through the session's
@@ -79,18 +69,8 @@ let run_rtr_leg session (case : Scenario.case) =
         let bytes = Header.rtr_phase2 ~hops:(Path.hops path) in
         (false, None, bytes, hops_done * (Header.payload_bytes + bytes))
   in
-  {
-    leg_recovered;
-    leg_cost;
-    leg_route_bytes;
-    leg_wasted_tx;
-    leg_calcs = Rtr.sp_calculations session - calcs_before;
-  }
-
-(* The baselines and the final record: free of the session's tree, so
-   it can run after the workspace moved on. *)
-let finish_case g topo ~mrc (p1 : Phase1.result) (case : Scenario.case)
-    damage leg =
+  let rtr_calcs = Rtr.sp_calculations session - calcs_before in
+  let p1 = Rtr.phase1 session in
   let fcp =
     Fcp.run topo damage ~initiator:case.Scenario.initiator
       ~dst:case.Scenario.dst
@@ -115,12 +95,12 @@ let finish_case g topo ~mrc (p1 : Phase1.result) (case : Scenario.case)
       (match p1.Phase1.status with
       | Phase1.Completed | Phase1.No_live_neighbor -> true
       | Phase1.Hop_limit | Phase1.Stuck _ -> false);
-    rtr_recovered = leg.leg_recovered;
-    rtr_cost = leg.leg_cost;
-    rtr_stretch = stretch_of_cost ~shortest_after leg.leg_cost;
-    rtr_route_bytes = leg.leg_route_bytes;
-    rtr_wasted_tx = leg.leg_wasted_tx;
-    rtr_calcs = leg.leg_calcs;
+    rtr_recovered;
+    rtr_cost;
+    rtr_stretch = stretch_of_cost ~shortest_after rtr_cost;
+    rtr_route_bytes;
+    rtr_wasted_tx;
+    rtr_calcs;
     fcp_delivered = fcp.Fcp.delivered;
     fcp_cost;
     fcp_stretch = stretch_of_cost ~shortest_after fcp_cost;
@@ -149,7 +129,7 @@ let group_by_session cases key_of =
     cases;
   List.rev_map (fun (key, r) -> (key, List.rev !r)) !order
 
-let run_scenario ?cache:_ ~mrc (scenario : Scenario.t) =
+let run_scenario ~mrc (scenario : Scenario.t) =
   Rtr_obs.Trace.with_ "runner.scenario" @@ fun () ->
   Metrics.Counter.incr c_scenarios;
   Metrics.Counter.add c_cases (List.length scenario.Scenario.cases);
@@ -160,19 +140,15 @@ let run_scenario ?cache:_ ~mrc (scenario : Scenario.t) =
   let results = Array.make (Array.length cases) None in
   (* One RTR session per (initiator, trigger): phase 1's walk starts at
      the trigger, so two different triggers at the same initiator are
-     distinct sessions with possibly different collected failures.
-     Sessions are batched — the phase-2 tree borrows the domain
-     workspace — so each group's RTR legs all run while the tree is
-     live, then the baselines (whose own SPTs retire it). *)
+     distinct sessions with possibly different collected failures, and
+     one session's tree serves all of its group's destinations. *)
   List.iter
     (fun ((initiator, trigger), idxs) ->
-      let session = Rtr.start topo damage ~batched:true ~initiator ~trigger () in
-      let p1 = Rtr.phase1 session in
-      let legs = List.map (fun i -> (i, run_rtr_leg session cases.(i))) idxs in
+      let session = Rtr.start topo damage ~initiator ~trigger () in
       List.iter
-        (fun (i, leg) ->
-          results.(i) <- Some (finish_case g topo ~mrc p1 cases.(i) damage leg))
-        legs)
+        (fun i ->
+          results.(i) <- Some (run_case g topo ~mrc session damage cases.(i)))
+        idxs)
     (group_by_session cases (fun (c : Scenario.case) ->
          (c.Scenario.initiator, c.Scenario.trigger)));
   Array.to_list results |> List.map Option.get

@@ -46,19 +46,14 @@ type result = {
   mrc_stretch : float option;
 }
 
-val run_scenario :
-  ?cache:Topo_cache.t -> mrc:Rtr_baselines.Mrc.t -> Scenario.t -> result list
+val run_scenario : mrc:Rtr_baselines.Mrc.t -> Scenario.t -> result list
 (** Results in case order.  Execution is grouped by (initiator,
-    trigger): one {e batched} RTR session per group serves all its
-    destinations from a single borrowed-workspace SPT
-    ([Rtr_core.Phase2.create_batched]), and the group's RTR legs run
-    before the baselines so the tree is never read after expiry.
-    [cache] is accepted for compatibility but unused — batched sessions
-    do not clone pre-failure trees. *)
+    trigger): one RTR session per group serves all its destinations
+    from the session's single shortest-path tree. *)
 
 val group_by_session : 'a array -> ('a -> 'k) -> ('k * int list) list
 (** Indices of [cases] grouped by [key_of], groups in first-appearance
-    order and each group's indices ascending — the session-batching
+    order and each group's indices ascending — the session-grouping
     order shared with the recovery-map compiler. *)
 
 val rtr_sp_calculations : result -> int

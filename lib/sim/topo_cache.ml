@@ -1,14 +1,9 @@
-module Graph = Rtr_graph.Graph
 module View = Rtr_graph.View
-module Spt = Rtr_graph.Spt
-module Dijkstra = Rtr_graph.Dijkstra
 module Route_table = Rtr_routing.Route_table
 module Metrics = Rtr_obs.Metrics
 
 let c_table_hits = Metrics.counter "topo_cache.table_hits"
 let c_table_misses = Metrics.counter "topo_cache.table_misses"
-let c_spt_hits = Metrics.counter "topo_cache.spt_hits"
-let c_spt_misses = Metrics.counter "topo_cache.spt_misses"
 
 type t = {
   topo : Rtr_topo.Topology.t;
@@ -19,10 +14,6 @@ type t = {
      hit/miss counters exactly what a sequential run would record. *)
   lock : Mutex.t;
   mutable table : Route_table.t option;
-  (* Master pre-failure From_root SPT per initiator.  Consumers clone
-     before mutating (Phase2 copies its [base_spt]); the masters here
-     are never repaired in place. *)
-  spts : (Graph.node, Spt.t) Hashtbl.t;
 }
 
 let create topo =
@@ -32,7 +23,6 @@ let create topo =
     full_view = View.full g;
     lock = Mutex.create ();
     table = None;
-    spts = Hashtbl.create 64;
   }
 
 let topology t = t.topo
@@ -69,15 +59,3 @@ let table t =
           let table = Route_table.compute t.full_view in
           t.table <- Some table;
           table)
-
-let base_spt t initiator =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.spts initiator with
-      | Some spt ->
-          Metrics.Counter.incr c_spt_hits;
-          spt
-      | None ->
-          Metrics.Counter.incr c_spt_misses;
-          let spt = Dijkstra.spt t.full_view ~root:initiator () in
-          Hashtbl.replace t.spts initiator spt;
-          spt)

@@ -1,23 +1,14 @@
 (** Per-topology compute cache for the experiment harness.
 
     Experiments evaluate hundreds of failure scenarios against the same
-    topology; everything that depends only on the {e pre-failure}
-    topology is computed once here and shared:
-
-    - the pre-failure routing table ([table]), reused by the scenario
-      rejection-sampling loop instead of one [Route_table.compute] per
-      candidate;
-    - one pre-failure [From_root] SPT per recovery initiator
-      ([base_spt]), which [Phase2.create] clones and incrementally
-      repairs instead of rerunning Dijkstra from scratch per session.
-
-    The cached SPTs are masters: callers must not mutate them.  Phase 2
-    copies its [base_spt] before repairing, so handing out the master
-    directly costs one copy per session, not two.
+    topology; what depends only on the {e pre-failure} topology is
+    computed once here and shared: the undamaged view and the
+    pre-failure routing table ([table]), reused by the scenario
+    rejection-sampling loop instead of one [Route_table.compute] per
+    candidate.
 
     Hit/miss counts are exported as [topo_cache.*] metrics. *)
 
-module Graph = Rtr_graph.Graph
 
 type t
 
@@ -41,8 +32,3 @@ val full_view : t -> Rtr_graph.View.t
 
 val table : t -> Rtr_routing.Route_table.t
 (** The pre-failure routing table, computed on first call. *)
-
-val base_spt : t -> Graph.node -> Rtr_graph.Spt.t
-(** The pre-failure shortest-path tree rooted at [initiator]
-    ([From_root]), computed on first call per initiator.  Treat as
-    read-only — pass it to [Phase2.create ~base_spt], which clones. *)

@@ -10,7 +10,8 @@
 # (generate | evaluate | reduce must equal the in-process run, shard
 # splits and crash-resume included), the fuzz gate, and the episode
 # gate (theorem-survival matrix on cascading/transient/moving
-# timelines).
+# timelines), and the benchmark-correctness gate (every perfbench
+# workload's own result checks).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -351,4 +352,26 @@ if ! diff -r "$epidir/j1" "$epidir/j4"; then
 fi
 
 echo "ci_smoke: episode gate OK ($EPISODE_CASES cases/kind clean; corpus replayed; injected walk truncation caught; jobs-invariant)"
+# --- benchmark-correctness gate --------------------------------------
+# One short run of every perfbench workload.  Each run checks its own
+# results while it measures (the repro Table III digests, flow
+# conservation, rmap hits against the store, resume equal to the
+# uninterrupted reduction); a run must report correct with no failed
+# check.
+for w in repro flows rmap resume; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
+    2> "$tmp/perfbench_$w.err" | tail -n 1 > "$tmp/perfbench_$w.json"
+  if ! python3 -c '
+import json, sys
+r = json.load(open(sys.argv[1]))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+' "$tmp/perfbench_$w.json" 2> /dev/null
+  then
+    echo "ci_smoke: FAIL — perfbench $w run not correct or has failed checks" >&2
+    cat "$tmp/perfbench_$w.err" "$tmp/perfbench_$w.json" >&2
+    exit 1
+  fi
+done
+
+echo "ci_smoke: benchmark gate OK (repro, flows, rmap, resume correct with 0 failed checks)"
 echo "ci_smoke: OK"

@@ -15,9 +15,13 @@ let setup () =
   let p1 = Phase1.run topo damage ~initiator:PE.initiator ~trigger:PE.trigger () in
   (topo, g, damage, p1)
 
+let of_phase1 topo damage p1 =
+  Phase2.create topo damage ~initiator:p1.Phase1.initiator
+    ~removed:p1.Phase1.failed_links
+
 let test_view_removes_collected_and_local () =
   let topo, _, damage, p1 = setup () in
-  let p2 = Phase2.create topo damage ~phase1:p1 () in
+  let p2 = of_phase1 topo damage p1 in
   let removed = Phase2.removed_links p2 in
   (* Everything phase 1 collected is removed... *)
   List.iter
@@ -30,7 +34,7 @@ let test_view_removes_collected_and_local () =
 
 let test_path_avoids_view () =
   let topo, g, damage, p1 = setup () in
-  let p2 = Phase2.create topo damage ~phase1:p1 () in
+  let p2 = of_phase1 topo damage p1 in
   match Phase2.recovery_path p2 ~dst:PE.destination with
   | None -> Alcotest.fail "path expected"
   | Some path ->
@@ -45,7 +49,7 @@ let test_path_avoids_view () =
 
 let test_caching_counts_once_per_destination () =
   let topo, _, damage, p1 = setup () in
-  let p2 = Phase2.create topo damage ~phase1:p1 () in
+  let p2 = of_phase1 topo damage p1 in
   Alcotest.(check int) "no calculation yet" 0 (Phase2.sp_calculations p2);
   ignore (Phase2.recovery_path p2 ~dst:PE.destination);
   ignore (Phase2.recovery_path p2 ~dst:PE.destination);
@@ -61,7 +65,7 @@ let test_caching_counts_once_per_destination () =
 let test_repeated_destination_bumps_cache_hits () =
   let c = Rtr_obs.Metrics.counter "phase2.cache_hits" in
   let topo, _, damage, p1 = setup () in
-  let p2 = Phase2.create topo damage ~phase1:p1 () in
+  let p2 = of_phase1 topo damage p1 in
   let v0 = Rtr_obs.Metrics.Counter.value c in
   ignore (Phase2.recovery_path p2 ~dst:PE.destination);
   Alcotest.(check int) "first demand is a miss" v0
@@ -86,7 +90,7 @@ let test_unreachable_destination () =
   let p1 = Phase1.run topo damage ~initiator:0 ~trigger:1 () in
   Alcotest.(check bool) "walk degenerates" true
     (p1.Phase1.status = Phase1.No_live_neighbor);
-  let p2 = Phase2.create topo damage ~phase1:p1 () in
+  let p2 = of_phase1 topo damage p1 in
   Alcotest.(check bool) "None for cut destination" true
     (Phase2.recovery_path p2 ~dst:2 = None);
   Alcotest.(check (option int)) "distance agrees" None
@@ -117,7 +121,8 @@ let test_extra_removed () =
   (* Carrying e5,12 as already-known failure forces a different
      route. *)
   let p2 =
-    Phase2.create topo damage ~extra_removed:[ PE.link 5 12 ] ~phase1:p1 ()
+    Phase2.create topo damage ~initiator:PE.initiator
+      ~removed:(PE.link 5 12 :: p1.Phase1.failed_links)
   in
   match Phase2.recovery_path p2 ~dst:PE.destination with
   | None -> Alcotest.fail "still reachable"
@@ -125,13 +130,7 @@ let test_extra_removed () =
       Alcotest.(check bool) "avoids the carried link" false
         (List.mem (PE.link 5 12) (Path.links g path))
 
-let test_repaired_nodes_positive () =
-  let topo, _, damage, p1 = setup () in
-  let p2 = Phase2.create topo damage ~phase1:p1 () in
-  Alcotest.(check bool) "incremental repair touched something" true
-    (Phase2.repaired_nodes p2 > 0)
-
-let incremental_equals_scratch =
+let distances_equal_scratch =
   QCheck.Test.make
     ~name:"phase-2 distances equal scratch dijkstra over the view" ~count:60
     QCheck.(pair (int_range 6 30) (int_range 0 400))
@@ -142,7 +141,7 @@ let incremental_equals_scratch =
       List.for_all
         (fun (initiator, trigger) ->
           let p1 = Rtr_core.Phase1.run topo damage ~initiator ~trigger () in
-          let p2 = Phase2.create topo damage ~phase1:p1 () in
+          let p2 = of_phase1 topo damage p1 in
           let removed = Phase2.removed_links p2 in
           let link_ok id = not (List.mem id removed) in
           List.for_all
@@ -159,53 +158,6 @@ let incremental_equals_scratch =
         | [] -> []
         | x :: _ -> [ x ]))
 
-(* Batched mode: one borrowed-workspace SPT, same routes and distances
-   as the clone-and-repair path, destination for destination. *)
-let test_batched_equals_classic () =
-  let topo, g, damage, p1 = setup () in
-  let classic = Phase2.create topo damage ~phase1:p1 () in
-  let batched = Phase2.create_batched topo damage ~phase1:p1 () in
-  Alcotest.(check (list int))
-    "same removed links"
-    (Phase2.removed_links classic)
-    (Phase2.removed_links batched);
-  (* Extract every destination from the batched session while its tree
-     is live (classic owns its arrays, so its queries can come after). *)
-  let n = Graph.n_nodes g in
-  let got =
-    List.init n (fun dst ->
-        (Phase2.recovery_path batched ~dst, Phase2.recovery_distance batched ~dst))
-  in
-  List.iteri
-    (fun dst (bp, bd) ->
-      let cp = Phase2.recovery_path classic ~dst in
-      if
-        Option.map Path.nodes bp <> Option.map Path.nodes cp
-        || bd <> Phase2.recovery_distance classic ~dst
-      then Alcotest.failf "batched differs from classic at dst v%d" dst)
-    got
-
-(* An uncached query on an expired batched tree must raise; cached
-   answers keep working because they carry their distance labels. *)
-let test_batched_expiry () =
-  let topo, g, damage, p1 = setup () in
-  let batched = Phase2.create_batched topo damage ~phase1:p1 () in
-  let first = Phase2.recovery_path batched ~dst:PE.destination in
-  Alcotest.(check bool) "destination reachable" true (first <> None);
-  let d_before = Phase2.recovery_distance batched ~dst:PE.destination in
-  (* Retire the tree: any other workspace run on this domain. *)
-  ignore
-    (Rtr_graph.Dijkstra.spt
-       ~workspace:(Rtr_graph.Dijkstra.Workspace.get ())
-       (View.full g) ~root:0 ());
-  Alcotest.(check bool) "cached path survives expiry" true
-    (Phase2.recovery_path batched ~dst:PE.destination = first);
-  Alcotest.(check (option int)) "cached distance survives expiry" d_before
-    (Phase2.recovery_distance batched ~dst:PE.destination);
-  match Phase2.recovery_path batched ~dst:(PE.v 18) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "uncached query on an expired tree must raise"
-
 let suite =
   [
     Alcotest.test_case "view removal" `Quick test_view_removes_collected_and_local;
@@ -217,9 +169,5 @@ let suite =
     Alcotest.test_case "uncollectable failure gives false path" `Quick
       test_uncollectable_failure_gives_false_path;
     Alcotest.test_case "extra removed (multi-area)" `Quick test_extra_removed;
-    Alcotest.test_case "repaired nodes" `Quick test_repaired_nodes_positive;
-    Alcotest.test_case "batched equals classic" `Quick
-      test_batched_equals_classic;
-    Alcotest.test_case "batched expiry" `Quick test_batched_expiry;
-    QCheck_alcotest.to_alcotest incremental_equals_scratch;
+    QCheck_alcotest.to_alcotest distances_equal_scratch;
   ]

@@ -134,18 +134,11 @@ let no_false_unreachable =
             (List.init (Graph.n_nodes g) Fun.id))
         (match Rtr_check.Gen.detectors topo damage with [] -> [] | x :: _ -> [ x ]))
 
-(* A mid-convergence episode invalidates a batched session's workspace
-   lease: its cached answers keep serving, uncached queries raise, and
-   [resume] yields a fresh batched session against the new damage. *)
-let test_resume_expires_batched_lease () =
-  let topo, g, damage, _ = paper_session () in
-  let session =
-    Rtr.start topo damage ~batched:true ~initiator:PE.initiator
-      ~trigger:PE.trigger ()
-  in
-  let p2 = Rtr.phase2 session in
-  Alcotest.(check bool) "session is batched" true (Rtr_core.Phase2.batched p2);
-  Alcotest.(check bool) "lease starts live" false (Rtr_core.Phase2.expired p2);
+(* A mid-convergence episode: [resume] rebuilds phase 2 against the new
+   damage from the same, now stale, phase-1 collection, while the old
+   session keeps its cached answers unchanged. *)
+let test_resume_rebuilds_phase2 () =
+  let _, g, damage, session = paper_session () in
   let cached_path =
     match Rtr.recover session ~dst:PE.destination with
     | Rtr.Recovered path -> path
@@ -172,33 +165,12 @@ let test_resume_expires_batched_lease () =
     find 0
   in
   let resumed = Rtr.resume session extra in
-  Alcotest.(check bool) "old lease expired" true (Rtr_core.Phase2.expired p2);
-  (* Cached answers survive the expiry... *)
   (match Rtr.recover session ~dst:PE.destination with
   | Rtr.Recovered path ->
       Alcotest.(check bool) "cached path still served" true (path = cached_path)
   | _ -> Alcotest.fail "cached destination no longer served");
   Alcotest.(check bool) "cached distance still served" true
     (Rtr.recovery_distance session ~dst:PE.destination = cached_dist);
-  (* ...but an uncached query on the expired session must raise, never
-     silently answer from another session's tree. *)
-  let uncached =
-    let rec pick dst =
-      if dst = PE.initiator || dst = PE.destination || dst = PE.failed_router
-      then pick (dst + 1)
-      else dst
-    in
-    pick 0
-  in
-  (match Rtr.recover session ~dst:uncached with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expired lease served an uncached query");
-  (* The resumed session is batched again, holds a live lease, and
-     answers against the episode's damage. *)
-  Alcotest.(check bool) "resumed session batched" true
-    (Rtr_core.Phase2.batched (Rtr.phase2 resumed));
-  Alcotest.(check bool) "resumed lease live" false
-    (Rtr_core.Phase2.expired (Rtr.phase2 resumed));
   Alcotest.(check bool) "same stale phase 1" true
     (Rtr.phase1 session == Rtr.phase1 resumed);
   match Rtr.recover resumed ~dst:PE.destination with
@@ -210,13 +182,53 @@ let test_resume_expires_batched_lease () =
          but the session must answer, not raise. *)
       ()
 
+(* Two sessions live on one domain, queried alternately with uncached
+   destinations: each owns its tree, so each answers exactly as it does
+   alone, at one calculation per destination. *)
+let test_overlapping_sessions () =
+  let topo, g, damage, _ = paper_session () in
+  let (ia, ta), (ib, tb) =
+    match Rtr_check.Gen.detectors topo damage with
+    | a :: rest -> (
+        match List.find_opt (fun (i, _) -> i <> fst a) rest with
+        | Some b -> (a, b)
+        | None -> Alcotest.fail "need two distinct initiators")
+    | [] -> Alcotest.fail "need two distinct initiators"
+  in
+  let start initiator trigger = Rtr.start topo damage ~initiator ~trigger () in
+  let answer s dst = (Rtr.recover s ~dst, Rtr.recovery_distance s ~dst) in
+  let dsts =
+    List.filter
+      (fun v -> v <> ia && v <> ib)
+      (List.init (Graph.n_nodes g) Fun.id)
+  in
+  let a = start ia ta and b = start ib tb in
+  let interleaved =
+    List.map
+      (fun dst ->
+        let ra = answer a dst in
+        (ra, answer b dst))
+      dsts
+  in
+  let alone_a = List.map (answer (start ia ta)) dsts in
+  let alone_b = List.map (answer (start ib tb)) dsts in
+  Alcotest.(check bool) "A answers as alone" true
+    (List.map fst interleaved = alone_a);
+  Alcotest.(check bool) "B answers as alone" true
+    (List.map snd interleaved = alone_b);
+  Alcotest.(check int) "A: one calculation per destination" (List.length dsts)
+    (Rtr.sp_calculations a);
+  Alcotest.(check int) "B: one calculation per destination" (List.length dsts)
+    (Rtr.sp_calculations b)
+
 let suite =
   [
     Alcotest.test_case "paper recovery" `Quick test_paper_recovery;
     Alcotest.test_case "one phase1, many destinations" `Quick
       test_all_destinations_one_phase1;
-    Alcotest.test_case "resume expires the batched lease" `Quick
-      test_resume_expires_batched_lease;
+    Alcotest.test_case "resume rebuilds phase 2" `Quick
+      test_resume_rebuilds_phase2;
+    Alcotest.test_case "overlapping sessions" `Quick test_overlapping_sessions;
     QCheck_alcotest.to_alcotest theorem3_single_link_failure;
     QCheck_alcotest.to_alcotest theorem2_recovered_is_optimal;
     QCheck_alcotest.to_alcotest no_false_unreachable;

@@ -52,12 +52,6 @@ let test_same_name_distinct_topo_gets_fresh_cache () =
   Alcotest.(check bool) "fresh cache for fresh topo" false (ca == cb);
   Alcotest.(check bool) "replacement is stable" true (cb == Topo_cache.shared b)
 
-let test_base_spt_master_is_cached () =
-  let topo = make_topo "tc-spt" in
-  let c = Topo_cache.shared topo in
-  Alcotest.(check bool) "same master tree" true
-    (Topo_cache.base_spt c 0 == Topo_cache.base_spt c 0)
-
 let suite =
   [
     Alcotest.test_case "shared returns one cache per topology" `Quick
@@ -66,6 +60,4 @@ let suite =
       test_repeated_table_demand_hits;
     Alcotest.test_case "same name, distinct topo: fresh cache" `Quick
       test_same_name_distinct_topo_gets_fresh_cache;
-    Alcotest.test_case "base spt master cached" `Quick
-      test_base_spt_master_is_cached;
   ]
