@@ -12,6 +12,8 @@ module Enum = Rtr_rmap.Enum
 module Netsim = Rtr_des.Netsim
 module Damage = Rtr_failure.Damage
 module PE = Rtr_topo.Paper_example
+module Flowsim = Rtr_des.Flowsim
+module Topo_cache = Rtr_sim.Topo_cache
 
 let digest = Compile.fnv64_hex
 let table t = digest (Report.table_to_csv t)
@@ -24,12 +26,81 @@ let config () = fst (Lazy.force Test_experiments.data)
 
 let preset name = Option.get (Isp.find name)
 
+(* The five schemes on AS1239 and AS3549, 3,000 flows each: the
+   congestion table digests the AS1239 rows, the full-stats digests
+   below both topologies. *)
+let congestion_data =
+  lazy
+    (Experiments.congestion_data ~flows_per_topo:3000
+       {
+         (config ()) with
+         Experiments.presets = [ preset "AS1239"; preset "AS3549" ];
+       })
+
 let congestion () =
-  let config =
-    { (config ()) with Experiments.presets = [ preset "AS1239" ] }
-  in
   Experiments.congestion_table
-    (Experiments.congestion_data ~flows_per_topo:3000 config)
+    (List.filter
+       (fun ((p : Isp.preset), _) -> p.Isp.as_name = "AS1239")
+       (Lazy.force congestion_data))
+
+(* Every field of a [Flowsim.stats]: the table above only sees rounded
+   cells, so a one-pps shift on one link would slip past it. *)
+let pp_flowsim b (s : Flowsim.stats) =
+  Printf.bprintf b "%d %d %d %d %d %d %h %d %d %h %h %d %d %d %d\n"
+    s.Flowsim.flows s.Flowsim.offered_ratems s.Flowsim.delivered_ratems
+    s.Flowsim.blackholed_ratems s.Flowsim.dropped_recovery_ratems
+    s.Flowsim.dropped_no_route_ratems s.Flowsim.delivered_frac
+    s.Flowsim.broken s.Flowsim.recovered s.Flowsim.stretch_agg
+    s.Flowsim.stretch_max s.Flowsim.base_max_load s.Flowsim.rec_max_load
+    s.Flowsim.post_max_load s.Flowsim.overloaded_links;
+  Array.iter (fun v -> Printf.bprintf b "%d " v) s.Flowsim.rec_link_loads;
+  Buffer.add_char b '\n'
+
+let flowsim_stats as_name scheme =
+  let _, per_scheme =
+    List.find
+      (fun ((p : Isp.preset), _) -> p.Isp.as_name = as_name)
+      (Lazy.force congestion_data)
+  in
+  let b = Buffer.create 4096 in
+  pp_flowsim b (List.assoc scheme per_scheme);
+  digest (Buffer.contents b)
+
+(* Two ground-truth eras: an AS1239 disc at t_fail, then at t = 4 s a
+   restore episode repairs one failed router and every other failed
+   link, so both eras open a recovery window (classic IGP: detection
+   1 s, convergence several seconds) against different damage. *)
+let flowsim_two_era () =
+  let topo = Isp.load (preset "AS1239") in
+  let table = Topo_cache.table (Topo_cache.shared topo) in
+  let rng = Rtr_util.Rng.make 11 in
+  let rec draw () =
+    let d = (Rtr_sim.Scenario.generate topo table rng ()).Rtr_sim.Scenario.damage in
+    if Damage.n_failed_nodes d >= 1 && Damage.n_failed_links d >= 6 then d
+    else draw ()
+  in
+  let damage = draw () in
+  let restored =
+    Damage.restore damage
+      ~nodes:[ List.hd (Damage.failed_nodes damage) ]
+      ~links:(List.filteri (fun i _ -> i mod 2 = 0) (Damage.failed_links damage))
+      ()
+  in
+  let flows = Flowsim.demand topo ~n:3000 ~seed:5 in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun scheme ->
+      pp_flowsim b
+        (Flowsim.run topo damage
+           {
+             Flowsim.default_config with
+             Flowsim.scheme;
+             seed = 5;
+             episodes = [ (4.0, restored) ];
+           }
+           flows))
+    Experiments.congestion_schemes;
+  digest (Buffer.contents b)
 
 let rmap () =
   let config =
@@ -140,6 +211,33 @@ let golden =
     ("netsim", "7acbff42cfa2fb68", fun () -> digest (netsim ()));
     ("rmap_artifact", "1e83753a44e7e3ea", fun () -> digest (rmap ()));
   ]
+  @ List.concat_map
+      (fun (as_name, digests) ->
+        List.map2
+          (fun scheme expected ->
+            ( Printf.sprintf "flowsim_%s_%s" as_name (Flowsim.scheme_name scheme),
+              expected,
+              fun () -> flowsim_stats as_name scheme ))
+          Experiments.congestion_schemes digests)
+      [
+        ( "AS1239",
+          [
+            "e450991edab48ad9";
+            "101a341e4b4c0962";
+            "101a341e4b4c0962";
+            "afb81788cc9fecac";
+            "5f55bb16601f0053";
+          ] );
+        ( "AS3549",
+          [
+            "c2e76ebb0cb6ac32";
+            "7a70f9a4ba9c8adf";
+            "721392300ec90d9d";
+            "77d36060d10e68ea";
+            "56c4ae9fb6990278";
+          ] );
+      ]
+  @ [ ("flowsim_two_era", "a690eb667743b922", flowsim_two_era) ]
 
 let suite =
   List.map
