@@ -584,7 +584,7 @@ let () =
      and topology) per wall-clock second of the sweep. *)
   (let snap = Metrics.snapshot () in
    match
-     ( Metrics.Snapshot.counter snap "netsim.flows",
+     ( Metrics.Snapshot.counter snap "flowsim.flows",
        Metrics.Snapshot.gauge snap "bench.wall_s.flows" )
    with
    | Some flows, Some wall when wall > 0.0 ->

@@ -17,23 +17,43 @@ type result = {
   discarded_at : Graph.node option;
 }
 
-let run topo damage ~initiator ~dst =
-  if initiator = dst then invalid_arg "Fcp.run: initiator equals destination";
-  if not (Damage.node_ok damage initiator) then
-    invalid_arg "Fcp.run: initiator failed";
+(* Shortest-path trees are shared across the routes of one session:
+   a recomputing router's view is the pre-failure map minus the
+   carried links, so its tree depends only on (router, carried-link
+   set).  Each distinct key is computed once and kept as an owned
+   copy. *)
+type session = {
+  g : Graph.t;
+  damage : Damage.t;
+  full : View.t;
+  trees : (Graph.node * Graph.link_id list, Spt.t) Hashtbl.t;
+}
+
+let start topo damage =
   let g = Rtr_topo.Topology.graph topo in
-  let carried = Array.make (Graph.n_links g) false in
+  { g; damage; full = View.full g; trees = Hashtbl.create 16 }
+
+let tree s ~root carried =
+  let key = (root, List.sort Int.compare carried) in
+  match Hashtbl.find_opt s.trees key with
+  | Some spt -> spt
+  | None ->
+      let view = View.remove_links s.full carried in
+      let spt =
+        Spt.copy
+          (Dijkstra.spt ~workspace:(Dijkstra.Workspace.get ()) view ~root ())
+      in
+      Hashtbl.add s.trees key spt;
+      spt
+
+let route s ~initiator ~dst =
+  if initiator = dst then invalid_arg "Fcp.route: initiator equals destination";
+  if not (Damage.node_ok s.damage initiator) then
+    invalid_arg "Fcp.route: initiator failed";
+  let g = s.g and damage = s.damage in
   let carried_rev = ref [] in
-  (* The packet's view of the network: pre-failure map minus every
-     carried failure.  Updated incrementally as links join the header. *)
-  let view = ref (View.full g) in
-  let fresh = ref [] in
   let carry id =
-    if not carried.(id) then begin
-      carried.(id) <- true;
-      carried_rev := id :: !carried_rev;
-      fresh := id :: !fresh
-    end
+    if not (List.mem id !carried_rev) then carried_rev := id :: !carried_rev
   in
   let journey_rev = ref [ initiator ] in
   let hops_rev = ref [] in
@@ -50,24 +70,16 @@ let run topo damage ~initiator ~dst =
   in
   (* One recomputation round at [current]: the router's view is the
      pre-failure map minus carried failures minus what it can see on
-     its own links. *)
+     its own links.  It counts as a calculation whether or not the
+     session already holds its tree. *)
   let rec round current =
     (* The recomputing router contributes everything it can see to the
        header: FCP packets carry the failure knowledge of the nodes
        they visit. *)
     Graph.iter_neighbors g current (fun v id ->
         if Damage.neighbor_unreachable damage v id then carry id);
-    if !fresh <> [] then begin
-      view := View.remove_links !view !fresh;
-      fresh := []
-    end;
     incr sp_calcs;
-    (* Borrowed-workspace tree: consumed by the [Spt.path] walk right
-       here, before any other workspace operation can clobber it. *)
-    let spt =
-      Dijkstra.spt ~workspace:(Dijkstra.Workspace.get ()) !view ~root:current ()
-    in
-    match Spt.path spt dst with
+    match Spt.path (tree s ~root:current !carried_rev) dst with
     | None -> finish ~delivered:false ~discarded_at:(Some current)
     | Some path -> follow path
   and follow path =
@@ -96,6 +108,8 @@ let run topo damage ~initiator ~dst =
     walk 0 (Path.nodes path)
   in
   round initiator
+
+let run topo damage ~initiator ~dst = route (start topo damage) ~initiator ~dst
 
 let wasted_transmission r =
   List.fold_left

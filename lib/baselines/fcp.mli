@@ -36,15 +36,39 @@ type result = {
   discarded_at : Graph.node option;
 }
 
+type session
+(** FCP recoveries over one damage, sharing shortest-path trees.
+
+    A recomputing router's view is the pre-failure map minus the links
+    carried in the header, so its tree is a function of (router,
+    carried-link {e set}) alone — not of the destination, the initiator
+    or the order the links joined the header.  A session computes each
+    distinct such tree once and keeps it: one owned tree ([Spt.copy],
+    three [int] arrays of the node count) per distinct (router, carried
+    set) it has met, held until the session is dropped.  Routes served
+    from a shared tree equal fresh [run]s field for field,
+    [sp_calculations] included: every protocol recomputation counts,
+    whether its tree was computed or found.
+
+    Sessions are single-domain values. *)
+
+val start : Rtr_topo.Topology.t -> Rtr_failure.Damage.t -> session
+(** An empty session; trees are computed on demand by [route]. *)
+
+val route : session -> initiator:Graph.node -> dst:Graph.node -> result
+(** Runs one FCP recovery.  Terminates in at most |E| recomputations:
+    each one is triggered by a failure absent from the header, which it
+    then records.  The initiator must be live and differ from [dst]
+    ([Invalid_argument] otherwise). *)
+
 val run :
   Rtr_topo.Topology.t ->
   Rtr_failure.Damage.t ->
   initiator:Graph.node ->
   dst:Graph.node ->
   result
-(** Runs one FCP recovery.  Terminates in at most |E| recomputations:
-    each one is triggered by a failure absent from the header, which it
-    then records.  The initiator must be live. *)
+(** [route (start topo damage) ~initiator ~dst]: one recovery in a
+    throw-away session. *)
 
 val wasted_transmission : result -> int
 (** Byte-hops of the journey under the paper's Sec. IV-D pricing:

@@ -1,7 +1,7 @@
 module Graph = Rtr_graph.Graph
-module View = Rtr_graph.View
 module Damage = Rtr_failure.Damage
 module Route_table = Rtr_routing.Route_table
+module Topo_cache = Rtr_routing.Topo_cache
 module Convergence = Rtr_igp.Convergence
 module Fcp = Rtr_baselines.Fcp
 module Mrc = Rtr_baselines.Mrc
@@ -11,8 +11,8 @@ module Path = Rtr_graph.Path
 module Metrics = Rtr_obs.Metrics
 module Trace = Rtr_obs.Trace
 
-let c_flows = Metrics.counter "netsim.flows"
-let g_max_load = Metrics.gauge "netsim.max_load"
+let c_flows = Metrics.counter "flowsim.flows"
+let g_max_load = Metrics.gauge "flowsim.max_load"
 
 let ensure_metrics_registered () = ()
 
@@ -71,7 +71,9 @@ let default_config =
 
    Unlike the per-packet engine, detection and convergence are global
    boundaries per era (the packet engine keeps them per link and per
-   router); the differential oracle bounds the gap. *)
+   router); the differential oracle bounds the gap.  The three
+   windows' lengths in milliseconds are the same for every flow, so
+   they are quantized once here. *)
 type era = {
   e_start : float;
   e_end : float;
@@ -79,17 +81,27 @@ type era = {
   e_conv : float;
   e_damage : Damage.t;
   e_post : Route_table.t;
+  hold_ms : int;  (* [e_start, e_det) *)
+  rec_ms : int;  (* [e_det, e_conv) *)
+  conv_ms : int;  (* [e_conv, e_end) *)
 }
 
 type context = {
   topo : Rtr_topo.Topology.t;
   g : Graph.t;
   config : config;
-  pre : Route_table.t;
+  pre : Route_table.t;  (* the topology's shared pre-failure table *)
+  pre_ms : int;  (* the pre-failure window, [0, t_fail) *)
   eras : era array;
   mrc : Mrc.t option;
   rr : Randroute.t option;
 }
+
+(* Millisecond quantization of a window.  Boundaries are computed the
+   same way for every flow regardless of sharding, so the products
+   below stay shard-invariant. *)
+let ms_between t0 t1 =
+  if t1 <= t0 then 0 else int_of_float (Float.round ((t1 -. t0) *. 1000.0))
 
 let context topo damage ?mrc config =
   let g = Rtr_topo.Topology.graph topo in
@@ -110,13 +122,18 @@ let context topo damage ?mrc config =
         let conv = Convergence.compute config.igp g e_damage in
         let e_det = e_start +. config.igp.Rtr_igp.Igp_config.detection_s in
         let e_conv = e_start +. Convergence.finished_at conv in
+        let e_det = Float.min e_det e_end in
+        let e_conv = Float.max (Float.min e_conv e_end) e_det in
         {
           e_start;
           e_end;
-          e_det = Float.min e_det e_end;
-          e_conv = Float.max (Float.min e_conv e_end) (Float.min e_det e_end);
+          e_det;
+          e_conv;
           e_damage;
           e_post = Route_table.compute (Damage.view e_damage);
+          hold_ms = ms_between e_start e_det;
+          rec_ms = ms_between e_det e_conv;
+          conv_ms = ms_between e_conv e_end;
         }
         :: build rest
   in
@@ -130,7 +147,16 @@ let context topo damage ?mrc config =
     | Randroute_scheme -> Some (Randroute.create ~seed:config.seed g)
     | _ -> None
   in
-  { topo; g; config; pre = Route_table.compute (View.full g); eras = Array.of_list (build timeline); mrc; rr }
+  {
+    topo;
+    g;
+    config;
+    pre = Topo_cache.table (Topo_cache.shared topo);
+    pre_ms = ms_between 0.0 (Float.min config.t_fail config.t_end);
+    eras = Array.of_list (build timeline);
+    mrc;
+    rr;
+  }
 
 (* --- integer accumulators ------------------------------------------- *)
 
@@ -193,79 +219,101 @@ let merge a b =
   add a.post_loads b.post_loads;
   a
 
-(* Millisecond quantization of a window.  Boundaries are computed the
-   same way for every flow regardless of sharding, so the products
-   below stay shard-invariant. *)
-let ms_between t0 t1 =
-  if t1 <= t0 then 0 else int_of_float (Float.round ((t1 -. t0) *. 1000.0))
+(* --- route-table walks ------------------------------------------------ *)
 
-(* --- per-era default-path classification ---------------------------- *)
+(* A table route is a chain of [next]/[link] row entries ending at the
+   destination: every node with a next hop towards [dst] has a
+   successor that is [dst] or has a next hop itself, so a walk that
+   leaves [src] (whose entry is not [-1]) always reaches [dst].  The
+   walks below add the flow's rate to a load array hop by hop instead
+   of materialising the route. *)
 
-type classified =
-  | Intact of Graph.link_id list
-  | Broken of {
-      at : Graph.node;  (* last live router before the break *)
-      trigger : Graph.node;
-      prefix_rev : Graph.node list;  (* src .. at, reversed *)
-    }
-  | No_pre_route
+(* Charges [rate] on every link from [src] until [stop] (or a missing
+   next hop). *)
+let charge next link loads rate ~src ~stop =
+  let u = ref src in
+  while !u <> stop && next.(!u) >= 0 do
+    let l = link.(!u) in
+    loads.(l) <- loads.(l) + rate;
+    u := next.(!u)
+  done
 
-let classify ctx damage ~src ~dst =
-  let rec go at links_rev prefix_rev =
-    if at = dst then Intact (List.rev links_rev)
+(* Walks the pre-failure route from [src] against an era's ground
+   truth, charging [rate] on each link it crosses, and stops at [dst]
+   or at the last live router before the first unreachable next hop
+   (the router where the flow breaks; its next hop is the trigger).
+   [src] must have a pre-failure route. *)
+let walk_live next link damage loads rate ~src ~dst =
+  let rec go u =
+    if u = dst then u
     else
-      match
-        ( Route_table.next_hop ctx.pre ~src:at ~dst,
-          Route_table.next_link ctx.pre ~src:at ~dst )
-      with
-      | Some v, Some l ->
-          if Damage.neighbor_unreachable damage v l then
-            Broken { at; trigger = v; prefix_rev }
-          else go v (l :: links_rev) (v :: prefix_rev)
-      | _ -> No_pre_route
+      let v = next.(u) and l = link.(u) in
+      if Damage.neighbor_unreachable damage v l then u
+      else begin
+        loads.(l) <- loads.(l) + rate;
+        go v
+      end
   in
-  go src [] [ src ]
+  go src
 
 (* --- recovery schemes ------------------------------------------------ *)
 
-(* Route cost and link charging both walk consecutive node pairs. *)
-let links_of_nodes g nodes =
-  let rec go acc = function
+(* A recovery route from its initiator on: the links in order, each
+   the [Graph.find_link] of consecutive nodes, and their cost. *)
+type route = { links : Graph.link_id array; cost : int }
+
+let route_of_nodes g nodes =
+  let links = Array.make (max 0 (List.length nodes - 1)) 0 in
+  let rec go i cost = function
     | a :: (b :: _ as rest) -> (
         match Graph.find_link g a b with
-        | Some l -> go (l :: acc) rest
+        | Some l ->
+            links.(i) <- l;
+            go (i + 1) (cost + Graph.cost g l ~src:a) rest
         | None -> assert false)
-    | _ -> List.rev acc
+    | _ -> { links; cost }
   in
-  go [] nodes
+  go 0 0 nodes
 
-let cost_of_nodes g nodes =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> (
-        match Graph.find_link g a b with
-        | Some l -> go (acc + Graph.cost g l ~src:a) rest
-        | None -> assert false)
-    | _ -> acc
-  in
-  go 0 nodes
+module Itbl = Hashtbl.Make (Int)
 
-(* Per-slice mutable state: RTR sessions and recovery outcomes, keyed
-   by era so a stale session is never consulted across a transition.
-   Slices rebuild their own caches — recovery outcomes are pure
-   functions of (era, initiator, trigger, dst), so this only costs
-   repeated work, never divergent results. *)
+(* Per-slice mutable state: RTR sessions, one FCP session per era and
+   recovery outcomes, keyed by era so no state is consulted across a
+   transition.  Slices rebuild their own caches — recovery outcomes are
+   pure functions of (era, initiator, trigger, dst), and FCP's of
+   (era, initiator, dst) since [Fcp.route] never reads the trigger, so
+   this only costs repeated work, never divergent results.  Keys are
+   packed into one int (see [session_key], [outcome_key]). *)
 type slice_caches = {
-  sessions : (int * Graph.node * Graph.node, Rtr.t) Hashtbl.t;
-  outcomes : (int * Graph.node * Graph.node * Graph.node, Graph.node list option) Hashtbl.t;
+  sessions : Rtr.t Itbl.t;
+  fcp : Fcp.session option array;
+  outcomes : route option Itbl.t;
 }
 
+let session_key ctx era_idx ~initiator ~trigger =
+  let n = Graph.n_nodes ctx.g in
+  (((era_idx * n) + trigger) * n) + initiator
+
+(* [trigger] is [-1] for outcomes that do not depend on it. *)
+let outcome_key ctx era_idx ~initiator ~trigger ~dst =
+  let n = Graph.n_nodes ctx.g in
+  (((((era_idx * (n + 1)) + trigger + 1) * n) + initiator) * n) + dst
+
 let rtr_session ctx caches era_idx era ~initiator ~trigger =
-  let key = (era_idx, initiator, trigger) in
-  match Hashtbl.find_opt caches.sessions key with
+  let key = session_key ctx era_idx ~initiator ~trigger in
+  match Itbl.find caches.sessions key with
+  | s -> s
+  | exception Not_found ->
+      let s = Rtr.start ctx.topo era.e_damage ~initiator ~trigger () in
+      Itbl.replace caches.sessions key s;
+      s
+
+let fcp_session ctx caches era_idx era =
+  match caches.fcp.(era_idx) with
   | Some s -> s
   | None ->
-      let s = Rtr.start ctx.topo era.e_damage ~initiator ~trigger () in
-      Hashtbl.replace caches.sessions key s;
+      let s = Fcp.start ctx.topo era.e_damage in
+      caches.fcp.(era_idx) <- Some s;
       s
 
 (* RTR with Sec. III-E chaining, as the packet engine plays it: when a
@@ -296,6 +344,8 @@ let rtr_recover ctx caches era_idx era ~initiator ~trigger ~dst =
   in
   go initiator trigger 0 []
 
+(* The recovery route from [initiator] (the router where the flow
+   broke) to [dst], starting at [initiator]. *)
 let recover ctx caches ~flow_idx era_idx era ~initiator ~trigger ~dst =
   match ctx.config.scheme with
   | No_recovery -> None
@@ -306,19 +356,24 @@ let recover ctx caches ~flow_idx era_idx era ~initiator ~trigger ~dst =
       | None -> None
       | Some rr -> (
           match Randroute.reroute rr era.e_post ~flow:flow_idx ~initiator ~dst with
-          | Randroute.Rerouted { nodes; _ } -> Some nodes
+          | Randroute.Rerouted { nodes; _ } -> Some (route_of_nodes ctx.g nodes)
           | Randroute.No_route -> None))
-  | Rtr_scheme | Fcp_scheme | Mrc_scheme -> (
-      let key = (era_idx, initiator, trigger, dst) in
-      match Hashtbl.find_opt caches.outcomes key with
-      | Some r -> r
-      | None ->
-          let r =
-            match ctx.config.scheme with
+  | (Rtr_scheme | Fcp_scheme | Mrc_scheme) as scheme -> (
+      let key =
+        outcome_key ctx era_idx ~initiator ~dst
+          ~trigger:(if scheme = Fcp_scheme then -1 else trigger)
+      in
+      match Itbl.find caches.outcomes key with
+      | r -> r
+      | exception Not_found ->
+          let nodes =
+            match scheme with
             | Rtr_scheme ->
                 rtr_recover ctx caches era_idx era ~initiator ~trigger ~dst
             | Fcp_scheme ->
-                let res = Fcp.run ctx.topo era.e_damage ~initiator ~dst in
+                let res =
+                  Fcp.route (fcp_session ctx caches era_idx era) ~initiator ~dst
+                in
                 if res.Fcp.delivered then Some (Path.nodes res.Fcp.journey)
                 else None
             | Mrc_scheme -> (
@@ -330,114 +385,106 @@ let recover ctx caches ~flow_idx era_idx era ~initiator ~trigger ~dst =
                     | Mrc.Dropped _ -> None))
             | No_recovery | Randroute_scheme -> None
           in
-          Hashtbl.replace caches.outcomes key r;
+          let r = Option.map (route_of_nodes ctx.g) nodes in
+          Itbl.replace caches.outcomes key r;
           r)
 
 (* --- evaluation ------------------------------------------------------ *)
 
-let add_load loads links rate =
-  List.iter (fun l -> loads.(l) <- loads.(l) + rate) links
-
 let eval_flow ctx acc caches ~flow_idx f =
   acc.flows <- acc.flows + 1;
-  let rate = f.rate in
+  let rate = f.rate and src = f.src and dst = f.dst in
+  let next = Route_table.next_row ctx.pre ~dst
+  and link = Route_table.link_row ctx.pre ~dst in
+  let routed = next.(src) >= 0 in
   (* pre-failure window *)
-  let pre_ms = ms_between 0.0 (Float.min ctx.config.t_fail ctx.config.t_end) in
-  if pre_ms > 0 then begin
-    acc.offered <- acc.offered + (rate * pre_ms);
-    match classify ctx (Damage.none ctx.g) ~src:f.src ~dst:f.dst with
-    | Intact links ->
-        acc.delivered <- acc.delivered + (rate * pre_ms);
-        add_load acc.base_loads links rate
-    | Broken _ | No_pre_route ->
-        acc.dropped_no_route <- acc.dropped_no_route + (rate * pre_ms)
+  if ctx.pre_ms > 0 then begin
+    let v = rate * ctx.pre_ms in
+    acc.offered <- acc.offered + v;
+    if routed then begin
+      acc.delivered <- acc.delivered + v;
+      charge next link acc.base_loads rate ~src ~stop:dst
+    end
+    else acc.dropped_no_route <- acc.dropped_no_route + v
   end;
-  Array.iteri
-    (fun era_idx era ->
-      let seg1 = ms_between era.e_start era.e_det in
-      let seg2 = ms_between era.e_det era.e_conv in
-      let seg3 = ms_between era.e_conv era.e_end in
-      if
-        seg1 + seg2 + seg3 > 0
-        && Damage.node_ok era.e_damage f.src
-      then begin
-        acc.offered <- acc.offered + (rate * (seg1 + seg2 + seg3));
-        (* converged tail: the era's post-failure FIB *)
-        let post_route =
-          if Route_table.dist era.e_post ~src:f.src ~dst:f.dst = max_int then
-            None
-          else
-            Some
-              (let rec go at acc_links =
-                 if at = f.dst then List.rev acc_links
-                 else
-                   match
-                     ( Route_table.next_hop era.e_post ~src:at ~dst:f.dst,
-                       Route_table.next_link era.e_post ~src:at ~dst:f.dst )
-                   with
-                   | Some v, Some l -> go v (l :: acc_links)
-                   | _ -> List.rev acc_links
-               in
-               go f.src [])
-        in
-        (if seg3 > 0 then
-           match post_route with
-           | Some links ->
-               acc.delivered <- acc.delivered + (rate * seg3);
-               add_load acc.post_loads links rate
-           | None ->
-               acc.dropped_no_route <- acc.dropped_no_route + (rate * seg3));
-        (* pre-convergence: the pre-failure FIB against this era's truth *)
-        match classify ctx era.e_damage ~src:f.src ~dst:f.dst with
-        | Intact links ->
-            if seg1 > 0 then acc.delivered <- acc.delivered + (rate * seg1);
-            if seg2 > 0 then begin
-              acc.delivered <- acc.delivered + (rate * seg2);
-              add_load acc.rec_loads.(era_idx) links rate
-            end
-        | No_pre_route ->
-            if seg1 + seg2 > 0 then
-              acc.dropped_no_route <-
-                acc.dropped_no_route + (rate * (seg1 + seg2))
-        | Broken { at; trigger; prefix_rev } ->
-            if seg1 > 0 then acc.blackholed <- acc.blackholed + (rate * seg1);
-            if seg2 > 0 then begin
-              acc.broken <- acc.broken + 1;
-              match
-                recover ctx caches ~flow_idx era_idx era ~initiator:at ~trigger
-                  ~dst:f.dst
-              with
-              | Some tail_nodes ->
-                  (* full route: src .. at, then the recovery walk *)
-                  let nodes =
-                    List.rev_append prefix_rev (List.tl tail_nodes)
-                  in
-                  acc.delivered <- acc.delivered + (rate * seg2);
-                  acc.recovered <- acc.recovered + 1;
-                  add_load acc.rec_loads.(era_idx)
-                    (links_of_nodes ctx.g nodes)
-                    rate;
-                  let cost = cost_of_nodes ctx.g nodes in
-                  let best =
-                    Route_table.dist era.e_post ~src:f.src ~dst:f.dst
-                  in
-                  if best > 0 && best < max_int then begin
-                    acc.stretch_cost <- acc.stretch_cost + cost;
-                    acc.stretch_best <- acc.stretch_best + best;
-                    let s = float_of_int cost /. float_of_int best in
-                    if s > acc.stretch_max then acc.stretch_max <- s
-                  end
-              | None ->
-                  acc.dropped_recovery <-
-                    acc.dropped_recovery + (rate * seg2)
-            end
-      end)
-    ctx.eras
+  for era_idx = 0 to Array.length ctx.eras - 1 do
+    let era = ctx.eras.(era_idx) in
+    let hold = rate * era.hold_ms
+    and recov = rate * era.rec_ms
+    and conv = rate * era.conv_ms in
+    if
+      era.hold_ms + era.rec_ms + era.conv_ms > 0
+      && Damage.node_ok era.e_damage src
+    then begin
+      acc.offered <- acc.offered + hold + recov + conv;
+      (* converged tail: the era's post-failure FIB *)
+      if era.conv_ms > 0 then begin
+        if Route_table.dist era.e_post ~src ~dst = max_int then
+          acc.dropped_no_route <- acc.dropped_no_route + conv
+        else begin
+          acc.delivered <- acc.delivered + conv;
+          charge
+            (Route_table.next_row era.e_post ~dst)
+            (Route_table.link_row era.e_post ~dst)
+            acc.post_loads rate ~src ~stop:dst
+        end
+      end;
+      (* pre-convergence: the pre-failure FIB against this era's truth;
+         the recovery window charges the default route as it is walked *)
+      if not routed then
+        acc.dropped_no_route <- acc.dropped_no_route + hold + recov
+      else begin
+        let loads = acc.rec_loads.(era_idx) in
+        let charged = if era.rec_ms > 0 then rate else 0 in
+        let at = walk_live next link era.e_damage loads charged ~src ~dst in
+        if at = dst then acc.delivered <- acc.delivered + hold + recov
+        else begin
+          acc.blackholed <- acc.blackholed + hold;
+          if era.rec_ms > 0 then begin
+            acc.broken <- acc.broken + 1;
+            match
+              recover ctx caches ~flow_idx era_idx era ~initiator:at
+                ~trigger:next.(at) ~dst
+            with
+            | Some r ->
+                (* full route: the charged default prefix src .. at (the
+                   table's link for each hop is the [Graph.find_link] of
+                   its ends — [Graph] has no parallel links — and the
+                   prefix costs the drop in table distance), then the
+                   recovery route *)
+                acc.delivered <- acc.delivered + recov;
+                acc.recovered <- acc.recovered + 1;
+                Array.iter (fun l -> loads.(l) <- loads.(l) + rate) r.links;
+                let cost =
+                  Route_table.dist ctx.pre ~src ~dst
+                  - Route_table.dist ctx.pre ~src:at ~dst
+                  + r.cost
+                in
+                let best = Route_table.dist era.e_post ~src ~dst in
+                if best > 0 && best < max_int then begin
+                  acc.stretch_cost <- acc.stretch_cost + cost;
+                  acc.stretch_best <- acc.stretch_best + best;
+                  let s = float_of_int cost /. float_of_int best in
+                  if s > acc.stretch_max then acc.stretch_max <- s
+                end
+            | None ->
+                (* dropped: give back the prefix charged on the walk *)
+                charge next link loads (-rate) ~src ~stop:at;
+                acc.dropped_recovery <- acc.dropped_recovery + recov
+          end
+        end
+      end
+    end
+  done
 
 let eval_slice ctx flows ~lo ~hi =
   let acc = acc_create ctx in
   let caches =
-    { sessions = Hashtbl.create 32; outcomes = Hashtbl.create 256 }
+    {
+      sessions = Itbl.create 32;
+      fcp = Array.make (Array.length ctx.eras) None;
+      outcomes = Itbl.create 256;
+    }
   in
   for i = lo to hi - 1 do
     let f = flows.(i) in

@@ -116,7 +116,7 @@ type stats = {
 
 val finish : context -> acc -> stats
 (** Reduces merged accumulators to reportable statistics, and bumps the
-    [netsim.flows] counter and [netsim.max_load] gauge. *)
+    [flowsim.flows] counter and [flowsim.max_load] gauge. *)
 
 val run :
   Rtr_topo.Topology.t -> Damage.t -> ?mrc:Mrc.t -> config -> flow array -> stats
@@ -128,6 +128,6 @@ val demand : Rtr_topo.Topology.t -> n:int -> seed:int -> flow array
     Deterministic in [(topology, seed, n)]. *)
 
 val ensure_metrics_registered : unit -> unit
-(** Forces this module's metrics (the [netsim.flows] counter and
-    [netsim.max_load] gauge) to register even if no flow run happens,
+(** Forces this module's metrics (the [flowsim.flows] counter and
+    [flowsim.max_load] gauge) to register even if no flow run happens,
     so reports always carry the fields. *)

@@ -91,6 +91,8 @@ let next_link t ~src ~dst =
   if l = -1 then None else Some l
 
 let dist t ~src ~dst = t.dist_to.(dst).(src)
+let next_row t ~dst = t.next.(dst)
+let link_row t ~dst = t.next_lnk.(dst)
 
 let default_path t ~src ~dst =
   if src = dst then Some (Rtr_graph.Path.of_nodes [ src ])

@@ -38,6 +38,14 @@ val dist : t -> src:Graph.node -> dst:Graph.node -> int
 (** Cost of the default routing path; [max_int] if unreachable, [0] on
     the diagonal. *)
 
+val next_row : t -> dst:Graph.node -> int array
+val link_row : t -> dst:Graph.node -> int array
+(** The table's own rows towards [dst], indexed by source:
+    [(next_row t ~dst).(src)] is [next_hop t ~src ~dst] and
+    [(link_row t ~dst).(src)] is [next_link t ~src ~dst], with [-1] for
+    [None].  Shared, not copied — read only.  For hot loops that walk
+    many routes to one destination without an option per hop. *)
+
 val default_path : t -> src:Graph.node -> dst:Graph.node -> Rtr_graph.Path.t option
 (** The full default routing path, by following [next_hop]. *)
 

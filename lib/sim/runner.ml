@@ -48,8 +48,8 @@ let stretch_of_cost ~shortest_after = function
   | Some cost -> stretch_of_dist ~shortest_after cost
 
 (* One case's record: the RTR leg served by the (initiator, trigger)
-   session, then the two baselines. *)
-let run_case g topo ~mrc session damage (case : Scenario.case) =
+   session, then the two baselines (FCP from the scenario's session). *)
+let run_case g ~mrc ~fcp session damage (case : Scenario.case) =
   let calcs_before = Rtr.sp_calculations session in
   let rtr_recovered, rtr_cost, rtr_route_bytes, rtr_wasted_tx =
     match Rtr.recover session ~dst:case.Scenario.dst with
@@ -72,8 +72,7 @@ let run_case g topo ~mrc session damage (case : Scenario.case) =
   let rtr_calcs = Rtr.sp_calculations session - calcs_before in
   let p1 = Rtr.phase1 session in
   let fcp =
-    Fcp.run topo damage ~initiator:case.Scenario.initiator
-      ~dst:case.Scenario.dst
+    Fcp.route fcp ~initiator:case.Scenario.initiator ~dst:case.Scenario.dst
   in
   let fcp_cost =
     if fcp.Fcp.delivered then Some (Path.cost g fcp.Fcp.journey) else None
@@ -138,6 +137,7 @@ let run_scenario ~mrc (scenario : Scenario.t) =
   let damage = scenario.Scenario.damage in
   let cases = Array.of_list scenario.Scenario.cases in
   let results = Array.make (Array.length cases) None in
+  let fcp = Fcp.start topo damage in
   (* One RTR session per (initiator, trigger): phase 1's walk starts at
      the trigger, so two different triggers at the same initiator are
      distinct sessions with possibly different collected failures, and
@@ -147,7 +147,7 @@ let run_scenario ~mrc (scenario : Scenario.t) =
       let session = Rtr.start topo damage ~initiator ~trigger () in
       List.iter
         (fun i ->
-          results.(i) <- Some (run_case g topo ~mrc session damage cases.(i)))
+          results.(i) <- Some (run_case g ~mrc ~fcp session damage cases.(i)))
         idxs)
     (group_by_session cases (fun (c : Scenario.case) ->
          (c.Scenario.initiator, c.Scenario.trigger)));

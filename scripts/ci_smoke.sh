@@ -124,20 +124,22 @@ echo "ci_smoke: determinism gate OK (RTR_JOBS=1 == RTR_JOBS=4)"
 # The flow-level congestion report must be byte-identical across
 # worker counts (integer accumulators over a fixed shard grid), and
 # the quick bench's flow sweep must actually have evaluated at least a
-# million flows (2 topologies x 5 schemes x REPRO_FLOWS).
-dune exec bin/rtr_sim.exe -- flows --topos AS209,AS1239 --flows 20000 \
-  --jobs 1 > "$tmp/fl1.txt" 2> /dev/null
-dune exec bin/rtr_sim.exe -- flows --topos AS209,AS1239 --flows 20000 \
-  --jobs 4 > "$tmp/fl4.txt" 2> /dev/null
+# million flows (2 topologies x 5 schemes x REPRO_FLOWS).  AS3549 (486
+# links, the slowest AS per flow) joins the two smallest ASes so the
+# gate also covers a dense topology.
+dune exec bin/rtr_sim.exe -- flows --topos AS209,AS1239,AS3549 \
+  --flows 20000 --jobs 1 > "$tmp/fl1.txt" 2> /dev/null
+dune exec bin/rtr_sim.exe -- flows --topos AS209,AS1239,AS3549 \
+  --flows 20000 --jobs 4 > "$tmp/fl4.txt" 2> /dev/null
 
 if ! diff "$tmp/fl1.txt" "$tmp/fl4.txt"; then
   echo "ci_smoke: FAIL — congestion report differs between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
 
-flows_n=$(grep -o '"netsim.flows":[0-9]*' BENCH_smoke.json | cut -d: -f2)
+flows_n=$(grep -o '"flowsim.flows":[0-9]*' BENCH_smoke.json | cut -d: -f2)
 if [ -z "$flows_n" ] || [ "$flows_n" -lt 1000000 ]; then
-  echo "ci_smoke: FAIL — netsim.flows='$flows_n' in the quick bench (want >= 1000000)" >&2
+  echo "ci_smoke: FAIL — flowsim.flows='$flows_n' in the quick bench (want >= 1000000)" >&2
   exit 1
 fi
 

@@ -45,7 +45,7 @@ let test_validation () =
   let topo = PE.topology () in
   let g = Rtr_topo.Topology.graph topo in
   Alcotest.check_raises "same node"
-    (Invalid_argument "Fcp.run: initiator equals destination") (fun () ->
+    (Invalid_argument "Fcp.route: initiator equals destination") (fun () ->
       ignore (Fcp.run topo (Damage.none g) ~initiator:3 ~dst:3))
 
 let test_wasted_transmission_accounting () =
@@ -61,6 +61,57 @@ let test_wasted_transmission_accounting () =
   Alcotest.(check int) "one record per journey hop"
     (Path.hops r.Fcp.journey)
     (List.length r.Fcp.hops)
+
+(* A reused session shares trees across routes; every result must still
+   equal a fresh [run] field for field — journey, [sp_calculations],
+   [carried_links] in insertion order, per-hop [header_bytes].  Cases
+   come from random discs on three Table II ASes, run in shuffled order
+   (each twice) so trees computed for one case serve later ones with
+   different initiators and destinations. *)
+let test_session_equals_fresh_runs () =
+  let scenarios = ref 0 and cases = ref 0 and calcs = ref 0 and trees = ref 0 in
+  let ws_runs () =
+    Rtr_obs.Metrics.(
+      Counter.value (counter "spt.ws_reuse")
+      + Counter.value (counter "spt.ws_alloc"))
+  in
+  List.iter
+    (fun as_name ->
+      let topo = Rtr_topo.Isp.load_by_name as_name in
+      let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+      let rng = Rtr_util.Rng.make 29 in
+      for _ = 1 to 7 do
+        let sc = Rtr_sim.Scenario.generate topo table rng () in
+        let damage = sc.Rtr_sim.Scenario.damage in
+        let order =
+          Array.of_list (sc.Rtr_sim.Scenario.cases @ sc.Rtr_sim.Scenario.cases)
+        in
+        Rtr_util.Rng.shuffle rng order;
+        let session = Fcp.start topo damage in
+        incr scenarios;
+        Array.iter
+          (fun (c : Rtr_sim.Scenario.case) ->
+            let initiator = c.Rtr_sim.Scenario.initiator
+            and dst = c.Rtr_sim.Scenario.dst in
+            let fresh = Fcp.run topo damage ~initiator ~dst in
+            let before = ws_runs () in
+            let shared = Fcp.route session ~initiator ~dst in
+            trees := !trees + (ws_runs () - before);
+            calcs := !calcs + shared.Fcp.sp_calculations;
+            incr cases;
+            if shared <> fresh then
+              Alcotest.failf "%s: initiator %d dst %d: session route differs"
+                as_name initiator dst)
+          order
+      done)
+    [ "AS1239"; "AS3549"; "AS4323" ];
+  Alcotest.(check bool)
+    (Printf.sprintf "%d scenarios, %d cases" !scenarios !cases)
+    true (!cases > 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "trees shared (%d computed for %d recomputations)" !trees
+       !calcs)
+    true (!trees < !calcs)
 
 let delivers_iff_reachable =
   QCheck.Test.make ~name:"FCP delivers exactly the reachable destinations"
@@ -121,6 +172,8 @@ let suite =
     Alcotest.test_case "unreachable discards" `Quick test_unreachable_discards;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "wasted transmission" `Quick test_wasted_transmission_accounting;
+    Alcotest.test_case "session equals fresh runs" `Quick
+      test_session_equals_fresh_runs;
     QCheck_alcotest.to_alcotest delivers_iff_reachable;
     QCheck_alcotest.to_alcotest carried_links_truly_failed;
     QCheck_alcotest.to_alcotest journey_walks_live_ground;

@@ -52,6 +52,26 @@ let test_same_name_distinct_topo_gets_fresh_cache () =
   Alcotest.(check bool) "fresh cache for fresh topo" false (ca == cb);
   Alcotest.(check bool) "replacement is stable" true (cb == Topo_cache.shared b)
 
+(* One registry: the harness's [Rtr_sim.Topo_cache] and the flow
+   engine's [Rtr_routing.Topo_cache] hand out the same cache, and a
+   [Flowsim.context] takes its pre-failure table from it instead of
+   computing its own. *)
+let test_flowsim_context_shares_table () =
+  let topo = make_topo "tc-flowsim" in
+  Alcotest.(check bool) "one registry" true
+    (Topo_cache.shared topo == Rtr_routing.Topo_cache.shared topo);
+  ignore (Topo_cache.table (Topo_cache.shared topo));
+  let h0 = Metrics.Counter.value c_table_hits
+  and m0 = Metrics.Counter.value c_table_misses in
+  let g = Rtr_topo.Topology.graph topo in
+  ignore
+    (Rtr_des.Flowsim.context topo (Rtr_failure.Damage.none g)
+       Rtr_des.Flowsim.default_config);
+  Alcotest.(check int) "context hits the cache" (h0 + 1)
+    (Metrics.Counter.value c_table_hits);
+  Alcotest.(check int) "context computes no table" m0
+    (Metrics.Counter.value c_table_misses)
+
 let suite =
   [
     Alcotest.test_case "shared returns one cache per topology" `Quick
@@ -60,4 +80,6 @@ let suite =
       test_repeated_table_demand_hits;
     Alcotest.test_case "same name, distinct topo: fresh cache" `Quick
       test_same_name_distinct_topo_gets_fresh_cache;
+    Alcotest.test_case "flowsim context shares the table" `Quick
+      test_flowsim_context_shares_table;
   ]
