@@ -20,14 +20,13 @@ type result = {
 (* Shortest-path trees are shared across the routes of one session:
    a recomputing router's view is the pre-failure map minus the
    carried links, so its tree depends only on (router, carried-link
-   set).  Each distinct key is computed once and kept as an owned copy
-   of its predecessor array alone — all a path walk reads, a third of
-   a full [Spt.copy]. *)
+   set).  Each distinct key is computed once and kept as an owned
+   copy. *)
 type session = {
   g : Graph.t;
   damage : Damage.t;
   full : View.t;
-  trees : (Graph.node * Graph.link_id list, int array) Hashtbl.t;
+  trees : (Graph.node * Graph.link_id list, Spt.t) Hashtbl.t;
 }
 
 let start topo damage =
@@ -37,23 +36,15 @@ let start topo damage =
 let tree s ~root carried =
   let key = (root, List.sort Int.compare carried) in
   match Hashtbl.find_opt s.trees key with
-  | Some parents -> parents
+  | Some spt -> spt
   | None ->
       let view = View.remove_links s.full carried in
       let spt =
-        Dijkstra.spt ~workspace:(Dijkstra.Workspace.get ()) view ~root ()
+        Spt.copy
+          (Dijkstra.spt ~workspace:(Dijkstra.Workspace.get ()) view ~root ())
       in
-      let parents = Array.init (Graph.n_nodes s.g) (Spt.parent_node spt) in
-      Hashtbl.add s.trees key parents;
-      parents
-
-(* [Spt.path] over a kept predecessor array: a node other than the
-   root is reached iff it has a predecessor. *)
-let path_to parents ~root dst =
-  if dst <> root && parents.(dst) < 0 then None
-  else
-    let rec walk acc u = if u < 0 then acc else walk (u :: acc) parents.(u) in
-    Some (Path.of_nodes (walk [] dst))
+      Hashtbl.add s.trees key spt;
+      spt
 
 let route s ~initiator ~dst =
   if initiator = dst then invalid_arg "Fcp.route: initiator equals destination";
@@ -88,7 +79,7 @@ let route s ~initiator ~dst =
     Graph.iter_neighbors g current (fun v id ->
         if Damage.neighbor_unreachable damage v id then carry id);
     incr sp_calcs;
-    match path_to (tree s ~root:current !carried_rev) ~root:current dst with
+    match Spt.path (tree s ~root:current !carried_rev) dst with
     | None -> finish ~delivered:false ~discarded_at:(Some current)
     | Some path -> follow path
   and follow path =

@@ -43,10 +43,9 @@ type session
     carried in the header, so its tree is a function of (router,
     carried-link {e set}) alone — not of the destination, the initiator
     or the order the links joined the header.  A session computes each
-    distinct such tree once and keeps it: one owned predecessor array
-    (one [int] per node — a third of an [Spt.copy]) per distinct
-    (router, carried set) it has met, held until the session is
-    dropped.  Routes served
+    distinct such tree once and keeps it: one owned tree ([Spt.copy],
+    three [int] arrays of the node count) per distinct (router, carried
+    set) it has met, held until the session is dropped.  Routes served
     from a shared tree equal fresh [run]s field for field,
     [sp_calculations] included: every protocol recomputation counts,
     whether its tree was computed or found.
