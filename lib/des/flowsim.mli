@@ -72,7 +72,9 @@ val default_config : config
 
 type context
 (** Immutable per-run state: routing tables and window boundaries for
-    every era, shareable across evaluation shards. *)
+    every era, shareable across evaluation shards.  The pre-failure
+    table is the topology's shared one ({!Rtr_routing.Topo_cache}), not
+    a per-context copy. *)
 
 val context : Rtr_topo.Topology.t -> Damage.t -> ?mrc:Mrc.t -> config -> context
 (** [?mrc] supplies a prebuilt MRC structure (it is topology-only, so
