@@ -14,6 +14,7 @@ module Damage = Rtr_failure.Damage
 module PE = Rtr_topo.Paper_example
 module Flowsim = Rtr_des.Flowsim
 module Topo_cache = Rtr_sim.Topo_cache
+module Campaign = Rtr_check.Campaign
 
 let digest = Compile.fnv64_hex
 let table t = digest (Report.table_to_csv t)
@@ -113,6 +114,16 @@ let rmap () =
   in
   (Compile.run (Isp.load (preset "AS1239")) config).Compile.artifact
 
+(* The theorem-survival matrix: five timeline specs per kind, seed 7,
+   no artifacts, so the JSON holds only the measured rows. *)
+let survival () =
+  let config = { Campaign.default with Campaign.cases = 5; seed = 7 } in
+  let _, rows =
+    Campaign.run_episodes config
+      ~kinds:Rtr_check.Oracle.Episode.[ Static; Cascading; Transient; Moving ]
+  in
+  Rtr_obs.Json.to_string (Campaign.survival_json ~seed:7 ~cases:5 rows)
+
 let pp_stats (s : Netsim.stats) =
   let b = Buffer.create 256 in
   Printf.bprintf b "%d %d %d %h %h %d\n" s.Netsim.generated s.Netsim.delivered
@@ -210,6 +221,7 @@ let golden =
     ("congestion_table", "0c282ba6c7460fdb", fun () -> table (congestion ()));
     ("netsim", "7acbff42cfa2fb68", fun () -> digest (netsim ()));
     ("rmap_artifact", "1e83753a44e7e3ea", fun () -> digest (rmap ()));
+    ("survival_matrix", "286700d2900861cb", fun () -> digest (survival ()));
   ]
   @ List.concat_map
       (fun (as_name, digests) ->
