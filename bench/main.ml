@@ -189,7 +189,6 @@ let bench_tests () =
   let tbl = Lazy.force table in
   let pre_spt = Lazy.force spt in
   let dead = Damage.failed_links d in
-  let link_ok id = Damage.link_ok d id in
   let damaged_view = View.remove_links (View.full g) dead in
   let mrc = Lazy.force mrc in
   [
@@ -251,11 +250,7 @@ let bench_tests () =
            ignore
              (Rtr_graph.Incremental_spt.remove c ~dead_links:dead
                 ~view:damaged_view ())));
-    (* Ablation: bitset views vs the closure filters they replaced, on
-       the identical damaged-Dijkstra workload. *)
-    Test.make ~name:"ablation/spt-closure"
-      (Staged.stage (fun () ->
-           ignore (Rtr_graph.Dijkstra.spt_filtered g ~root:0 ~link_ok ())));
+    (* Ablation: deriving the damaged view inside the timed run. *)
     Test.make ~name:"ablation/spt-view"
       (Staged.stage (fun () ->
            ignore

@@ -158,7 +158,13 @@ let build g ~k =
       for c = 0 to k - 1 do
         (* MRC's configurations are precomputed failure views: each one
            masks the links its isolated nodes may not carry transit on. *)
-        let view_c = View.create g ~link_ok:(usable c) () in
+        let view_c =
+          View.of_failed g ~nodes:[]
+            ~links:
+              (List.filter
+                 (fun id -> not (usable c id))
+                 (List.init (Graph.n_links g) Fun.id))
+        in
         let next_c = Array.make n [||] and dist_c = Array.make n [||] in
         for dst = 0 to n - 1 do
           let spt =

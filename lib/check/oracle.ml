@@ -602,82 +602,63 @@ let incr_spt_run ~inject:_ spec =
     end
   done
 
-let view_vs_filtered_run ~inject:_ spec =
+(* Every graph-layer computation the theorem oracles lean on, against
+   the textbook reference: owned and workspace SPTs in both directions,
+   the routing table's rows (the reference's To_root trees) and
+   component membership (the reference's reachability), for every root
+   on the full and the damaged view. *)
+let graph_vs_reference_run ~inject:_ spec =
   let topo, damage = Spec.build spec in
   let g = Rtr_topo.Topology.graph topo in
-  let truth = Damage.view damage in
-  let node_ok = Damage.node_ok damage and link_ok = Damage.link_ok damage in
-  let name = "view_vs_filtered" in
-  first_violation @@ fun () ->
-  for root = 0 to Graph.n_nodes g - 1 do
-    if node_ok root then begin
-      let a = Dijkstra.spt truth ~root () in
-      let b = Dijkstra.spt_filtered g ~root ~node_ok ~link_ok () in
-      if
-        a.Spt.dist <> b.Spt.dist
-        || a.Spt.parent_node <> b.Spt.parent_node
-        || a.Spt.parent_link <> b.Spt.parent_link
-      then
-        raise
-          (Found
-             (violation name "view and closure Dijkstra differ at root v%d"
-                root))
-    end
-  done;
-  let ca = Components.compute truth in
-  let cb = Components.compute_filtered g ~node_ok ~link_ok () in
-  for u = 0 to Graph.n_nodes g - 1 do
-    if Components.id_of ca u <> Components.id_of cb u then
-      raise
-        (Found (violation name "component ids differ at v%d" u))
-  done;
-  let ta = Route_table.compute truth in
-  let tb = Route_table.compute_filtered ~node_ok ~link_ok g in
-  if not (Route_table.equal ta tb) then
-    raise (Found (violation name "view and closure routing tables differ"))
-
-let ws_spt_run ~inject:_ spec =
-  let topo, damage = Spec.build spec in
-  let g = Rtr_topo.Topology.graph topo in
-  let truth = Damage.view damage in
-  let full = View.full g in
-  let node_ok = Damage.node_ok damage and link_ok = Damage.link_ok damage in
-  let name = "ws_spt_vs_filtered" in
+  let n = Graph.n_nodes g in
+  let name = "graph_vs_reference" in
   (* The domain's own arena, deliberately: consecutive fuzz specs have
      different graph sizes, and other oracles churn the same workspace
      in between, so one campaign exercises reuse across roots, views,
      directions AND re-sizing. *)
   let workspace = Dijkstra.Workspace.get () in
-  let check ~root ~direction ~view ~filtered_view label =
-    let b =
-      match filtered_view with
-      | `Truth -> Dijkstra.spt_filtered g ~root ~direction ~node_ok ~link_ok ()
-      | `Full -> Dijkstra.spt_filtered g ~root ~direction ()
-    in
-    (* Borrow after the oracle run; compare before the next borrow. *)
-    let a = Dijkstra.spt ~workspace view ~root ~direction () in
-    if
-      a.Spt.dist <> b.Spt.dist
-      || a.Spt.parent_node <> b.Spt.parent_node
-      || a.Spt.parent_link <> b.Spt.parent_link
-    then
-      raise
-        (Found
-           (violation name "workspace SPT differs from spt_filtered at root \
-                            v%d (%s)" root label))
+  let same_tree (a : Spt.t) (b : Spt.t) =
+    a.Spt.dist = b.Spt.dist
+    && a.Spt.parent_node = b.Spt.parent_node
+    && a.Spt.parent_link = b.Spt.parent_link
+  in
+  let check label view =
+    let table = Route_table.compute view in
+    let comps = Components.compute view in
+    for root = 0 to n - 1 do
+      List.iter
+        (fun (direction, dir) ->
+          let r = Reference.spt view ~root ~direction in
+          let differs what =
+            raise
+              (Found
+                 (violation name "%s differs from the reference at root v%d \
+                                  (%s, %s)" what root label dir))
+          in
+          if not (same_tree (Dijkstra.spt view ~root ~direction ()) r) then
+            differs "owned SPT";
+          (* Compare the borrowed tree before the next borrow. *)
+          if not (same_tree (Dijkstra.spt ~workspace view ~root ~direction ()) r)
+          then differs "workspace SPT";
+          match direction with
+          | Spt.To_root ->
+              if
+                Route_table.next_row table ~dst:root <> r.Spt.parent_node
+                || Route_table.link_row table ~dst:root <> r.Spt.parent_link
+                || Array.init n (fun src -> Route_table.dist table ~src ~dst:root)
+                   <> r.Spt.dist
+              then differs "routing table row"
+          | Spt.From_root ->
+              for v = 0 to n - 1 do
+                if Components.same comps root v <> Spt.reached r v then
+                  differs (Printf.sprintf "component membership of v%d" v)
+              done)
+        [ (Spt.From_root, "from-root"); (Spt.To_root, "to-root") ]
+    done
   in
   first_violation @@ fun () ->
-  for root = 0 to Graph.n_nodes g - 1 do
-    (* Same workspace, alternating views and directions per root. *)
-    check ~root ~direction:Spt.From_root ~view:full ~filtered_view:`Full
-      "full, from-root";
-    if node_ok root then begin
-      check ~root ~direction:Spt.From_root ~view:truth ~filtered_view:`Truth
-        "damaged, from-root";
-      check ~root ~direction:Spt.To_root ~view:truth ~filtered_view:`Truth
-        "damaged, to-root"
-    end
-  done
+  check "full" (View.full g);
+  check "damaged" (Damage.view damage)
 
 let dial_vs_heap_run ~inject:_ spec =
   let topo, damage = Spec.build spec in
@@ -894,18 +875,13 @@ let incr_spt_vs_dijkstra =
     run = incr_spt_run;
   }
 
-let view_vs_filtered =
+let graph_vs_reference =
   {
-    name = "view_vs_filtered";
-    doc = "bitset views equal the legacy closure-pair traversals";
-    run = view_vs_filtered_run;
-  }
-
-let ws_spt_vs_filtered =
-  {
-    name = "ws_spt_vs_filtered";
-    doc = "workspace-reused SPT runs equal the closure-pair oracle";
-    run = ws_spt_run;
+    name = "graph_vs_reference";
+    doc =
+      "owned and workspace SPTs, routing tables and components equal the \
+       textbook reference";
+    run = graph_vs_reference_run;
   }
 
 let dial_vs_heap =
@@ -1045,8 +1021,7 @@ let all =
     optimal;
     single_link;
     incr_spt_vs_dijkstra;
-    view_vs_filtered;
-    ws_spt_vs_filtered;
+    graph_vs_reference;
     dial_vs_heap;
     parallel_vs_sequential;
     rmap_vs_reactive;

@@ -20,11 +20,12 @@
       connected.
     - [incr_spt_vs_dijkstra] — incremental SPT repair distances equal a
       from-scratch Dijkstra over the damaged view.
-    - [view_vs_filtered] — bitset-mask traversals equal the legacy
-      closure-pair implementations bit for bit.
-    - [ws_spt_vs_filtered] — SPT runs through the per-domain reusable
-      workspace equal the closure-pair oracle bit for bit, across the
-      campaign's shape changes.
+    - [graph_vs_reference] — for every root on the full and the damaged
+      view, owned and workspace SPTs (both directions) equal
+      {!Reference.spt} bit for bit, routing-table rows equal its
+      To_root trees, and component membership equals its
+      reachability.  The workspace is the domain's own, so a campaign
+      also exercises reuse across graph shapes.
     - [dial_vs_heap] — SPTs computed through the Dial bucket queue
       (selected whenever the graph's cost bound fits) equal
       binary-heap SPTs bit for bit, full and damaged views, both
@@ -120,8 +121,7 @@ val no_loop : t
 val optimal : t
 val single_link : t
 val incr_spt_vs_dijkstra : t
-val view_vs_filtered : t
-val ws_spt_vs_filtered : t
+val graph_vs_reference : t
 val dial_vs_heap : t
 val parallel_vs_sequential : t
 val rmap_vs_reactive : t

@@ -7,15 +7,20 @@ type t = {
   view : Rtr_graph.View.t;
 }
 
+let indices_of a =
+  let acc = ref [] in
+  for i = Array.length a - 1 downto 0 do
+    if a.(i) then acc := i :: !acc
+  done;
+  !acc
+
 let seal graph node_failed link_failed =
   (* Links incident to a failed router are unusable no matter what. *)
   Graph.iter_links graph (fun id u v ->
       if node_failed.(u) || node_failed.(v) then link_failed.(id) <- true);
   let view =
-    Rtr_graph.View.create graph
-      ~node_ok:(fun v -> not node_failed.(v))
-      ~link_ok:(fun id -> not link_failed.(id))
-      ()
+    Rtr_graph.View.of_failed graph ~nodes:(indices_of node_failed)
+      ~links:(indices_of link_failed)
   in
   { graph; node_failed; link_failed; view }
 
@@ -69,13 +74,6 @@ let node_ok t v = not t.node_failed.(v)
 let link_ok t l = not t.link_failed.(l)
 let node_failed t v = t.node_failed.(v)
 let link_failed t l = t.link_failed.(l)
-
-let indices_of a =
-  let acc = ref [] in
-  for i = Array.length a - 1 downto 0 do
-    if a.(i) then acc := i :: !acc
-  done;
-  !acc
 
 let failed_nodes t = indices_of t.node_failed
 let failed_links t = indices_of t.link_failed

@@ -20,27 +20,6 @@ let run view ~source =
   end;
   { dist; parent }
 
-(* Closure-pair reference implementation: the equivalence oracle. *)
-let run_filtered g ~source ?(node_ok = fun _ -> true)
-    ?(link_ok = fun _ -> true) () =
-  let n = Graph.n_nodes g in
-  let dist = Array.make n max_int and parent = Array.make n (-1) in
-  if node_ok source then begin
-    dist.(source) <- 0;
-    let q = Queue.create () in
-    Queue.push source q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      Graph.iter_neighbors g u (fun v id ->
-          if link_ok id && node_ok v && dist.(v) = max_int then begin
-            dist.(v) <- dist.(u) + 1;
-            parent.(v) <- u;
-            Queue.push v q
-          end)
-    done
-  end;
-  { dist; parent }
-
 let reachable view s t =
   let r = run view ~source:s in
   r.dist.(t) < max_int

@@ -24,31 +24,6 @@ let compute view =
   done;
   { id; count = !count }
 
-(* Closure-pair reference implementation: the equivalence oracle. *)
-let compute_filtered g ?(node_ok = fun _ -> true) ?(link_ok = fun _ -> true) ()
-    =
-  let n = Graph.n_nodes g in
-  let id = Array.make n (-1) in
-  let count = ref 0 in
-  let q = Queue.create () in
-  for s = 0 to n - 1 do
-    if node_ok s && id.(s) = -1 then begin
-      let c = !count in
-      incr count;
-      id.(s) <- c;
-      Queue.push s q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        Graph.iter_neighbors g u (fun v lid ->
-            if link_ok lid && node_ok v && id.(v) = -1 then begin
-              id.(v) <- c;
-              Queue.push v q
-            end)
-      done
-    end
-  done;
-  { id; count = !count }
-
 let count t = t.count
 let id_of t v = t.id.(v)
 let same t u v = t.id.(u) >= 0 && t.id.(u) = t.id.(v)

@@ -9,15 +9,6 @@ type t
 val compute : View.t -> t
 (** Components among the nodes and links live in the view. *)
 
-val compute_filtered :
-  Graph.t ->
-  ?node_ok:(Graph.node -> bool) ->
-  ?link_ok:(Graph.link_id -> bool) ->
-  unit ->
-  t
-(** @deprecated Closure-pair reference implementation, kept as the
-    oracle for the view/closure equivalence suite. *)
-
 val count : t -> int
 (** Number of components among live nodes. *)
 

@@ -92,51 +92,6 @@ let spt ?workspace view ~root ?(direction = Spt.From_root) ?cost () =
         parent_link = ws.Workspace.parent_link;
       }
 
-(* The pre-view closure-pair implementation, kept verbatim as the
-   reference oracle for the view/closure equivalence suite (and for
-   callers not yet migrated).  [spt] over [View.create g ~node_ok
-   ~link_ok ()] must match it bit for bit. *)
-let spt_filtered g ~root ?(direction = Spt.From_root)
-    ?(node_ok = fun _ -> true) ?(link_ok = fun _ -> true) ?cost () =
-  Rtr_obs.Metrics.Counter.incr c_spt_scratch;
-  let cost =
-    match cost with Some c -> c | None -> fun id ~src -> Graph.cost g id ~src
-  in
-  let n = Graph.n_nodes g in
-  let dist = Array.make n max_int in
-  let parent_node = Array.make n (-1) in
-  let parent_link = Array.make n (-1) in
-  let settled = Array.make n false in
-  if node_ok root then begin
-    dist.(root) <- 0;
-    let heap = Pqueue.create () in
-    Pqueue.push heap ~prio:0 ~tag:root;
-    let rec drain () =
-      match Pqueue.pop heap with
-      | None -> ()
-      | Some (d, u) ->
-          if not settled.(u) && d = dist.(u) then begin
-            settled.(u) <- true;
-            Graph.iter_neighbors g u (fun v id ->
-                if link_ok id && node_ok v && not settled.(v) then begin
-                  let cand = d + step_cost cost ~direction ~settled:u ~next:v id in
-                  if
-                    cand < dist.(v)
-                    || (cand = dist.(v) && u < parent_node.(v))
-                  then begin
-                    dist.(v) <- cand;
-                    parent_node.(v) <- u;
-                    parent_link.(v) <- id;
-                    Pqueue.push heap ~prio:cand ~tag:v
-                  end
-                end)
-          end;
-          drain ()
-    in
-    drain ()
-  end;
-  { Spt.graph = g; root; direction; dist; parent_node; parent_link }
-
 let shortest_path view ~src ~dst =
   let t = spt ~workspace:(Workspace.get ()) view ~root:src ~direction:Spt.From_root () in
   Spt.path t dst

@@ -55,21 +55,6 @@ let is_valid view p =
   in
   loop p.rev
 
-(* Closure-pair reference implementation: the equivalence oracle. *)
-let is_valid_filtered g ?(node_ok = fun _ -> true) ?(link_ok = fun _ -> true) p
-    =
-  let rec loop = function
-    | a :: (b :: _ as rest) ->
-        node_ok a
-        && (match Graph.find_link g b a with
-           | Some id -> link_ok id
-           | None -> false)
-        && loop rest
-    | [ a ] -> node_ok a
-    | [] -> true
-  in
-  loop p.rev
-
 let append_hop p v = { rev = v :: p.rev; len = p.len + 1 }
 
 let equal a b = a.len = b.len && a.rev = b.rev

@@ -33,15 +33,6 @@ val is_valid : View.t -> t -> bool
 (** Whether every consecutive pair is adjacent and every node/link is
     live in the view (the source must be live too). *)
 
-val is_valid_filtered :
-  Graph.t ->
-  ?node_ok:(Graph.node -> bool) ->
-  ?link_ok:(Graph.link_id -> bool) ->
-  t ->
-  bool
-(** @deprecated Closure-pair reference implementation, kept as the
-    oracle for the view/closure equivalence suite. *)
-
 val append_hop : t -> Graph.node -> t
 (** Extends the path by one node at the destination end.  O(1). *)
 

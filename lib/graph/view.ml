@@ -38,24 +38,6 @@ let full g =
     link_words = ones (Graph.n_links g);
   }
 
-let create g ?node_ok ?link_ok () =
-  Rtr_obs.Metrics.Counter.incr c_allocs;
-  let node_words = ones (Graph.n_nodes g)
-  and link_words = ones (Graph.n_links g) in
-  (match node_ok with
-  | None -> ()
-  | Some ok ->
-      for v = 0 to Graph.n_nodes g - 1 do
-        if not (ok v) then clear node_words v
-      done);
-  (match link_ok with
-  | None -> ()
-  | Some ok ->
-      for id = 0 to Graph.n_links g - 1 do
-        if not (ok id) then clear link_words id
-      done);
-  { graph = g; node_words; link_words }
-
 let of_failed g ~nodes ~links =
   Rtr_obs.Metrics.Counter.incr c_allocs;
   let node_words = ones (Graph.n_nodes g)

@@ -196,92 +196,6 @@ let collect ?(log = fun _ -> ()) config =
   reduce_stream ~log ~header ~mrc
     (Array.map (function Some r -> r | None -> assert false) results)
 
-(* The pre-stream collector, kept verbatim as the differential oracle:
-   tests assert [collect] (which round-trips every scenario through the
-   stream record representation) matches it field for field. *)
-let collect_legacy ?(log = fun _ -> ()) config =
-  List.map
-    (fun preset ->
-      Trace.with_ "experiments.topology"
-        ~attrs:[ ("as", preset.Isp.as_name) ]
-      @@ fun () ->
-      let topo = Isp.load preset in
-      let g = Rtr_topo.Topology.graph topo in
-      let table = Topo_cache.table (Topo_cache.shared topo) in
-      let mrc =
-        match config.mrc_k with
-        | Some k -> (
-            match Rtr_baselines.Mrc.build g ~k with
-            | Some m -> m
-            | None -> Rtr_baselines.Mrc.build_auto ~k_start:(k + 1) g)
-        | None -> Rtr_baselines.Mrc.build_auto g
-      in
-      let rng = Rtr_util.Rng.make (config.seed + preset.Isp.seed) in
-      (* Generate-then-evaluate.  Generation stays on the one
-         sequential RNG (evaluation never draws from it), so the case
-         stream is identical at any [jobs] — including the pre-split
-         interleaved code this replaces.  The generated scenarios are
-         then independent, which is exactly what the pool needs. *)
-      let work = ref [] in
-      let n_rec = ref 0 and n_irr = ref 0 in
-      let scenarios = ref 0 in
-      while
-        (!n_rec < config.recoverable_per_topo
-        || !n_irr < config.irrecoverable_per_topo)
-        && !scenarios < 100_000
-      do
-        incr scenarios;
-        let scenario = Scenario.generate topo table rng () in
-        let wanted (c : Scenario.case) =
-          match c.Scenario.kind with
-          | Scenario.Recoverable -> !n_rec < config.recoverable_per_topo
-          | Scenario.Irrecoverable -> !n_irr < config.irrecoverable_per_topo
-        in
-        (* Quota bookkeeping must happen before evaluating, so count
-           the kept cases per kind as we filter. *)
-        let kept =
-          List.filter
-            (fun c ->
-              if wanted c then begin
-                (match c.Scenario.kind with
-                | Scenario.Recoverable -> incr n_rec
-                | Scenario.Irrecoverable -> incr n_irr);
-                true
-              end
-              else false)
-            scenario.Scenario.cases
-        in
-        if kept <> [] then
-          work := { scenario with Scenario.cases = kept } :: !work
-      done;
-      let shard_results =
-        Parallel.map ~jobs:config.jobs
-          (Runner.run_scenario ~mrc)
-          (Array.of_list (List.rev !work))
-      in
-      let rec_acc = ref [] and irr_acc = ref [] in
-      Array.iter
-        (List.iter (fun (r : Runner.result) ->
-             match r.Runner.case.Scenario.kind with
-             | Scenario.Recoverable -> rec_acc := r :: !rec_acc
-             | Scenario.Irrecoverable -> irr_acc := r :: !irr_acc))
-        shard_results;
-      log
-        (Printf.sprintf "%s: %d recoverable + %d irrecoverable cases (%d areas)"
-           preset.Isp.as_name !n_rec !n_irr !scenarios);
-      Metrics.Counter.incr c_topologies;
-      Metrics.Counter.add c_scenarios_generated !scenarios;
-      Metrics.Histogram.observe h_case_throughput
-        (float_of_int (!n_rec + !n_irr));
-      {
-        preset;
-        topo;
-        mrc_configs = Rtr_baselines.Mrc.n_configs mrc;
-        recoverable = List.rev !rec_acc;
-        irrecoverable = List.rev !irr_acc;
-      })
-    config.presets
-
 type series = { label : string; points : (float * float) list }
 
 type figure = {

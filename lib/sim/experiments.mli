@@ -39,15 +39,9 @@ val collect : ?log:(string -> unit) -> config -> topo_data list
     (sequential RNG until both quotas are met), [Pipeline.evaluate]
     (streaming across [config.jobs] worker domains with bounded
     in-flight work), and {!reduce_stream}.  The returned data is
-    bit-identical for every [jobs] value, for every shard split of the
-    file-based path, and to {!collect_legacy}. *)
-
-val collect_legacy : ?log:(string -> unit) -> config -> topo_data list
-(** The pre-stream all-in-memory collector, kept verbatim as the
-    differential oracle for [collect]: per topology,
-    generate-then-[Parallel.map]-then-partition with no record
-    round-trip.  Tests assert the two agree field for field; new code
-    should use [collect]. *)
+    bit-identical for every [jobs] value and for every shard split of
+    the file-based path; [test/test_golden.ml] pins the reports it
+    feeds. *)
 
 val reduce_stream :
   ?log:(string -> unit) ->

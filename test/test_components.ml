@@ -20,14 +20,14 @@ let test_two_components () =
 
 let test_failed_nodes_excluded () =
   let g = Graph.build ~n:3 ~edges:[ (0, 1); (1, 2) ] in
-  let c = Components.compute (View.create g ~node_ok:(fun v -> v <> 1) ()) in
+  let c = Components.compute (View.of_failed g ~nodes:[ 1 ] ~links:[]) in
   Alcotest.(check int) "cut vertex splits" 2 (Components.count c);
   Alcotest.(check int) "dead node id" (-1) (Components.id_of c 1);
   Alcotest.(check bool) "dead never same" false (Components.same c 1 1)
 
 let test_link_filter () =
   let g = Graph.build ~n:2 ~edges:[ (0, 1) ] in
-  let c = Components.compute (View.create g ~link_ok:(fun _ -> false) ()) in
+  let c = Components.compute (View.of_failed g ~nodes:[] ~links:[ 0 ]) in
   Alcotest.(check int) "all isolated" 2 (Components.count c)
 
 let components_partition =
@@ -36,7 +36,8 @@ let components_partition =
     (fun n ->
       let g = Rtr_check.Gen.random_connected_graph ~seed:n ~n ~extra:n in
       let node_ok v = v mod 3 <> 0 in
-      let c = Components.compute (View.create g ~node_ok ()) in
+      let dead = List.filter (fun v -> not (node_ok v)) (List.init n Fun.id) in
+      let c = Components.compute (View.of_failed g ~nodes:dead ~links:[]) in
       let sizes = Components.sizes c in
       let live = ref 0 in
       for v = 0 to n - 1 do

@@ -36,11 +36,11 @@ let test_filters_and_unreachable () =
   let g = weighted_diamond () in
   Alcotest.(check (option int)) "forced detour" (Some 6)
     (Dijkstra.distance
-       (View.create g ~node_ok:(fun v -> v <> 1) ())
+       (View.of_failed g ~nodes:[ 1 ] ~links:[])
        ~src:0 ~dst:3);
   Alcotest.(check (option int)) "cut off" None
     (Dijkstra.distance
-       (View.create g ~node_ok:(fun v -> v <> 1 && v <> 2) ())
+       (View.of_failed g ~nodes:[ 1; 2 ] ~links:[])
        ~src:0 ~dst:3)
 
 let test_cost_override () =
@@ -58,7 +58,7 @@ let test_cost_override () =
 let test_dead_root () =
   let g = weighted_diamond () in
   let t =
-    Dijkstra.spt (View.create g ~node_ok:(fun v -> v <> 0) ()) ~root:0 ()
+    Dijkstra.spt (View.of_failed g ~nodes:[ 0 ] ~links:[]) ~root:0 ()
   in
   Alcotest.(check bool) "nothing reached" true (not (Spt.reached t 3))
 

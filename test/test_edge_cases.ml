@@ -25,7 +25,7 @@ let theorem2_polygon_areas =
       let radius = Rtr_util.Rng.float_range rng 100.0 300.0 in
       let area = Rtr_failure.Area.poly (Polygon.regular ~center ~radius ~sides) in
       let damage = Damage.apply topo area in
-      let node_ok = Damage.node_ok damage and link_ok = Damage.link_ok damage in
+      let truth = Damage.view damage in
       List.for_all
         (fun (initiator, trigger) ->
           let session = Rtr.start topo damage ~initiator ~trigger () in
@@ -36,17 +36,13 @@ let theorem2_polygon_areas =
                 match Rtr.recover session ~dst with
                 | Rtr.Recovered path -> (
                     match
-                      Rtr_graph.Dijkstra.distance
-                        (View.create g ~node_ok ~link_ok ())
-                        ~src:initiator ~dst
+                      Rtr_graph.Dijkstra.distance truth ~src:initiator ~dst
                     with
                     | Some best -> Path.cost g path = best
                     | None -> false)
                 | Rtr.Unreachable_in_view ->
                     not
-                      (Rtr_graph.Bfs.reachable
-                         (View.create g ~node_ok ~link_ok ())
-                         initiator dst)
+                      (Rtr_graph.Bfs.reachable truth initiator dst)
                 | Rtr.False_path _ -> true)
             (List.init (Graph.n_nodes g) Fun.id))
         (match Rtr_check.Gen.detectors topo damage with [] -> [] | x :: _ -> [ x ]))
@@ -80,7 +76,7 @@ let theorem2_weighted_costs =
       let emb = Rtr_topo.Embedding.random rng ~n () in
       let topo = Rtr_topo.Topology.create ~name:"weighted" g emb in
       let damage = Rtr_check.Gen.random_damage ~seed:(salt * 11) topo in
-      let node_ok = Damage.node_ok damage and link_ok = Damage.link_ok damage in
+      let truth = Damage.view damage in
       List.for_all
         (fun (initiator, trigger) ->
           let session = Rtr.start topo damage ~initiator ~trigger () in
@@ -91,9 +87,7 @@ let theorem2_weighted_costs =
                 match Rtr.recover session ~dst with
                 | Rtr.Recovered path -> (
                     match
-                      Rtr_graph.Dijkstra.distance
-                        (View.create g ~node_ok ~link_ok ())
-                        ~src:initiator ~dst
+                      Rtr_graph.Dijkstra.distance truth ~src:initiator ~dst
                     with
                     | Some best -> Path.cost g path = best
                     | None -> false)

@@ -29,7 +29,7 @@ let test_disconnection () =
 let test_node_removal () =
   let g = Graph.build ~n:4 ~edges:[ (0, 1); (1, 2); (2, 3); (0, 3) ] in
   let t = Dijkstra.spt (View.full g) ~root:0 () in
-  let view = View.create g ~node_ok:(fun v -> v <> 1) () in
+  let view = View.of_failed g ~nodes:[ 1 ] ~links:[] in
   ignore (Inc.remove t ~dead_nodes:[ 1 ] ~view ());
   Alcotest.(check bool) "dead node unreachable" true (not (Spt.reached t 1));
   Alcotest.(check int) "2 rerouted" 2 (Spt.dist t 2)
@@ -37,7 +37,7 @@ let test_node_removal () =
 let test_root_death () =
   let g = Graph.build ~n:2 ~edges:[ (0, 1) ] in
   let t = Dijkstra.spt (View.full g) ~root:0 () in
-  let view = View.create g ~node_ok:(fun v -> v <> 0) () in
+  let view = View.of_failed g ~nodes:[ 0 ] ~links:[] in
   ignore (Inc.remove t ~dead_nodes:[ 0 ] ~view ());
   Alcotest.(check bool) "everything invalid" true (not (Spt.reached t 1))
 
@@ -55,7 +55,7 @@ let test_restore_roundtrip () =
 let test_restore_reconnects_node () =
   let g = Graph.build ~n:3 ~edges:[ (0, 1); (1, 2) ] in
   let t =
-    Dijkstra.spt (View.create g ~node_ok:(fun v -> v <> 2) ()) ~root:0 ()
+    Dijkstra.spt (View.of_failed g ~nodes:[ 2 ] ~links:[]) ~root:0 ()
   in
   Alcotest.(check bool) "2 initially out" true (not (Spt.reached t 2));
   let improved = Inc.restore t ~new_nodes:[ 2 ] ~view:(View.full g) () in

@@ -34,9 +34,8 @@ let test_backbones_connected () =
   let mrc = Mrc.build_auto g in
   for c = 0 to Mrc.n_configs mrc - 1 do
     let isolated = Mrc.isolated_in mrc c in
-    let node_ok v = not (List.mem v isolated) in
     let comps =
-      Rtr_graph.Components.compute (View.create g ~node_ok ())
+      Rtr_graph.Components.compute (View.of_failed g ~nodes:isolated ~links:[])
     in
     Alcotest.(check int)
       (Printf.sprintf "config %d backbone connected" c)

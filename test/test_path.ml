@@ -41,11 +41,11 @@ let test_is_valid () =
   Alcotest.(check bool) "valid" true (Path.is_valid (View.full g) p);
   Alcotest.(check bool)
     "node filter" false
-    (Path.is_valid (View.create g ~node_ok:(fun v -> v <> 1) ()) p);
+    (Path.is_valid (View.of_failed g ~nodes:[ 1 ] ~links:[]) p);
   let link01 = Option.get (Graph.find_link g 0 1) in
   Alcotest.(check bool)
     "link filter" false
-    (Path.is_valid (View.create g ~link_ok:(fun id -> id <> link01) ()) p);
+    (Path.is_valid (View.of_failed g ~nodes:[] ~links:[ link01 ]) p);
   Alcotest.(check bool)
     "broken adjacency" false
     (Path.is_valid (View.full g) (Path.of_nodes [ 0; 2 ]))

@@ -143,12 +143,11 @@ let distances_equal_scratch =
           let p1 = Rtr_core.Phase1.run topo damage ~initiator ~trigger () in
           let p2 = of_phase1 topo damage p1 in
           let removed = Phase2.removed_links p2 in
-          let link_ok id = not (List.mem id removed) in
           List.for_all
             (fun dst ->
               let expected =
                 Rtr_graph.Dijkstra.distance
-                  (View.create g ~link_ok ())
+                  (View.of_failed g ~nodes:[] ~links:removed)
                   ~src:initiator ~dst
               in
               Phase2.recovery_distance p2 ~dst = expected)

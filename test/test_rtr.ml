@@ -47,11 +47,9 @@ let theorem3_single_link_failure =
       let g = Rtr_topo.Topology.graph topo in
       let failed_link = salt mod Graph.n_links g in
       (* Only meaningful when the graph stays connected. *)
-      let link_ok id = id <> failed_link in
+      let view = View.of_failed g ~nodes:[] ~links:[ failed_link ] in
       let still_connected =
-        Rtr_graph.Components.count
-          (Rtr_graph.Components.compute (View.create g ~link_ok ()))
-        = 1
+        Rtr_graph.Components.count (Rtr_graph.Components.compute view) = 1
       in
       QCheck.assume still_connected;
       let damage = Damage.of_failed g ~nodes:[] ~links:[ failed_link ] in
@@ -67,9 +65,7 @@ let theorem3_single_link_failure =
                 | Rtr.Recovered path ->
                     let best =
                       Option.get
-                        (Rtr_graph.Dijkstra.distance
-                           (View.create g ~link_ok ())
-                           ~src:initiator ~dst)
+                        (Rtr_graph.Dijkstra.distance view ~src:initiator ~dst)
                     in
                     Path.cost g path = best
                 | Rtr.Unreachable_in_view | Rtr.False_path _ -> false)
@@ -85,7 +81,7 @@ let theorem2_recovered_is_optimal =
       let topo = Rtr_check.Gen.random_topology ~seed:(n + (salt * 37)) ~n in
       let g = Rtr_topo.Topology.graph topo in
       let damage = Rtr_check.Gen.random_damage ~seed:(salt + 99) topo in
-      let node_ok = Damage.node_ok damage and link_ok = Damage.link_ok damage in
+      let truth = Damage.view damage in
       List.for_all
         (fun (initiator, trigger) ->
           let session = Rtr.start topo damage ~initiator ~trigger () in
@@ -96,9 +92,7 @@ let theorem2_recovered_is_optimal =
                 match Rtr.recover session ~dst with
                 | Rtr.Recovered path -> (
                     match
-                      Rtr_graph.Dijkstra.distance
-                        (View.create g ~node_ok ~link_ok ())
-                        ~src:initiator ~dst
+                      Rtr_graph.Dijkstra.distance truth ~src:initiator ~dst
                     with
                     | Some best -> Path.cost g path = best
                     | None -> false)
@@ -116,7 +110,7 @@ let no_false_unreachable =
       let topo = Rtr_check.Gen.random_topology ~seed:(salt + (n * 53)) ~n in
       let g = Rtr_topo.Topology.graph topo in
       let damage = Rtr_check.Gen.random_damage ~seed:(salt * 7) topo in
-      let node_ok = Damage.node_ok damage and link_ok = Damage.link_ok damage in
+      let truth = Damage.view damage in
       List.for_all
         (fun (initiator, trigger) ->
           let session = Rtr.start topo damage ~initiator ~trigger () in
@@ -127,9 +121,7 @@ let no_false_unreachable =
                 match Rtr.recover session ~dst with
                 | Rtr.Unreachable_in_view ->
                     not
-                      (Rtr_graph.Bfs.reachable
-                         (View.create g ~node_ok ~link_ok ())
-                         initiator dst)
+                      (Rtr_graph.Bfs.reachable truth initiator dst)
                 | Rtr.Recovered _ | Rtr.False_path _ -> true)
             (List.init (Graph.n_nodes g) Fun.id))
         (match Rtr_check.Gen.detectors topo damage with [] -> [] | x :: _ -> [ x ]))

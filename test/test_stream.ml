@@ -290,8 +290,7 @@ let test_file_pipeline_matches_collect () =
     Experiments.reduce_shards ~header
       [ Shard_store.load (shard_path 0); Shard_store.load (shard_path 1) ]
   in
-  check_same_data "files vs collect" from_files (Experiments.collect c);
-  check_same_data "files vs legacy" from_files (Experiments.collect_legacy c)
+  check_same_data "files vs collect" from_files (Experiments.collect c)
 
 (* --- crash and resume ------------------------------------------------ *)
 
@@ -386,7 +385,7 @@ let suite =
     Alcotest.test_case "header round-trip" `Slow test_header_roundtrip;
     Alcotest.test_case "scenario round-trip" `Slow test_scenario_roundtrip;
     Alcotest.test_case "result round-trip" `Slow test_result_roundtrip;
-    Alcotest.test_case "file pipeline = collect = legacy" `Slow
+    Alcotest.test_case "file pipeline = collect" `Slow
       test_file_pipeline_matches_collect;
     Alcotest.test_case "crash, resume, identical report" `Slow
       test_crash_resume;

@@ -1,8 +1,6 @@
-(* The view/closure equivalence suite: every traversal that was
-   refactored from ?node_ok/?link_ok closure pairs onto Graph.View must
-   produce bit-for-bit identical results.  The [_filtered] entry points
-   kept on each module are the original closure implementations,
-   serving as oracles. *)
+(* The view layer: the mask algebra itself, then every traversal over
+   a view checked against [Rtr_check.Reference], the textbook Dijkstra
+   that shares no code with the graph layer. *)
 
 module Graph = Rtr_graph.Graph
 module View = Rtr_graph.View
@@ -13,6 +11,7 @@ module Spt = Rtr_graph.Spt
 module Path = Rtr_graph.Path
 module Damage = Rtr_failure.Damage
 module Route_table = Rtr_routing.Route_table
+module Reference = Rtr_check.Reference
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests for the mask algebra itself *)
@@ -72,85 +71,97 @@ let test_masked_adjacency () =
   Alcotest.(check int) "fold agrees" 1 n
 
 (* ------------------------------------------------------------------ *)
-(* Equivalence properties on randomly damaged topologies *)
+(* Traversals against the reference on randomly damaged topologies *)
 
-(* A random view plus the matching closure pair, from a random disc
-   damage on a generated topology. *)
+(* A random disc damage on a generated (unit-cost) topology. *)
 let damaged_instance ~seed ~n =
   let topo = Rtr_check.Gen.random_topology ~seed ~n in
-  let g = Rtr_topo.Topology.graph topo in
   let damage = Rtr_check.Gen.random_damage ~seed:(seed * 3 + 1) topo in
-  (g, Damage.view damage, Damage.node_ok damage, Damage.link_ok damage)
+  (Rtr_topo.Topology.graph topo, Damage.view damage)
 
 let spt_equal (a : Spt.t) (b : Spt.t) =
   a.Spt.dist = b.Spt.dist
   && a.Spt.parent_node = b.Spt.parent_node
   && a.Spt.parent_link = b.Spt.parent_link
 
-let dijkstra_matches_oracle direction =
+(* Every row of the table is the reference's To_root tree. *)
+let table_matches_reference view =
+  let t = Route_table.compute view in
+  let n = Graph.n_nodes (View.graph view) in
+  List.for_all
+    (fun dst ->
+      let r = Reference.spt view ~root:dst ~direction:Spt.To_root in
+      Route_table.next_row t ~dst = r.Spt.parent_node
+      && Route_table.link_row t ~dst = r.Spt.parent_link
+      && Array.init n (fun src -> Route_table.dist t ~src ~dst) = r.Spt.dist)
+    (List.init n Fun.id)
+
+let dijkstra_matches_reference direction =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "view dijkstra = closure oracle (%s)"
+      (Printf.sprintf "view dijkstra = reference (%s)"
          (match direction with
          | Spt.From_root -> "from_root"
          | Spt.To_root -> "to_root"))
     ~count:80
     QCheck.(pair (int_range 5 35) (int_range 0 500))
     (fun (n, salt) ->
-      let g, view, node_ok, link_ok = damaged_instance ~seed:(n + salt) ~n in
+      let _, view = damaged_instance ~seed:(n + salt) ~n in
       let root = salt mod n in
-      let v = Dijkstra.spt view ~root ~direction () in
-      let o =
-        Dijkstra.spt_filtered g ~root ~direction ~node_ok ~link_ok ()
-      in
-      spt_equal v o)
+      spt_equal
+        (Dijkstra.spt view ~root ~direction ())
+        (Reference.spt view ~root ~direction))
 
-let bfs_matches_oracle =
-  QCheck.Test.make ~name:"view bfs = closure oracle" ~count:80
+(* On unit costs BFS hop counts are the reference distances, and each
+   BFS parent is a live neighbour one hop closer to the source. *)
+let bfs_matches_reference =
+  QCheck.Test.make ~name:"view bfs = reference" ~count:80
     QCheck.(pair (int_range 5 35) (int_range 0 500))
     (fun (n, salt) ->
-      let g, view, node_ok, link_ok =
-        damaged_instance ~seed:(n * 7 + salt) ~n
-      in
+      let g, view = damaged_instance ~seed:(n * 7 + salt) ~n in
       let source = salt mod n in
-      let v = Bfs.run view ~source in
-      let o = Bfs.run_filtered g ~source ~node_ok ~link_ok () in
-      v.Bfs.dist = o.Bfs.dist && v.Bfs.parent = o.Bfs.parent)
-
-let components_match_oracle =
-  QCheck.Test.make ~name:"view components = closure oracle" ~count:80
-    QCheck.(pair (int_range 5 35) (int_range 0 500))
-    (fun (n, salt) ->
-      let g, view, node_ok, link_ok =
-        damaged_instance ~seed:(n * 13 + salt) ~n
-      in
-      let v = Components.compute view in
-      let o = Components.compute_filtered g ~node_ok ~link_ok () in
-      Components.count v = Components.count o
+      let b = Bfs.run view ~source in
+      let r = Reference.spt view ~root:source ~direction:Spt.From_root in
+      b.Bfs.dist = r.Spt.dist
       && List.for_all
-           (fun u -> Components.id_of v u = Components.id_of o u)
+           (fun v ->
+             let p = b.Bfs.parent.(v) in
+             if v = source || not (Spt.reached r v) then p = -1
+             else
+               match Graph.find_link g p v with
+               | Some id ->
+                   View.link_ok view id && r.Spt.dist.(p) + 1 = r.Spt.dist.(v)
+               | None -> false)
            (List.init n Fun.id))
 
-let route_table_matches_oracle =
-  QCheck.Test.make ~name:"view route table = closure oracle" ~count:30
+let components_match_reference =
+  QCheck.Test.make ~name:"view components = reference" ~count:80
+    QCheck.(pair (int_range 5 35) (int_range 0 500))
+    (fun (n, salt) ->
+      let _, view = damaged_instance ~seed:(n * 13 + salt) ~n in
+      let c = Components.compute view in
+      List.for_all
+        (fun u ->
+          let r = Reference.spt view ~root:u ~direction:Spt.From_root in
+          List.for_all
+            (fun v -> Components.same c u v = Spt.reached r v)
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
+let route_table_matches_reference =
+  QCheck.Test.make ~name:"view route table = reference" ~count:30
     QCheck.(pair (int_range 5 25) (int_range 0 300))
     (fun (n, salt) ->
-      let g, view, node_ok, link_ok =
-        damaged_instance ~seed:(n * 17 + salt) ~n
-      in
-      Route_table.equal
-        (Route_table.compute view)
-        (Route_table.compute_filtered ~node_ok ~link_ok g))
+      table_matches_reference (snd (damaged_instance ~seed:(n * 17 + salt) ~n)))
 
-let path_validity_matches_oracle =
-  QCheck.Test.make ~name:"view path validity = closure oracle" ~count:80
+(* A path is valid exactly when every node and every hop's link is live;
+   every path of the reference tree is valid. *)
+let path_validity_matches_reference =
+  QCheck.Test.make ~name:"view path validity = reference" ~count:80
     QCheck.(pair (int_range 5 30) (int_range 0 500))
     (fun (n, salt) ->
-      let g, view, node_ok, link_ok =
-        damaged_instance ~seed:(n * 23 + salt) ~n
-      in
-      (* Walk a random path over the undamaged graph; validity under
-         the damage must agree between view and closures. *)
+      let g, view = damaged_instance ~seed:(n * 23 + salt) ~n in
+      (* Walk a random path over the undamaged graph. *)
       let rng = Rtr_util.Rng.make (salt + 5) in
       let rec walk u acc steps =
         if steps = 0 then List.rev acc
@@ -165,10 +176,21 @@ let path_validity_matches_oracle =
               walk v (v :: acc) (steps - 1)
       in
       let start = salt mod n in
-      let p = Path.of_nodes (walk start [ start ] (1 + (salt mod 6))) in
-      Path.is_valid view p = Path.is_valid_filtered g ~node_ok ~link_ok p)
+      let nodes = walk start [ start ] (1 + (salt mod 6)) in
+      let live =
+        List.for_all (View.node_ok view) nodes
+        && List.for_all (View.link_ok view) (Path.links g (Path.of_nodes nodes))
+      in
+      let r = Reference.spt view ~root:start ~direction:Spt.From_root in
+      Path.is_valid view (Path.of_nodes nodes) = live
+      && List.for_all
+           (fun v ->
+             match Spt.path r v with
+             | Some p -> Path.is_valid view p
+             | None -> true)
+           (List.init n Fun.id))
 
-(* The same equivalences on a real (Rocketfuel-format) topology with
+(* The same checks on a real (Rocketfuel-format) topology with
    asymmetric weights, exercising the parser-fed path. *)
 let weights_sample =
   {|Seattle,WA Portland,OR 2.5
@@ -183,8 +205,8 @@ Chicago,IL Portland,OR 20
 Portland,OR Chicago,IL 19
 |}
 
-let rocketfuel_equivalence =
-  QCheck.Test.make ~name:"rocketfuel: view stack = closure stack" ~count:40
+let rocketfuel_matches_reference =
+  QCheck.Test.make ~name:"rocketfuel: view stack = reference" ~count:40
     QCheck.(int_range 0 1000)
     (fun salt ->
       let topo = Rtr_topo.Rocketfuel.of_weights ~seed:1 weights_sample in
@@ -195,17 +217,12 @@ let rocketfuel_equivalence =
           (fun _ -> Rtr_util.Rng.bool rng)
           (List.init (Graph.n_links g) Fun.id)
       in
-      let damage = Damage.of_failed g ~nodes:[] ~links:dead_links in
-      let view = Damage.view damage in
-      let node_ok = Damage.node_ok damage and link_ok = Damage.link_ok damage in
+      let view = View.of_failed g ~nodes:[] ~links:dead_links in
       let root = salt mod Graph.n_nodes g in
       spt_equal
         (Dijkstra.spt view ~root ~direction:Spt.To_root ())
-        (Dijkstra.spt_filtered g ~root ~direction:Spt.To_root ~node_ok
-           ~link_ok ())
-      && Route_table.equal
-           (Route_table.compute view)
-           (Route_table.compute_filtered ~node_ok ~link_ok g))
+        (Reference.spt view ~root ~direction:Spt.To_root)
+      && table_matches_reference view)
 
 let suite =
   [
@@ -214,11 +231,11 @@ let suite =
       test_of_failed_and_remove;
     Alcotest.test_case "inter" `Quick test_inter;
     Alcotest.test_case "masked adjacency" `Quick test_masked_adjacency;
-    QCheck_alcotest.to_alcotest (dijkstra_matches_oracle Spt.From_root);
-    QCheck_alcotest.to_alcotest (dijkstra_matches_oracle Spt.To_root);
-    QCheck_alcotest.to_alcotest bfs_matches_oracle;
-    QCheck_alcotest.to_alcotest components_match_oracle;
-    QCheck_alcotest.to_alcotest route_table_matches_oracle;
-    QCheck_alcotest.to_alcotest path_validity_matches_oracle;
-    QCheck_alcotest.to_alcotest rocketfuel_equivalence;
+    QCheck_alcotest.to_alcotest (dijkstra_matches_reference Spt.From_root);
+    QCheck_alcotest.to_alcotest (dijkstra_matches_reference Spt.To_root);
+    QCheck_alcotest.to_alcotest bfs_matches_reference;
+    QCheck_alcotest.to_alcotest components_match_reference;
+    QCheck_alcotest.to_alcotest route_table_matches_reference;
+    QCheck_alcotest.to_alcotest path_validity_matches_reference;
+    QCheck_alcotest.to_alcotest rocketfuel_matches_reference;
   ]

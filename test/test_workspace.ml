@@ -2,6 +2,7 @@ module Graph = Rtr_graph.Graph
 module View = Rtr_graph.View
 module Spt = Rtr_graph.Spt
 module Dijkstra = Rtr_graph.Dijkstra
+module Reference = Rtr_check.Reference
 module Metrics = Rtr_obs.Metrics
 
 (* The arena counters are find-or-create by name, so grabbing them here
@@ -9,25 +10,31 @@ module Metrics = Rtr_obs.Metrics
 let c_ws_alloc = Metrics.counter "spt.ws_alloc"
 let c_ws_reuse = Metrics.counter "spt.ws_reuse"
 
-let check_same_tree name (oracle : Spt.t) (borrowed : Spt.t) =
-  Alcotest.(check (array int)) (name ^ ": dist") oracle.Spt.dist borrowed.Spt.dist;
+let check_same_tree name (reference : Spt.t) (borrowed : Spt.t) =
+  Alcotest.(check (array int))
+    (name ^ ": dist") reference.Spt.dist borrowed.Spt.dist;
   Alcotest.(check (array int))
     (name ^ ": parent_node")
-    oracle.Spt.parent_node borrowed.Spt.parent_node;
+    reference.Spt.parent_node borrowed.Spt.parent_node;
   Alcotest.(check (array int))
     (name ^ ": parent_link")
-    oracle.Spt.parent_link borrowed.Spt.parent_link
+    reference.Spt.parent_link borrowed.Spt.parent_link
 
-(* Pseudo-random but deterministic damage predicates; roots are chosen
-   to survive [node_ok]. *)
+(* Pseudo-random but deterministic damage: every fifth node from 3 and
+   every seventh link from 2.  Roots are chosen to survive it. *)
 let node_ok v = v mod 5 <> 3
-let link_ok id = id mod 7 <> 2
+
+let damaged g =
+  let dead ok n = List.filter (fun i -> not (ok i)) (List.init n Fun.id) in
+  View.of_failed g
+    ~nodes:(dead node_ok (Graph.n_nodes g))
+    ~links:(dead (fun id -> id mod 7 <> 2) (Graph.n_links g))
 
 (* One arena reused across different graph sizes, roots, views, and
-   directions must stay bit-identical to the closure-pair oracle.  Each
+   directions must stay bit-identical to the textbook reference.  Each
    comparison happens before the next borrow, per the borrowing
    discipline. *)
-let test_reuse_matches_filtered () =
+let test_reuse_matches_reference () =
   let ws = Dijkstra.Workspace.create () in
   (* Revisit earlier sizes so the arena both grows and shrinks. *)
   let sizes = [ 8; 21; 8; 34; 21 ] in
@@ -38,7 +45,7 @@ let test_reuse_matches_filtered () =
           ~extra:(n / 2) ~max_cost:9
       in
       let full = View.full g in
-      let damaged = View.create g ~node_ok ~link_ok () in
+      let damaged = damaged g in
       List.iter
         (fun root ->
           List.iter
@@ -49,29 +56,27 @@ let test_reuse_matches_filtered () =
                   | Spt.From_root -> "from"
                   | Spt.To_root -> "to")
               in
-              let oracle = Dijkstra.spt_filtered g ~root ~direction () in
               let b = Dijkstra.spt ~workspace:ws full ~root ~direction () in
-              check_same_tree (name "full") oracle b;
-              let oracle =
-                Dijkstra.spt_filtered g ~root ~direction ~node_ok ~link_ok ()
-              in
+              check_same_tree (name "full")
+                (Reference.spt full ~root ~direction) b;
               let b = Dijkstra.spt ~workspace:ws damaged ~root ~direction () in
-              check_same_tree (name "damaged") oracle b)
+              check_same_tree (name "damaged")
+                (Reference.spt damaged ~root ~direction) b)
             [ Spt.From_root; Spt.To_root ])
         [ 0; 1; n - 1 ])
     sizes
 
 (* Same differential through the domain's own arena ([Workspace.get]),
    which the routing table and phase 2 use. *)
-let test_domain_arena_matches_filtered () =
+let test_domain_arena_matches_reference () =
   let ws = Dijkstra.Workspace.get () in
   let g = Rtr_check.Gen.random_weighted_graph ~seed:77 ~n:26 ~extra:13 ~max_cost:7 in
-  let damaged = View.create g ~node_ok ~link_ok () in
+  let damaged = damaged g in
   List.iter
     (fun root ->
-      let oracle = Dijkstra.spt_filtered g ~root ~node_ok ~link_ok () in
+      let reference = Reference.spt damaged ~root ~direction:Spt.From_root in
       let b = Dijkstra.spt ~workspace:ws damaged ~root () in
-      check_same_tree (Printf.sprintf "root=%d" root) oracle b)
+      check_same_tree (Printf.sprintf "root=%d" root) reference b)
     [ 0; 5; 25 ]
 
 let test_get_is_per_domain_singleton () =
@@ -110,8 +115,8 @@ let test_owned_runs_bypass_arena () =
   Alcotest.(check int) "no alloc" a0 (Metrics.Counter.value c_ws_alloc);
   Alcotest.(check int) "no reuse" r0 (Metrics.Counter.value c_ws_reuse)
 
-let workspace_matches_filtered_qcheck =
-  QCheck.Test.make ~name:"workspace spt equals spt_filtered" ~count:60
+let workspace_matches_reference_qcheck =
+  QCheck.Test.make ~name:"workspace spt equals reference" ~count:60
     QCheck.(pair (int_range 4 40) small_nat)
     (fun (n, seed) ->
       let g =
@@ -119,28 +124,26 @@ let workspace_matches_filtered_qcheck =
           ~max_cost:11
       in
       let ws = Dijkstra.Workspace.get () in
-      let damaged = View.create g ~node_ok ~link_ok () in
+      let damaged = damaged g in
       let root = seed mod n in
       let root = if node_ok root then root else (root + 1) mod n in
       let direction = if seed mod 2 = 0 then Spt.From_root else Spt.To_root in
-      let oracle =
-        Dijkstra.spt_filtered g ~root ~direction ~node_ok ~link_ok ()
-      in
+      let reference = Reference.spt damaged ~root ~direction in
       let b = Dijkstra.spt ~workspace:ws damaged ~root ~direction () in
-      oracle.Spt.dist = b.Spt.dist
-      && oracle.Spt.parent_node = b.Spt.parent_node
-      && oracle.Spt.parent_link = b.Spt.parent_link)
+      reference.Spt.dist = b.Spt.dist
+      && reference.Spt.parent_node = b.Spt.parent_node
+      && reference.Spt.parent_link = b.Spt.parent_link)
 
 let suite =
   [
     Alcotest.test_case "reuse across sizes/roots/views/directions" `Quick
-      test_reuse_matches_filtered;
+      test_reuse_matches_reference;
     Alcotest.test_case "domain arena differential" `Quick
-      test_domain_arena_matches_filtered;
+      test_domain_arena_matches_reference;
     Alcotest.test_case "get is a per-domain singleton" `Quick
       test_get_is_per_domain_singleton;
     Alcotest.test_case "alloc/reuse counters" `Quick test_alloc_reuse_counters;
     Alcotest.test_case "owned runs bypass arena" `Quick
       test_owned_runs_bypass_arena;
-    QCheck_alcotest.to_alcotest workspace_matches_filtered_qcheck;
+    QCheck_alcotest.to_alcotest workspace_matches_reference_qcheck;
   ]
