@@ -644,5 +644,29 @@ let of_json j =
           xs (Ok [])
     | Some _ -> Error "bad episodes"
   in
-  if List.length coords <> n then Error "coords length differs from n"
-  else Ok { name; n; coords = Array.of_list coords; edges; failure; episodes }
+  (* Reject every spec [build] would raise on: node ids outside
+     [0, n) wherever the spec names a router, and the graphs
+     [Graph.build_weighted] refuses (self loops, duplicate edges,
+     nonpositive costs). *)
+  let pair_ok (u, v) = u >= 0 && u < n && v >= 0 && v < n in
+  let failure_ok = function
+    | Disc _ -> true
+    | Explicit { nodes; links } ->
+        List.for_all (fun v -> v >= 0 && v < n) nodes
+        && List.for_all pair_ok links
+  in
+  let episode_ok = function
+    | Cascade { failure; _ } -> failure_ok failure
+    | Flap { links; _ } -> List.for_all pair_ok links
+    | Move _ -> true
+  in
+  if n <= 0 then Error "n must be positive"
+  else if List.length coords <> n then Error "coords length differs from n"
+  else if not (List.for_all (fun (u, v, _, _) -> pair_ok (u, v)) edges) then
+    Error "edge endpoint out of range"
+  else if not (failure_ok failure && List.for_all episode_ok episodes) then
+    Error "failure names a node out of range"
+  else
+    match Graph.build_weighted ~n ~edges with
+    | exception Invalid_argument msg -> Error msg
+    | _ -> Ok { name; n; coords = Array.of_list coords; edges; failure; episodes }

@@ -109,3 +109,7 @@ val merge_episodes : t -> int -> t option
 
 val to_json : t -> Rtr_obs.Json.t
 val of_json : Rtr_obs.Json.t -> (t, string) result
+(** [Error] on malformed JSON and on any spec {!build} would raise on:
+    [n <= 0], a node id outside [0, n) in an edge, an explicit failure
+    (base or cascade) or a flap, and self loops, duplicate edges or
+    nonpositive costs. *)

@@ -42,6 +42,47 @@ let test_of_json_rejects () =
     {|{"name":"x","n":3,"coords":[[0,0],[1,1]],"edges":[[0,1,1,1]],"failure":{"kind":"disc","cx":0,"cy":0,"r":1}}|};
   reject {|{"name":"x","n":2,"coords":[[0,0],[1,1]],"edges":[[0,1,1,1]],"failure":{"kind":"worm"}}|}
 
+(* Well-formed JSON naming a spec that [Spec.build] would crash on:
+   each must decode to [Error], never reach the graph builder. *)
+let test_of_json_rejects_hostile () =
+  let square = {|"coords":[[0,0],[0,10],[10,10],[10,0]]|}
+  and ring = {|[[0,1,1,1],[1,2,1,1],[2,3,1,1],[3,0,1,1]]|}
+  and none = {|{"kind":"explicit","nodes":[],"links":[]}|} in
+  let spec ?(n = "4") ?(coords = square) ?(edges = ring) ?(failure = none)
+      ?(episodes = "") () =
+    Printf.sprintf {|{"name":"hostile","n":%s,%s,"edges":%s,"failure":%s%s}|}
+      n coords edges failure episodes
+  in
+  let reject what s =
+    match Result.bind (Json.parse s) Spec.of_json with
+    | Ok _ -> Alcotest.failf "%s accepted: %s" what s
+    | Error _ -> ()
+  in
+  (match Result.bind (Json.parse (spec ())) Spec.of_json with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the well-formed base spec was rejected: %s" e);
+  reject "failed node 7"
+    (spec ~failure:{|{"kind":"explicit","nodes":[7],"links":[]}|} ());
+  reject "negative failed node"
+    (spec ~failure:{|{"kind":"explicit","nodes":[-1],"links":[]}|} ());
+  reject "failed link to node 9"
+    (spec ~failure:{|{"kind":"explicit","nodes":[],"links":[[0,9]]}|} ());
+  reject "edge to node 9" (spec ~edges:{|[[0,1,1,1],[1,9,1,1]]|} ());
+  reject "flap of a link to node 5"
+    (spec
+       ~episodes:{|,"episodes":[{"kind":"flap","at":1,"up_at":2,"links":[[5,0]]}]|}
+       ());
+  reject "cascade failing node 4"
+    (spec
+       ~episodes:
+         {|,"episodes":[{"kind":"cascade","at":1,"failure":{"kind":"explicit","nodes":[4],"links":[]}}]|}
+       ());
+  reject "n = 0" (spec ~n:"0" ~coords:{|"coords":[]|} ~edges:"[]" ());
+  reject "self loop" (spec ~edges:{|[[0,1,1,1],[2,2,1,1]]|} ());
+  reject "duplicate edge" (spec ~edges:{|[[0,1,1,1],[1,0,1,1]]|} ());
+  reject "zero cost" (spec ~edges:{|[[0,1,1,1],[1,2,0,1]]|} ());
+  reject "negative cost" (spec ~edges:{|[[0,1,1,-3]]|} ())
+
 let test_shrink_moves () =
   let spec = gen_spec 5 in
   (match Spec.drop_link spec 0 with
@@ -365,6 +406,8 @@ let suite =
   [
     Alcotest.test_case "spec JSON round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "spec of_json rejects junk" `Quick test_of_json_rejects;
+    Alcotest.test_case "spec of_json rejects hostile specs" `Quick
+      test_of_json_rejects_hostile;
     Alcotest.test_case "shrinking moves" `Quick test_shrink_moves;
     Alcotest.test_case "oracles pass on the protocol" `Quick
       test_oracles_pass_on_protocol;
