@@ -427,7 +427,11 @@ let stream_pipeline () =
   in
   Stream.write stream_path header records;
   let evaluate_shard ~resume shard =
-    let header, next = Stream.open_reader stream_path in
+    let header, next =
+      match Stream.open_reader stream_path with
+      | Ok r -> r
+      | Error e -> failwith e
+    in
     match
       Shard_store.open_writer ~path:(shard_path shard) ~resume ~shard
         ~shards:2 ~count:header.Stream.count
@@ -437,11 +441,12 @@ let stream_pipeline () =
         let rec filtered () =
           match next () with
           | None -> None
-          | Some r
+          | Some (Error e) -> failwith e
+          | Some (Ok r)
             when r.Stream.seq mod 2 = shard
                  && not (committed r.Stream.seq) ->
               Some r
-          | Some _ -> filtered ()
+          | Some (Ok _) -> filtered ()
         in
         let mrc =
           Pipeline.evaluate ~jobs ~header ~next:filtered

@@ -10,6 +10,19 @@ let log_line s =
   prerr_string ("# " ^ s ^ "\n");
   flush stderr
 
+(* Bad input ends a subcommand with one line on stderr and exit 1,
+   never an uncaught exception. *)
+let die msg =
+  prerr_endline ("rtr_sim: " ^ msg);
+  exit 1
+
+let preset name =
+  match Isp.find name with
+  | Some p -> p
+  | None -> die (Printf.sprintf "unknown topology %S" name)
+
+let load_topo name = Isp.load (preset name)
+
 (* ------------------------------------------------------------------ *)
 (* Observability: every subcommand accepts --trace/--metrics.  The
    setup term installs the span sink up front and registers the
@@ -30,10 +43,7 @@ let metrics_arg =
 (* Fail fast on an unwritable path instead of losing the artifact (or
    dying with a raw Sys_error) after the whole run has completed. *)
 let check_writable path =
-  try close_out (open_out path)
-  with Sys_error msg ->
-    prerr_endline ("rtr_sim: " ^ msg);
-    exit 1
+  try close_out (open_out path) with Sys_error msg -> die msg
 
 let setup_obs trace metrics =
   (* The driver itself only exercises the analytic harness; pull the
@@ -115,10 +125,7 @@ let config_of ~cases ~seed ~topos ~mrc_k ~jobs =
     | Some names ->
         String.split_on_char ',' names
         |> List.map String.trim
-        |> List.map (fun n ->
-               match Isp.find n with
-               | Some p -> p
-               | None -> failwith (Printf.sprintf "unknown topology %S" n))
+        |> List.map preset
   in
   let quota q = Option.value cases ~default:q in
   {
@@ -349,7 +356,7 @@ let run_cmd =
     Rtr_obs.Trace.with_ "rtr_sim.run"
       ~attrs:[ ("topo", topo_name); ("seed", string_of_int seed) ]
     @@ fun () ->
-    let topo = Isp.load_by_name topo_name in
+    let topo = load_topo topo_name in
     let g = Rtr_topo.Topology.graph topo in
     let cache = Rtr_sim.Topo_cache.shared topo in
     let table = Rtr_sim.Topo_cache.table cache in
@@ -452,7 +459,7 @@ let draw_cmd =
           Some (PE.initiator, PE.trigger, PE.destination, None) )
       end
       else begin
-        let topo = Isp.load_by_name topo_name in
+        let topo = load_topo topo_name in
         let g = Rtr_topo.Topology.graph topo in
         let table = Rtr_routing.Route_table.compute (Rtr_graph.View.full g) in
         let rng = Rtr_util.Rng.make seed in
@@ -557,7 +564,11 @@ let evaluate_cmd =
         (Printf.sprintf "rtr_sim: bad shard coordinates %d/%d" shard shards);
       exit 2
     end;
-    let header, pull = Rtr_sim.Stream.open_reader stream in
+    let header, pull =
+      match Rtr_sim.Stream.open_reader stream with
+      | Ok r -> r
+      | Error e -> die e
+    in
     match
       Rtr_sim.Shard_store.open_writer ~path:out ~resume ~shard ~shards
         ~count:header.Rtr_sim.Stream.count
@@ -565,10 +576,17 @@ let evaluate_cmd =
     | Rtr_sim.Shard_store.Complete ->
         Format.printf "%s: shard %d/%d already complete@." out shard shards
     | Rtr_sim.Shard_store.Writer (w, committed) ->
+        (* A malformed record ends the stream early; the shard keeps
+           its committed records and no footer, so it stays
+           resumable. *)
+        let malformed = ref None in
         let rec next () =
           match pull () with
           | None -> None
-          | Some (r : Rtr_sim.Stream.scenario) ->
+          | Some (Error e) ->
+              malformed := Some e;
+              None
+          | Some (Ok (r : Rtr_sim.Stream.scenario)) ->
               if
                 r.Rtr_sim.Stream.seq mod shards = shard
                 && not (committed r.Rtr_sim.Stream.seq)
@@ -579,6 +597,7 @@ let evaluate_cmd =
           Rtr_sim.Pipeline.evaluate ~jobs ~header ~next
             ~emit:(Rtr_sim.Shard_store.append w) ()
         in
+        Option.iter die !malformed;
         Rtr_sim.Shard_store.finish w ~mrc;
         Format.printf "wrote %s: shard %d/%d complete, %d records (jobs=%d)@."
           out shard shards (Rtr_sim.Shard_store.records w) jobs
@@ -625,7 +644,11 @@ let reduce_cmd =
     Arg.(value & opt which Table3 & info [ "artifact" ] ~docv:"NAME" ~doc)
   in
   let run () stream shard_files which out =
-    let header = Rtr_sim.Stream.read_header stream in
+    let header =
+      match Rtr_sim.Stream.read_header stream with
+      | Ok h -> h
+      | Error e -> die e
+    in
     let shards = List.map Rtr_sim.Shard_store.load shard_files in
     let data = Experiments.reduce_shards ~log:log_line ~header shards in
     let fig (f : Experiments.figure) = emit_figure ?out f in
@@ -681,7 +704,7 @@ let microbench_cmd =
   let run () topo_name iters seed =
     Rtr_obs.Trace.with_ "rtr_sim.microbench" ~attrs:[ ("topo", topo_name) ]
     @@ fun () ->
-    let topo = Isp.load_by_name topo_name in
+    let topo = load_topo topo_name in
     let g = Rtr_topo.Topology.graph topo in
     let n = Graph.n_nodes g in
     let full = View.full g in
@@ -823,7 +846,7 @@ let precompute_cmd =
   let run () topo_name out manifest singles grid radii combo_k combo_budget
       jobs =
     let jobs = Option.value jobs ~default:(Rtr_sim.Parallel.env_jobs ()) in
-    let topo = Isp.load_by_name topo_name in
+    let topo = load_topo topo_name in
     let grid_cols, grid_rows =
       match String.split_on_char 'x' (String.lowercase_ascii grid) with
       | [ c; r ] -> (
@@ -922,23 +945,19 @@ let serve_cmd =
   in
   let run () map topo_name bench fail initiator trigger dst seed =
     match Store.load map with
-    | Error e ->
-        prerr_endline ("rtr_sim: " ^ map ^ ": " ^ e);
-        exit 1
+    | Error e -> die (map ^ ": " ^ e)
     | Ok store -> (
         let topo =
           match topo_name with
           | Some "none" -> None
-          | Some name -> Some (Isp.load_by_name name)
+          | Some name -> Some (load_topo name)
           | None ->
               (* Reload the artifact's own topology when we know it, so
                  misses fall back to a reactive run out of the box. *)
               Option.map Isp.load (Isp.find (Store.topo_name store))
         in
         match Service.create ?topo store with
-        | Error e ->
-            prerr_endline ("rtr_sim: " ^ e);
-            exit 1
+        | Error e -> die e
         | Ok service ->
             Format.printf
               "%s: %s, %d routers, %d links, %d scenarios, %d cases, %d \

@@ -10,6 +10,8 @@ module Phase1 = Rtr_core.Phase1
 module Phase2 = Rtr_core.Phase2
 module Rtr = Rtr_core.Rtr
 module Scenario = Rtr_sim.Scenario
+module Store = Rtr_rmap.Store
+module Service = Rtr_rmap.Service
 
 type violation = { oracle : string; detail : string }
 
@@ -733,13 +735,69 @@ let parallel_run ~inject:_ spec =
                (List.length cases))
   end
 
+(* The same artifact with one slot left out: every query on that
+   signature then takes the service's reactive fallback. *)
+let artifact_without store ~slot =
+  let entries = ref [] in
+  Store.iter_slots store (fun s ->
+      if s <> slot then begin
+        let first, count = Store.case_range store s in
+        entries :=
+          ( Store.signature store s,
+            Array.init count (fun i -> Store.to_case store (first + i)) )
+          :: !entries
+      end);
+  Store.encode ~topo_name:(Store.topo_name store)
+    ~n_nodes:(Store.n_nodes store) ~n_links:(Store.n_links store) !entries
+  |> Store.of_string
+
+let rmap_fail fmt =
+  Printf.ksprintf
+    (fun detail -> raise (Found { oracle = "rmap_vs_reactive"; detail }))
+    fmt
+
+(* [source] answered [kind, cost, true_cost, path] for case [c]; the
+   independent reactive [outcome] and the ground truth must agree. *)
+let check_rmap_answer g (c : Scenario.case) outcome ~source ~kind ~cost
+    ~true_cost ~path =
+  let where fmt =
+    Printf.ksprintf
+      (fun s ->
+        rmap_fail "(v%d, v%d) -> v%d: %s %s" c.Scenario.initiator
+          c.Scenario.trigger c.Scenario.dst source s)
+      fmt
+  in
+  let check_path kind_name p =
+    if path <> Array.of_list (Path.nodes p) then
+      where "%s route differs from the reactive one" kind_name;
+    let reactive = Path.cost g p in
+    if cost <> reactive then
+      where "cost %d, reactive %s route costs %d" cost kind_name reactive
+  in
+  (match outcome with
+  | Rtr.Recovered p ->
+      if kind <> Store.Recovered then where "kind differs: reactive recovered";
+      check_path "recovered" p
+  | Rtr.Unreachable_in_view ->
+      if kind <> Store.Unreachable then
+        where "kind differs: reactive unreachable";
+      if cost <> -1 then where "unreachable case costs %d" cost;
+      if path <> [||] then where "unreachable case has a route"
+  | Rtr.False_path { path = p; _ } ->
+      if kind <> Store.False_path then
+        where "kind differs: reactive false path";
+      check_path "false-path" p);
+  let truth = Option.value c.Scenario.shortest_after ~default:(-1) in
+  if true_cost <> truth then
+    where "true cost %d, ground truth %d" true_cost truth
+
 let rmap_run ~inject:_ spec =
   let topo, damage0 = Spec.build spec in
   let g = Rtr_topo.Topology.graph topo in
-  let name = "rmap_vs_reactive" in
   match Damage.failed_links damage0 with
   | [] -> None (* empty signature: never compiled, nothing to compare *)
-  | links -> (
+  | links ->
+      first_violation @@ fun () ->
       (* The recovery map keys on failed-link sets, so both sides of the
          comparison run over the canonical link-set damage. *)
       let damage = Damage.of_failed g ~nodes:[] ~links in
@@ -749,101 +807,76 @@ let rmap_run ~inject:_ spec =
       (* [default] keeps singles on, so the index holds many entries and
          the binary-search probes below are non-trivial. *)
       let compiled = Rtr_rmap.Compile.run topo config in
-      match Rtr_rmap.Store.of_string compiled.Rtr_rmap.Compile.artifact with
-      | Error e -> Some (violation name "artifact rejected on reload: %s" e)
-      | Ok store -> (
-          let signature = Rtr_rmap.Signature.of_damage g damage in
-          match Rtr_rmap.Store.find store signature with
-          | None ->
-              Some
-                (violation name
-                   "compiled signature %s missing from its own artifact"
-                   (Rtr_rmap.Signature.to_hex signature))
-          | Some slot ->
-              let table = Route_table.compute (View.full g) in
-              let cases = Scenario.cases_of_damage topo table damage in
-              let first, count = Rtr_rmap.Store.case_range store slot in
-              if count <> List.length cases then
-                Some
-                  (violation name
-                     "artifact holds %d cases, the reactive enumeration %d"
-                     count (List.length cases))
-              else
-                (* The independent twin of the compiler kernel: fresh
-                   sessions, path costs summed link by link instead of
-                   read off the session's SPT labels. *)
-                let sessions = Hashtbl.create 8 in
-                let session (c : Scenario.case) =
-                  let key = (c.Scenario.initiator, c.Scenario.trigger) in
-                  match Hashtbl.find_opt sessions key with
-                  | Some s -> s
-                  | None ->
-                      let s =
-                        Rtr.start topo damage ~initiator:c.Scenario.initiator
-                          ~trigger:c.Scenario.trigger ()
-                      in
-                      Hashtbl.replace sessions key s;
-                      s
-                in
-                first_violation @@ fun () ->
-                List.iteri
-                  (fun i (c : Scenario.case) ->
-                    let where fmt =
-                      Printf.ksprintf
-                        (fun s ->
-                          raise
-                            (Found
-                               (violation name "(v%d, v%d) -> v%d: %s"
-                                  c.Scenario.initiator c.Scenario.trigger
-                                  c.Scenario.dst s)))
-                        fmt
-                    in
-                    let idx =
-                      Rtr_rmap.Store.case_index store ~slot
-                        ~initiator:c.Scenario.initiator
-                        ~trigger:c.Scenario.trigger ~dst:c.Scenario.dst
-                    in
-                    if idx <> first + i then
-                      where "case_index probed %d, expected %d" idx (first + i);
-                    let stored = Rtr_rmap.Store.to_case store idx in
-                    let check_path kind_name p =
-                      let nodes = Array.of_list (Path.nodes p) in
-                      if stored.Rtr_rmap.Store.path <> nodes then
-                        where "stored %s route differs from the reactive one"
-                          kind_name;
-                      let cost = Path.cost g p in
-                      if stored.Rtr_rmap.Store.cost <> cost then
-                        where "stored cost %d, reactive %s route costs %d"
-                          stored.Rtr_rmap.Store.cost kind_name cost
-                    in
-                    (match Rtr.recover (session c) ~dst:c.Scenario.dst with
-                    | Rtr.Recovered p ->
-                        if stored.Rtr_rmap.Store.kind <> Rtr_rmap.Store.Recovered
-                        then where "stored kind differs: reactive recovered";
-                        check_path "recovered" p
-                    | Rtr.Unreachable_in_view ->
-                        if
-                          stored.Rtr_rmap.Store.kind
-                          <> Rtr_rmap.Store.Unreachable
-                        then where "stored kind differs: reactive unreachable";
-                        if stored.Rtr_rmap.Store.cost <> -1 then
-                          where "unreachable case stores cost %d"
-                            stored.Rtr_rmap.Store.cost;
-                        if stored.Rtr_rmap.Store.path <> [||] then
-                          where "unreachable case stores a route"
-                    | Rtr.False_path { path = p; _ } ->
-                        if
-                          stored.Rtr_rmap.Store.kind
-                          <> Rtr_rmap.Store.False_path
-                        then where "stored kind differs: reactive false path";
-                        check_path "false-path" p);
-                    let true_cost =
-                      Option.value c.Scenario.shortest_after ~default:(-1)
-                    in
-                    if stored.Rtr_rmap.Store.true_cost <> true_cost then
-                      where "stored true cost %d, ground truth %d"
-                        stored.Rtr_rmap.Store.true_cost true_cost)
-                  cases))
+      let store =
+        match Store.of_string compiled.Rtr_rmap.Compile.artifact with
+        | Ok store -> store
+        | Error e -> rmap_fail "artifact rejected on reload: %s" e
+      in
+      let signature = Rtr_rmap.Signature.of_damage g damage in
+      let slot =
+        match Store.find store signature with
+        | Some slot -> slot
+        | None ->
+            rmap_fail "compiled signature %s missing from its own artifact"
+              (Rtr_rmap.Signature.to_hex signature)
+      in
+      let table = Route_table.compute (View.full g) in
+      let cases = Scenario.cases_of_damage topo table damage in
+      let first, count = Store.case_range store slot in
+      if count <> List.length cases then
+        rmap_fail "artifact holds %d cases, the reactive enumeration %d" count
+          (List.length cases);
+      (* Every case is asked twice: of the artifact, and of a service
+         whose artifact lacks this signature, so it takes the
+         fallback. *)
+      let service =
+        match
+          Result.bind (artifact_without store ~slot) (Service.create ~topo)
+        with
+        | Ok service -> service
+        | Error e -> rmap_fail "artifact without the slot: %s" e
+      in
+      (* The independent twin of the compiler kernel: fresh sessions,
+         path costs summed link by link instead of read off the
+         session's SPT labels. *)
+      let sessions = Hashtbl.create 8 in
+      let session (c : Scenario.case) =
+        let key = (c.Scenario.initiator, c.Scenario.trigger) in
+        match Hashtbl.find_opt sessions key with
+        | Some s -> s
+        | None ->
+            let s =
+              Rtr.start topo damage ~initiator:c.Scenario.initiator
+                ~trigger:c.Scenario.trigger ()
+            in
+            Hashtbl.replace sessions key s;
+            s
+      in
+      List.iteri
+        (fun i (c : Scenario.case) ->
+          let initiator = c.Scenario.initiator
+          and trigger = c.Scenario.trigger
+          and dst = c.Scenario.dst in
+          let idx = Store.case_index store ~slot ~initiator ~trigger ~dst in
+          if idx <> first + i then
+            rmap_fail "(v%d, v%d) -> v%d: case_index probed %d, expected %d"
+              initiator trigger dst idx (first + i);
+          let outcome = Rtr.recover (session c) ~dst in
+          let s = Store.to_case store idx in
+          check_rmap_answer g c outcome ~source:"stored" ~kind:s.Store.kind
+            ~cost:s.Store.cost ~true_cost:s.Store.true_cost ~path:s.Store.path;
+          match Service.query service ~links ~initiator ~trigger ~dst with
+          | Error e ->
+              rmap_fail "(v%d, v%d) -> v%d: fallback failed: %s" initiator
+                trigger dst e
+          | Ok r when r.Service.from_artifact ->
+              rmap_fail "(v%d, v%d) -> v%d: fallback answered from the artifact"
+                initiator trigger dst
+          | Ok r ->
+              check_rmap_answer g c outcome ~source:"fallback"
+                ~kind:r.Service.kind ~cost:r.Service.cost
+                ~true_cost:r.Service.true_cost ~path:r.Service.path)
+        cases
 
 (* --- registry ------------------------------------------------------- *)
 

@@ -4,6 +4,8 @@ type t = {
   seed : int option;
   config : (string * string) list;
   git : string option;
+  cores : int;
+  ocaml : string;
   wall_s : float option;
 }
 
@@ -20,7 +22,16 @@ let git_describe () =
 
 let make ?seed ?(config = []) ?wall_s
     ?(tool = Filename.basename Sys.executable_name) () =
-  { tool; argv = Array.to_list Sys.argv; seed; config; git = git_describe (); wall_s }
+  {
+    tool;
+    argv = Array.to_list Sys.argv;
+    seed;
+    config;
+    git = git_describe ();
+    cores = Domain.recommended_domain_count ();
+    ocaml = Sys.ocaml_version;
+    wall_s;
+  }
 
 let to_json m =
   let opt f = function None -> Json.Null | Some x -> f x in
@@ -32,5 +43,7 @@ let to_json m =
       ( "config",
         Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) m.config) );
       ("git", opt (fun g -> Json.String g) m.git);
+      ("cores", Json.Int m.cores);
+      ("ocaml", Json.String m.ocaml);
       ("wall_s", opt (fun w -> Json.Float w) m.wall_s);
     ]

@@ -1,6 +1,6 @@
 (** Run manifest: enough provenance to make a metrics/trace artifact
     reproducible — argv, seed, free-form config pairs, [git describe],
-    and wall time. *)
+    the host's core count and OCaml version, and wall time. *)
 
 type t = {
   tool : string;
@@ -8,6 +8,8 @@ type t = {
   seed : int option;
   config : (string * string) list;
   git : string option;
+  cores : int;  (** [Domain.recommended_domain_count ()] *)
+  ocaml : string;  (** [Sys.ocaml_version] *)
   wall_s : float option;
 }
 
@@ -21,6 +23,7 @@ val make :
   ?tool:string ->
   unit ->
   t
-(** Captures argv and git state at call time. *)
+(** Captures argv, git state, core count and OCaml version at call
+    time. *)
 
 val to_json : t -> Json.t

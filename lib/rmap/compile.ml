@@ -11,6 +11,38 @@ let c_cases = Metrics.counter "rmap.cases"
 let g_bytes = Metrics.gauge "rmap.artifact_bytes"
 let g_cases_per_sec = Metrics.gauge "rmap.precompute_cases_per_sec"
 
+let eval_case s (c : Scenario.case) =
+  let dst = c.Scenario.dst in
+  let kind, path =
+    match Rtr.recover s ~dst with
+    | Rtr.Recovered path -> (Store.Recovered, Some path)
+    | Rtr.Unreachable_in_view -> (Store.Unreachable, None)
+    | Rtr.False_path { path; _ } -> (Store.False_path, Some path)
+  in
+  let cost, path =
+    match path with
+    | None -> (-1, [||])
+    | Some p ->
+        (* The emitted route is a recovery-SPT path, so its view cost is
+           the session's cached distance label — a phase2.cache_hit, not
+           a recomputation. *)
+        let cost =
+          match Rtr.recovery_distance s ~dst with
+          | Some d -> d
+          | None -> assert false (* a path implies a cached label *)
+        in
+        (cost, Array.of_list (Rtr_graph.Path.nodes p))
+  in
+  {
+    Store.initiator = c.Scenario.initiator;
+    trigger = c.Scenario.trigger;
+    dst;
+    kind;
+    cost;
+    true_cost = Option.value c.Scenario.shortest_after ~default:(-1);
+    path;
+  }
+
 let eval_links topo table links =
   let damage =
     Damage.of_failed (Rtr_topo.Topology.graph topo) ~nodes:[] ~links
@@ -22,42 +54,7 @@ let eval_links topo table links =
   List.iter
     (fun ((initiator, trigger), idxs) ->
       let s = Rtr.start topo damage ~initiator ~trigger () in
-      List.iter
-        (fun i ->
-          let c = cases.(i) in
-          let true_cost = Option.value c.Scenario.shortest_after ~default:(-1) in
-          let kind, path =
-            match Rtr.recover s ~dst:c.Scenario.dst with
-            | Rtr.Recovered path -> (Store.Recovered, Some path)
-            | Rtr.Unreachable_in_view -> (Store.Unreachable, None)
-            | Rtr.False_path { path; _ } -> (Store.False_path, Some path)
-          in
-          let cost, path =
-            match path with
-            | None -> (-1, [||])
-            | Some p ->
-                (* The emitted route is a recovery-SPT path, so its view
-                   cost is the session's cached distance label — a
-                   phase2.cache_hit, not a recomputation. *)
-                let cost =
-                  match Rtr.recovery_distance s ~dst:c.Scenario.dst with
-                  | Some d -> d
-                  | None -> assert false (* a path implies a cached label *)
-                in
-                (cost, Array.of_list (Rtr_graph.Path.nodes p))
-          in
-          results.(i) <-
-            Some
-              {
-                Store.initiator = c.Scenario.initiator;
-                trigger = c.Scenario.trigger;
-                dst = c.Scenario.dst;
-                kind;
-                cost;
-                true_cost;
-                path;
-              })
-        idxs)
+      List.iter (fun i -> results.(i) <- Some (eval_case s cases.(i))) idxs)
     (Rtr_sim.Runner.group_by_session cases (fun (c : Scenario.case) ->
          (c.Scenario.initiator, c.Scenario.trigger)));
   Array.map Option.get results

@@ -17,16 +17,25 @@
 
 module Graph = Rtr_graph.Graph
 
+val eval_case : Rtr_core.Rtr.t -> Rtr_sim.Scenario.case -> Store.case
+(** The answer to one recovery case, given the case's RTR session
+    ([Rtr.start] for its initiator and trigger over the same damage):
+    the outcome kind, the emitted source route, its cost in the
+    initiator's view (the session's distance label) and the true cost
+    from [shortest_after] ([-1] when irrecoverable).  The compiler and
+    the lookup service's fallback both answer through it, so hit and
+    miss answers agree by construction. *)
+
 val eval_links :
   Rtr_topo.Topology.t ->
   Rtr_routing.Route_table.t ->
   Graph.link_id list ->
   Store.case array
 (** The per-scenario kernel: canonical link-set damage
-    ([Damage.of_failed ~nodes:[]]), [Scenario.cases_of_damage], one RTR
-    session per (initiator, trigger).  Also the reactive fallback the
-    lookup service runs on a signature miss, so hit and miss answers
-    agree by construction. *)
+    ([Damage.of_failed ~nodes:[]]), every case of
+    [Scenario.cases_of_damage], one RTR session per (initiator,
+    trigger) shared by that session's destinations, and [eval_case]
+    per case. *)
 
 type result = {
   artifact : string;  (** the encoded [rmap/1] blob *)

@@ -38,12 +38,9 @@ type reply = {
   path : int array;
 }
 
-let reply_of_case store i =
-  let cost = Store.case_cost store i in
-  let true_cost = Store.case_true_cost store i in
-  let kind = Store.case_kind store i in
+let reply ~from_artifact kind ~cost ~true_cost path =
   {
-    from_artifact = true;
+    from_artifact;
     kind;
     cost;
     true_cost;
@@ -51,46 +48,35 @@ let reply_of_case store i =
       (match kind with
       | Store.Recovered -> Store.stretch ~cost ~true_cost
       | Store.Unreachable | Store.False_path -> None);
-    path = Store.case_path store i;
+    path;
   }
 
-(* The reactive miss path: same kernel as the compiler, so the answer
-   a fallback computes is the one the artifact would have held. *)
+let no_case ~initiator ~trigger ~dst =
+  Error
+    (Printf.sprintf "no recovery case (v%d, v%d) -> v%d under this failure"
+       initiator trigger dst)
+
+(* The reactive miss path: the compiler's case test and case answer for
+   exactly the queried case — one route-table read, one Dijkstra for
+   the true cost and one RTR session — so the answer is the one the
+   artifact would have held. *)
 let fallback t ~links ~initiator ~trigger ~dst =
   match t.topo with
   | None -> Error "signature not in the artifact (no fallback topology)"
-  | Some topo ->
+  | Some topo -> (
       Metrics.Counter.incr c_fallback;
       let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
-      let cases = Compile.eval_links topo table links in
-      let found = ref None in
-      Array.iter
-        (fun (c : Store.case) ->
-          if
-            !found = None && c.Store.initiator = initiator
-            && c.Store.trigger = trigger && c.Store.dst = dst
-          then found := Some c)
-        cases;
-      (match !found with
-      | None ->
-          Error
-            (Printf.sprintf
-               "no recovery case (v%d, v%d) -> v%d under this failure"
-               initiator trigger dst)
-      | Some c ->
+      let damage =
+        Damage.of_failed (Rtr_topo.Topology.graph topo) ~nodes:[] ~links
+      in
+      match Rtr_sim.Scenario.find_case topo table damage ~initiator ~dst with
+      | Some c when c.Rtr_sim.Scenario.trigger = trigger ->
+          let s = Rtr_core.Rtr.start topo damage ~initiator ~trigger () in
+          let c = Compile.eval_case s c in
           Ok
-            {
-              from_artifact = false;
-              kind = c.Store.kind;
-              cost = c.Store.cost;
-              true_cost = c.Store.true_cost;
-              stretch =
-                (match c.Store.kind with
-                | Store.Recovered ->
-                    Store.stretch ~cost:c.Store.cost ~true_cost:c.Store.true_cost
-                | Store.Unreachable | Store.False_path -> None);
-              path = c.Store.path;
-            })
+            (reply ~from_artifact:false c.Store.kind ~cost:c.Store.cost
+               ~true_cost:c.Store.true_cost c.Store.path)
+      | Some _ | None -> no_case ~initiator ~trigger ~dst)
 
 let query t ~links ~initiator ~trigger ~dst =
   let n_links = Store.n_links t.store in
@@ -106,15 +92,15 @@ let query t ~links ~initiator ~trigger ~dst =
     | signature -> (
         match Store.find t.store signature with
         | Some slot -> (
-            match
-              Store.case_index t.store ~slot ~initiator ~trigger ~dst
-            with
-            | -1 ->
-                Error
-                  (Printf.sprintf
-                     "no recovery case (v%d, v%d) -> v%d under this failure"
-                     initiator trigger dst)
-            | i -> Ok (reply_of_case t.store i))
+            let store = t.store in
+            match Store.case_index store ~slot ~initiator ~trigger ~dst with
+            | -1 -> no_case ~initiator ~trigger ~dst
+            | i ->
+                Ok
+                  (reply ~from_artifact:true (Store.case_kind store i)
+                     ~cost:(Store.case_cost store i)
+                     ~true_cost:(Store.case_true_cost store i)
+                     (Store.case_path store i)))
         | None -> fallback t ~links ~initiator ~trigger ~dst)
 
 type bench = {

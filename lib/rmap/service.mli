@@ -3,11 +3,15 @@
     Loads one artifact and answers "failure signature → recovery
     next-hops / path / stretch" queries: an O(log n_scenarios) index
     probe plus an O(log cases) record probe plus O(path) reads.  On a
-    signature miss the service falls back to a fresh reactive RTR run
-    over the same canonical link-set damage ({!Compile.eval_links}'s
-    kernel), so a miss costs a recompute but never a wrong answer —
-    Table III's tradeoff at runtime.  Misses bump
-    [rmap.fallback_reactive]. *)
+    signature miss the service answers the queried case reactively
+    over the same canonical link-set damage, exactly as RTR would at
+    recovery time: {!Rtr_sim.Scenario.find_case} decides whether the
+    query is a case (one route-table read, plus one Dijkstra for the
+    true cost when it is), then one RTR session ([Rtr.start]) answers
+    it through {!Compile.eval_case}, the compiler's own per-case code.
+    A miss therefore costs one session, not a recompile of the whole
+    failure, and never a wrong answer — Table III's tradeoff at
+    runtime.  Misses bump [rmap.fallback_reactive]. *)
 
 module Graph = Rtr_graph.Graph
 

@@ -283,6 +283,29 @@ let bytes t = String.length t.data
 (* ------------------------------------------------------------------ *)
 (* Lookup *)
 
+(* [String.compare] order on [n] bytes of [a] from [off] against [b]
+   from 0, eight bytes at a time: a big-endian load compared unsigned
+   orders like its bytes do, and the long zero prefixes of few-link
+   signatures pass in a word per step.  Top-level recursion, not local
+   closures, keeps the probe allocation-free. *)
+let rec compare_bytes a off b n i =
+  if i >= n then 0
+  else
+    let c =
+      Char.compare (String.unsafe_get a (off + i)) (String.unsafe_get b i)
+    in
+    if c <> 0 then c else compare_bytes a off b n (i + 1)
+
+let rec compare_words a off b n i =
+  if i + 8 > n then compare_bytes a off b n i
+  else
+    let c =
+      Int64.unsigned_compare
+        (String.get_int64_be a (off + i))
+        (String.get_int64_be b i)
+    in
+    if c <> 0 then c else compare_words a off b n (i + 8)
+
 (* Compare the query signature against the slot's in-place signature
    bytes — no substring extraction on the probe path. *)
 let compare_slot t slot (q : Signature.t) =
@@ -291,17 +314,10 @@ let compare_slot t slot (q : Signature.t) =
   let sig_len = get_u32 t.data (e + 4) in
   let q = (q :> string) in
   let qlen = String.length q in
-  let rec go i =
-    if i >= sig_len || i >= qlen then compare sig_len qlen
-    else
-      let c =
-        Char.compare
-          (String.unsafe_get t.data (t.sigs_off + sig_off + i))
-          (String.unsafe_get q i)
-      in
-      if c <> 0 then c else go (i + 1)
+  let c =
+    compare_words t.data (t.sigs_off + sig_off) q (Int.min sig_len qlen) 0
   in
-  go 0
+  if c <> 0 then c else Int.compare sig_len qlen
 
 let find_slot t q =
   let lo = ref 0 and hi = ref (t.n_scenarios - 1) and found = ref (-1) in
@@ -362,12 +378,11 @@ let case_path t i = Array.init (case_path_len t i) (case_path_node t i)
    probe is a second binary search. *)
 let case_index t ~slot ~initiator ~trigger ~dst =
   let first, count = case_range t slot in
-  let key_of i = (case_initiator t i, case_dst t i) in
-  let key = (initiator, dst) in
   let lo = ref first and hi = ref (first + count - 1) and found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let c = compare (key_of mid) key in
+    let c = Int.compare (case_initiator t mid) initiator in
+    let c = if c <> 0 then c else Int.compare (case_dst t mid) dst in
     if c = 0 then begin
       found := mid;
       lo := !hi + 1

@@ -56,64 +56,68 @@ let timeline g base episodes =
     episodes
   |> List.rev
 
+(* The one definition of a test case: (initiator, dst) is one exactly
+   when the initiator is live and its default next hop towards dst is
+   locally unreachable.  [spt] is the initiator's damaged-graph SPT,
+   the case's optimality yardstick, forced only once the pair is known
+   to be a case.  Inlined, with the liveness test last, because
+   [cases_of_damage] asks this of every ordered pair and almost all of
+   them fail at the route-table read. *)
+let[@inline] case_at g table damage ~spt ~initiator ~dst =
+  if dst = initiator then None
+  else
+    match Route_table.next_link table ~src:initiator ~dst with
+    | None -> None
+    | Some link ->
+        let trigger = Graph.other_end g link initiator in
+        if
+          not
+            (Damage.neighbor_unreachable damage trigger link
+            && Damage.node_ok damage initiator)
+        then None
+        else
+          let spt = Lazy.force spt in
+          let reached =
+            Damage.node_ok damage dst && Rtr_graph.Spt.reached spt dst
+          in
+          Some
+            {
+              initiator;
+              trigger;
+              dst;
+              kind = (if reached then Recoverable else Irrecoverable);
+              shortest_after =
+                (if reached then Some (Rtr_graph.Spt.dist spt dst) else None);
+            }
+
+(* The tree lives in the domain workspace, so it stays valid only until
+   the next workspace Dijkstra; callers read it before running one. *)
+let workspace_spt damage ~root =
+  lazy
+    (Rtr_graph.Dijkstra.spt
+       ~workspace:(Rtr_graph.Dijkstra.Workspace.get ())
+       (Damage.view damage) ~root ())
+
+let find_case topo table damage ~initiator ~dst =
+  case_at (Rtr_topo.Topology.graph topo) table damage
+    ~spt:(workspace_spt damage ~root:initiator)
+    ~initiator ~dst
+
 let cases_of_damage topo table damage =
   let g = Rtr_topo.Topology.graph topo in
-  let view = Damage.view damage in
-  let node_ok = Damage.node_ok damage in
   let n = Graph.n_nodes g in
-  (* One damaged-graph SPT per initiator gives every case's optimality
-     yardstick; computed lazily since most nodes initiate nothing.  The
-     tree lives in the domain workspace: each initiator's dst loop only
-     reads route-table rows and damage bitsets between queries, so the
-     borrowed arrays stay valid until the next initiator replaces
-     them. *)
-  let cached_root = ref (-1) in
-  let cached_spt = ref None in
-  let shortest_from u =
-    match !cached_spt with
-    | Some spt when !cached_root = u -> spt
-    | _ ->
-        let spt =
-          Rtr_graph.Dijkstra.spt
-            ~workspace:(Rtr_graph.Dijkstra.Workspace.get ())
-            view ~root:u ()
-        in
-        cached_root := u;
-        cached_spt := Some spt;
-        spt
-  in
+  (* One SPT per initiator serves all its destinations, computed lazily
+     since most nodes initiate nothing.  The dst loop only reads
+     route-table rows and damage bitsets between queries, so the tree
+     stays valid until the next initiator replaces it. *)
   let cases = ref [] in
   for initiator = n - 1 downto 0 do
-    if node_ok initiator then
-      for dst = n - 1 downto 0 do
-        if dst <> initiator then
-          match Route_table.next_link table ~src:initiator ~dst with
-          | None -> ()
-          | Some link ->
-              let trigger = Graph.other_end g link initiator in
-              if Damage.neighbor_unreachable damage trigger link then begin
-                let spt = shortest_from initiator in
-                let case =
-                  if node_ok dst && Rtr_graph.Spt.reached spt dst then
-                    {
-                      initiator;
-                      trigger;
-                      dst;
-                      kind = Recoverable;
-                      shortest_after = Some (Rtr_graph.Spt.dist spt dst);
-                    }
-                  else
-                    {
-                      initiator;
-                      trigger;
-                      dst;
-                      kind = Irrecoverable;
-                      shortest_after = None;
-                    }
-                in
-                cases := case :: !cases
-              end
-      done
+    let spt = workspace_spt damage ~root:initiator in
+    for dst = n - 1 downto 0 do
+      match case_at g table damage ~spt ~initiator ~dst with
+      | Some case -> cases := case :: !cases
+      | None -> ()
+    done
   done;
   !cases
 

@@ -69,6 +69,18 @@ val generate :
 val of_area : Rtr_topo.Topology.t -> Rtr_routing.Route_table.t -> Rtr_failure.Area.t -> t
 (** Deterministic variant for tests and examples. *)
 
+val find_case :
+  Rtr_topo.Topology.t ->
+  Rtr_routing.Route_table.t ->
+  Rtr_failure.Damage.t ->
+  initiator:Graph.node ->
+  dst:Graph.node ->
+  case option
+(** The test case (initiator, dst) under this damage, if it is one —
+    the single-pair test {!cases_of_damage} applies to every pair.  A
+    case costs one damaged-graph Dijkstra from the initiator (its
+    [shortest_after]); a non-case costs a route-table read. *)
+
 val cases_of_damage :
   Rtr_topo.Topology.t ->
   Rtr_routing.Route_table.t ->

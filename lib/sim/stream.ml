@@ -405,40 +405,52 @@ let write path header records =
           Metrics.Counter.incr c_scenarios_out)
         records)
 
-let fail path what = function
-  | Ok v -> v
-  | Error msg -> failwith (Printf.sprintf "%s: bad %s: %s" path what msg)
+let bad path what =
+  Result.map_error (fun msg -> Printf.sprintf "%s: bad %s: %s" path what msg)
+
+let header_of path ic =
+  match In_channel.input_line ic with
+  | None -> Error (path ^ ": empty stream file")
+  | Some line -> bad path "stream header" (parse_header line)
+  | exception Sys_error msg -> Error msg
 
 let open_reader path =
-  let ic = open_in path in
-  let header =
-    match In_channel.input_line ic with
-    | None ->
-        close_in ic;
-        failwith (path ^ ": empty stream file")
-    | Some line -> fail path "stream header" (parse_header line)
-  in
-  let closed = ref false in
-  let next () =
-    if !closed then None
-    else
-      match In_channel.input_line ic with
-      | None ->
-          closed := true;
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic -> (
+      match header_of path ic with
+      | Error _ as e ->
           close_in ic;
-          None
-      | Some line ->
-          let r = fail path "scenario record" (parse_scenario line) in
-          Metrics.Counter.incr c_scenarios_in;
-          Some r
-  in
-  (header, next)
+          e
+      | Ok header ->
+          let closed = ref false in
+          let close () =
+            closed := true;
+            close_in ic
+          in
+          let next () =
+            if !closed then None
+            else
+              match In_channel.input_line ic with
+              | None ->
+                  close ();
+                  None
+              | Some line -> (
+                  match bad path "scenario record" (parse_scenario line) with
+                  | Ok r ->
+                      Metrics.Counter.incr c_scenarios_in;
+                      Some (Ok r)
+                  | Error _ as e ->
+                      close ();
+                      Some e)
+              | exception Sys_error msg ->
+                  close ();
+                  Some (Error msg)
+          in
+          Ok (header, next))
 
 let read_header path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      match In_channel.input_line ic with
-      | None -> failwith (path ^ ": empty stream file")
-      | Some line -> fail path "stream header" (parse_header line))
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      Fun.protect ~finally:(fun () -> close_in ic) (fun () -> header_of path ic)

@@ -94,12 +94,17 @@ val write : string -> header -> scenario list -> unit
 (** Write a scenario stream: header line then records.  Counts
     [stream.scenarios_out]. *)
 
-val open_reader : string -> header * (unit -> scenario option)
+val open_reader :
+  string ->
+  ( header * (unit -> (scenario, string) Stdlib.result option),
+    string )
+  Stdlib.result
 (** Open a scenario stream: the parsed header and a pull function that
     yields records in file order, closing the file at exhaustion.
-    Counts [stream.scenarios_in] per record; raises [Failure] on a
-    malformed file. *)
+    Counts [stream.scenarios_in] per record.  A missing file or a bad
+    header is an [Error]; a malformed record is pulled as [Some (Error
+    _)], after which the file is closed and the pull yields [None]. *)
 
-val read_header : string -> header
+val read_header : string -> (header, string) Stdlib.result
 (** Just the header (for [reduce], which reads shards, not the
-    stream). *)
+    stream); [Error] as for {!open_reader}. *)

@@ -8,7 +8,8 @@
 # (RTR_JOBS must not change a byte), the microbench
 # hot-path gate, the recovery-map gate, the streaming-pipeline gate
 # (generate | evaluate | reduce must equal the in-process run, shard
-# splits and crash-resume included), the fuzz gate, and the episode
+# splits and crash-resume included), the hostile-input gate (bad input
+# exits 1 with one line), the fuzz gate, and the episode
 # gate (theorem-survival matrix on cascading/transient/moving
 # timelines), and the benchmark-correctness gate (every perfbench
 # workload's own result checks).
@@ -277,6 +278,38 @@ if ! diff "$streamdir/cs1.json" "$streamdir/cs2.json"; then
 fi
 
 echo "ci_smoke: stream gate OK (1 shard == 2 shards with crash-resume == in-memory)"
+
+# --- hostile-input gate ----------------------------------------------
+# Bad input must end a subcommand with exit 1 and a one-line message,
+# never an uncaught exception (exit 125): an unknown topology name, and
+# a stream whose header or whose record is corrupt.
+expect_exit_1() {
+  what=$1
+  shift
+  if dune exec bin/rtr_sim.exe -- "$@" > /dev/null 2> "$tmp/hostile.err"
+  then status=0
+  else status=$?
+  fi
+  if [ "$status" -ne 1 ] || grep -q "uncaught exception" "$tmp/hostile.err"
+  then
+    echo "ci_smoke: FAIL — $what exited $status (want 1, no uncaught exception)" >&2
+    cat "$tmp/hostile.err" >&2
+    exit 1
+  fi
+}
+
+printf 'garbage\n' > "$streamdir/bad_header.jsonl"
+head -n 1 "$streamdir/scenarios.jsonl" > "$streamdir/bad_record.jsonl"
+printf '{"seq": 0, "bogus"\n' >> "$streamdir/bad_record.jsonl"
+
+expect_exit_1 "generate --topos AS9999" generate --topos AS9999 \
+  --stream "$streamdir/unknown.jsonl"
+expect_exit_1 "evaluate on a corrupt stream header" evaluate \
+  --stream "$streamdir/bad_header.jsonl" --out "$streamdir/bad_h.jsonl"
+expect_exit_1 "evaluate on a corrupt stream record" evaluate \
+  --stream "$streamdir/bad_record.jsonl" --out "$streamdir/bad_r.jsonl"
+
+echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header and record exit 1)"
 
 # --- fuzz gate -------------------------------------------------------
 # Theorem-oracle fuzzing (lib/check): random topologies and failures

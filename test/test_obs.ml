@@ -388,6 +388,21 @@ let test_phase1_counters_flow () =
   Alcotest.(check int) "hops attributed" p1.Rtr_core.Phase1.hops
     (delta "phase1.hops_walked")
 
+(* --- run manifest ----------------------------------------------------- *)
+
+let test_manifest_provenance () =
+  let j = Rtr_obs.Manifest.to_json (Rtr_obs.Manifest.make ~seed:3 ()) in
+  (match Json.member "cores" j with
+  | Some (Json.Int n) ->
+      Alcotest.(check int) "cores" (Domain.recommended_domain_count ()) n
+  | _ -> Alcotest.fail "manifest has no integer cores");
+  (match Json.member "ocaml" j with
+  | Some (Json.String v) ->
+      Alcotest.(check string) "ocaml" Sys.ocaml_version v
+  | _ -> Alcotest.fail "manifest has no ocaml version");
+  Alcotest.(check bool) "git key kept" true
+    (Json.member "git" j <> None)
+
 (* --- REPRO_CASES hardening ------------------------------------------ *)
 
 let test_repro_cases_fallback () =
@@ -433,4 +448,5 @@ let suite =
       test_netsim_counters_end_to_end;
     Alcotest.test_case "phase1 counters flow" `Quick test_phase1_counters_flow;
     Alcotest.test_case "REPRO_CASES fallback" `Quick test_repro_cases_fallback;
+    Alcotest.test_case "manifest provenance" `Quick test_manifest_provenance;
   ]

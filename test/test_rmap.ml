@@ -242,6 +242,128 @@ let test_store_case_index_probes () =
         (Store.case_index store ~slot ~initiator ~trigger:wrong ~dst)
   end
 
+(* Random canonical signatures built to stress the word-at-a-time
+   probe: long zero runs, shared prefixes, lengths off the 8-byte grid
+   and equal prefixes of different lengths.  Each comes with a flag
+   saying whether the artifact stores it. *)
+let gen_probe_sigs =
+  let open QCheck.Gen in
+  let nonzero = map Char.chr (int_range 1 255) in
+  let byte = frequency [ (3, return '\000'); (1, nonzero) ] in
+  let raw = string_size ~gen:byte (int_range 0 70) in
+  let canonical s =
+    let n = ref (min 70 (String.length s)) in
+    while !n > 0 && s.[!n - 1] = '\000' do
+      decr n
+    done;
+    String.sub s 0 !n
+  in
+  let set_byte base k c =
+    if base = "" then String.make 1 c
+    else
+      let k = k mod String.length base in
+      String.mapi (fun i b -> if i = k then c else b) base
+  in
+  let variant base =
+    oneof
+      [
+        return base;
+        map (fun k -> String.sub base 0 (min k (String.length base))) (0 -- 70);
+        map (fun tail -> base ^ tail) raw;
+        map2 (set_byte base) nat nonzero;
+      ]
+  in
+  let family = raw >>= fun base -> list_size (1 -- 6) (variant base) in
+  list_size (1 -- 8) family >>= fun families ->
+  List.concat families |> List.map canonical
+  |> List.sort_uniq String.compare
+  |> List.map (fun s -> map (fun stored -> (s, stored)) bool)
+  |> flatten_l
+
+let probe_n_links = 70 * 8
+let probe_n_nodes = 6
+
+(* An artifact holding the stored signatures, each with a few cases at
+   random distinct (initiator, dst) keys. *)
+let probe_store rng sigs =
+  let n_nodes = probe_n_nodes in
+  let entry (s, stored) =
+    if not stored then None
+    else
+      let case k =
+        {
+          Store.initiator = k / n_nodes;
+          trigger = Random.State.int rng n_nodes;
+          dst = k mod n_nodes;
+          kind = Store.Unreachable;
+          cost = -1;
+          true_cost = -1;
+          path = [||];
+        }
+      in
+      let keys =
+        List.filter
+          (fun _ -> Random.State.int rng 3 = 0)
+          (List.init (n_nodes * n_nodes) Fun.id)
+      in
+      Some
+        ( Result.get_ok (Signature.of_string ~n_links:probe_n_links s),
+          Array.of_list (List.map case keys) )
+  in
+  Store.encode ~topo_name:"probe" ~n_nodes ~n_links:probe_n_links
+    (List.filter_map entry sigs)
+  |> Store.of_string |> Result.get_ok
+
+let qcheck_probe_order =
+  QCheck.Test.make ~name:"index probes equal linear scans" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair (Printf.sprintf "%S") bool))
+       gen_probe_sigs)
+    (fun sigs ->
+      let rng = Random.State.make [| List.length sigs |] in
+      let store = probe_store rng sigs in
+      let scan_slot q =
+        let found = ref (-1) in
+        Store.iter_slots store (fun slot ->
+            if
+              !found < 0
+              && String.compare (Store.signature store slot :> string) q = 0
+            then found := slot);
+        !found
+      in
+      let scan_case slot ~initiator ~trigger ~dst =
+        let first, count = Store.case_range store slot in
+        let found = ref (-1) in
+        for i = first to first + count - 1 do
+          if
+            !found < 0
+            && Store.case_initiator store i = initiator
+            && Store.case_trigger store i = trigger
+            && Store.case_dst store i = dst
+          then found := i
+        done;
+        !found
+      in
+      List.for_all
+        (fun (q, _) ->
+          let signature =
+            Result.get_ok (Signature.of_string ~n_links:probe_n_links q)
+          in
+          let slot = Store.find_slot store signature in
+          slot = scan_slot q
+          && (slot < 0
+             || List.for_all
+                  (fun k ->
+                    let n = probe_n_nodes in
+                    let initiator = k / (n * n)
+                    and trigger = k / n mod n
+                    and dst = k mod n in
+                    Store.case_index store ~slot ~initiator ~trigger ~dst
+                    = scan_case slot ~initiator ~trigger ~dst)
+                  (List.init (probe_n_nodes * probe_n_nodes * probe_n_nodes)
+                     Fun.id)))
+        sigs)
+
 let test_stretch () =
   Alcotest.(check (option (float 1e-9))) "3/2" (Some 1.5)
     (Store.stretch ~cost:3 ~true_cost:2);
@@ -329,6 +451,67 @@ let test_service_miss_falls_back () =
   | Error e -> Alcotest.failf "miss query failed: %s" e
   | Ok reply -> check_reply_matches ~from_artifact:false c reply
 
+(* Every (initiator, neighbour trigger, dst) triple of random link sets,
+   asked of a service whose artifact holds no signature at all: each
+   answer comes from the one-case fallback and must be the compiler's
+   case, or an [Error] exactly when the compiler has no such case. *)
+let test_fallback_parity () =
+  let rng = Random.State.make [| 16 |] in
+  List.iter
+    (fun name ->
+      let topo = Rtr_topo.Isp.load_by_name name in
+      let g = Rtr_topo.Topology.graph topo in
+      let n = Graph.n_nodes g and n_links = Graph.n_links g in
+      let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+      let empty =
+        Store.encode ~topo_name:name ~n_nodes:n ~n_links []
+        |> Store.of_string |> Result.get_ok
+      in
+      let service = Result.get_ok (Service.create ~topo empty) in
+      let answered = ref 0 in
+      for _ = 1 to 3 do
+        let links =
+          List.init (2 + Random.State.int rng 12) (fun _ ->
+              Random.State.int rng n_links)
+        in
+        let expected = Hashtbl.create 64 in
+        Array.iter
+          (fun (c : Store.case) ->
+            Hashtbl.replace expected
+              (c.Store.initiator, c.Store.trigger, c.Store.dst)
+              c)
+          (Compile.eval_links topo table links);
+        let found = ref 0 in
+        for initiator = 0 to n - 1 do
+          Array.iter
+            (fun (trigger, _) ->
+              for dst = 0 to n - 1 do
+                match
+                  ( Service.query service ~links ~initiator ~trigger ~dst,
+                    Hashtbl.find_opt expected (initiator, trigger, dst) )
+                with
+                | Ok reply, Some c ->
+                    incr found;
+                    check_reply_matches ~from_artifact:false c reply
+                | Error _, None -> ()
+                | Ok _, None ->
+                    Alcotest.failf "%s: (v%d, v%d) -> v%d answered, no case"
+                      name initiator trigger dst
+                | Error e, Some _ ->
+                    Alcotest.failf "%s: (v%d, v%d) -> v%d: %s" name initiator
+                      trigger dst e
+              done)
+            (Graph.neighbors g initiator)
+        done;
+        Alcotest.(check int)
+          (name ^ ": every compiled case answered")
+          (Hashtbl.length expected) !found;
+        answered := !answered + !found
+      done;
+      Alcotest.(check bool) (name ^ ": some cases answered") true
+        (!answered > 0))
+    [ "AS1239"; "AS3549" ]
+
 let test_service_rejects_bad_queries () =
   let service = service () in
   (match
@@ -369,6 +552,7 @@ let suite =
     Alcotest.test_case "corruption rejected" `Quick
       test_store_rejects_corruption;
     Alcotest.test_case "case-index probes" `Quick test_store_case_index_probes;
+    QCheck_alcotest.to_alcotest qcheck_probe_order;
     Alcotest.test_case "stretch" `Quick test_stretch;
     Alcotest.test_case "jobs-invariant artifact" `Quick
       test_compile_deterministic_across_jobs;
@@ -378,6 +562,8 @@ let suite =
     Alcotest.test_case "service hit path" `Quick test_service_hit_path;
     Alcotest.test_case "service miss falls back" `Quick
       test_service_miss_falls_back;
+    Alcotest.test_case "fallback parity with the compiler" `Quick
+      test_fallback_parity;
     Alcotest.test_case "service rejects bad queries" `Quick
       test_service_rejects_bad_queries;
     Alcotest.test_case "bench lookups" `Quick test_bench_lookups;

@@ -63,10 +63,24 @@ let with_tmpdir f =
   in
   Fun.protect ~finally:cleanup (fun () -> f dir)
 
+(* [Stream.open_reader] for a stream the test wrote itself: any decode
+   error fails the test. *)
+let open_stream path =
+  match Stream.open_reader path with
+  | Error e -> Alcotest.fail e
+  | Ok (header, pull) ->
+      let next () =
+        match pull () with
+        | None -> None
+        | Some (Ok r) -> Some r
+        | Some (Error e) -> Alcotest.fail e
+      in
+      (header, next)
+
 (* Evaluate one shard of a stream file into a shard file, exactly as
    [bin/rtr_sim evaluate] does. *)
 let evaluate_shard ~stream_path ~path ~resume ~shard ~shards =
-  let header, next = Stream.open_reader stream_path in
+  let header, next = open_stream stream_path in
   match
     Shard_store.open_writer ~path ~resume ~shard ~shards
       ~count:header.Stream.count
@@ -223,7 +237,7 @@ let test_v1_stream_bit_identical () =
     (contains content "\"rtr-stream/1\"");
   Alcotest.(check bool) "no ep key on episode-free records" true
     (not (contains content "\"ep\""));
-  let h, next = Stream.open_reader path in
+  let h, next = open_stream path in
   Alcotest.(check bool) "v1 header decodes" true (h = tiny_header);
   (match next () with
   | Some d ->
@@ -241,12 +255,91 @@ let test_v1_stream_bit_identical () =
     ^ Stream.scenario_line with_ep
     ^ "\n")
     v2;
-  let h2, next2 = Stream.open_reader path in
+  let h2, next2 = open_stream path in
   Alcotest.(check bool) "v2 header decodes" true (h2 = tiny_header);
   (match next2 () with
   | Some d -> Alcotest.(check bool) "episodes survive the file" true (d = with_ep)
   | None -> Alcotest.fail "record missing");
   ignore (next2 ())
+
+let replace_first ~sub ~by s =
+  let n = String.length s and m = String.length sub in
+  let rec find i =
+    if i + m > n then invalid_arg "replace_first"
+    else if String.sub s i m = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + m) (n - i - m)
+
+(* Hostile files: every way a stream can be broken comes back as a
+   typed [Error] naming the file, never an exception. *)
+let test_hostile_headers () =
+  with_tmpdir @@ fun dir ->
+  let path = Filename.concat dir "hostile.jsonl" in
+  let header = Stream.header_line tiny_header in
+  let record = Stream.scenario_line (tiny_record ~episodes:[]) in
+  let expect_error what content =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc content);
+    (match Stream.read_header path with
+    | Ok _ -> Alcotest.failf "read_header accepted %s" what
+    | Error e ->
+        Alcotest.(check bool) (what ^ ": error names the file") true
+          (contains e path));
+    match Stream.open_reader path with
+    | Ok _ -> Alcotest.failf "open_reader accepted %s" what
+    | Error _ -> ()
+  in
+  expect_error "an empty file" "";
+  expect_error "garbage" "garbage\n";
+  expect_error "a truncated header"
+    (String.sub header 0 (String.length header / 2));
+  expect_error "binary bytes" "\000\255\254{\n";
+  expect_error "a record in the header's place" (record ^ "\n");
+  expect_error "an unknown format tag"
+    (replace_first ~sub:"rtr-stream/1" ~by:"rtr-stream/9" header ^ "\n");
+  (match Stream.read_header (Filename.concat dir "missing.jsonl") with
+  | Ok _ -> Alcotest.fail "missing file accepted"
+  | Error _ -> ());
+  match Stream.open_reader dir with
+  | Ok _ -> Alcotest.fail "a directory accepted as a stream"
+  | Error _ -> ()
+
+let test_hostile_records () =
+  with_tmpdir @@ fun dir ->
+  let path = Filename.concat dir "hostile.jsonl" in
+  let header = Stream.header_line tiny_header in
+  let record = Stream.scenario_line (tiny_record ~episodes:[]) in
+  List.iter
+    (fun (what, bad) ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter
+            (fun l -> Out_channel.output_string oc (l ^ "\n"))
+            [ header; record; bad; record ]);
+      match Stream.open_reader path with
+      | Error e -> Alcotest.failf "%s: header rejected: %s" what e
+      | Ok (_, pull) -> (
+          (match pull () with
+          | Some (Ok _) -> ()
+          | _ -> Alcotest.failf "%s: the good first record is lost" what);
+          (match pull () with
+          | Some (Error e) ->
+              Alcotest.(check bool) (what ^ ": error names the file") true
+                (contains e path)
+          | Some (Ok _) -> Alcotest.failf "%s: accepted" what
+          | None -> Alcotest.failf "%s: stream ended silently" what);
+          match pull () with
+          | None -> ()
+          | Some _ -> Alcotest.failf "%s: reading went on past the error" what))
+    [
+      ("a truncated record", String.sub record 0 (String.length record / 2));
+      ("garbage", "{\"seq\": 1, \"bogus\"");
+      ("the header again", header);
+      ("an empty line", "");
+      ( "a record missing its cases",
+        replace_first ~sub:"\"cases\"" ~by:"\"xases\"" record );
+    ]
 
 (* --- the staged file pipeline vs the in-memory collectors ----------- *)
 
@@ -281,7 +374,7 @@ let test_file_pipeline_matches_collect () =
   Stream.write stream_path header records;
   (* The written stream re-reads to the same header and records. *)
   Alcotest.(check bool) "header survives the file" true
-    (Stream.read_header stream_path = header);
+    (Stream.read_header stream_path = Ok header);
   evaluate_shard ~stream_path ~path:(shard_path 0) ~resume:false ~shard:0
     ~shards:2;
   evaluate_shard ~stream_path ~path:(shard_path 1) ~resume:false ~shard:1
@@ -382,6 +475,10 @@ let suite =
       test_episode_record_roundtrip;
     Alcotest.test_case "v1 streams stay bit-identical" `Quick
       test_v1_stream_bit_identical;
+    Alcotest.test_case "hostile headers are typed errors" `Quick
+      test_hostile_headers;
+    Alcotest.test_case "hostile records are typed errors" `Quick
+      test_hostile_records;
     Alcotest.test_case "header round-trip" `Slow test_header_roundtrip;
     Alcotest.test_case "scenario round-trip" `Slow test_scenario_roundtrip;
     Alcotest.test_case "result round-trip" `Slow test_result_roundtrip;
