@@ -10,11 +10,16 @@ let log_line s =
   prerr_string ("# " ^ s ^ "\n");
   flush stderr
 
-(* Bad input ends a subcommand with one line on stderr and exit 1,
-   never an uncaught exception. *)
-let die msg =
+let exit_with code msg =
   prerr_endline ("rtr_sim: " ^ msg);
-  exit 1
+  exit code
+
+(* Bad input ends a subcommand with one line on stderr and exit 1,
+   never an uncaught exception; a bad value that rtr_sim parses itself
+   exits 2 (cmdliner's own parse errors exit 124). *)
+let die msg = exit_with 1 msg
+let usage msg = exit_with 2 msg
+let ok_or_die = function Ok x -> x | Error e -> die e
 
 let preset name =
   match Isp.find name with
@@ -101,23 +106,46 @@ let topos_arg =
   in
   Arg.(value & opt (some string) None & info [ "topos" ] ~docv:"AS,..." ~doc)
 
-let out_arg =
+let topo_arg =
+  let doc = "Topology name." in
+  Arg.(value & opt string "AS209" & info [ "topo" ] ~docv:"AS" ~doc)
+
+(* The report commands' artifact directory, created up front (as
+   [Report.save] would) so that a path which cannot be a directory
+   fails before the run rather than after it. *)
+let out_term =
   let doc = "Also write CSV artifacts into $(docv)." in
-  Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc)
+  let rec mkdir_p dir =
+    if not (Sys.file_exists dir) then begin
+      mkdir_p (Filename.dirname dir);
+      try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+    end
+  in
+  let ensure dir =
+    mkdir_p dir;
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      die (dir ^ ": not a directory");
+    dir
+  in
+  Term.(
+    const (Option.map ensure)
+    $ Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc))
 
 let mrc_k_arg =
   let doc = "Number of MRC configurations (default: smallest feasible)." in
   Arg.(value & opt (some int) None & info [ "mrc-k" ] ~docv:"K" ~doc)
 
-let jobs_arg =
+let jobs_term =
   let doc =
     "Worker domains for scenario evaluation (default: $(b,RTR_JOBS), else \
      the recommended domain count of this machine).  Results are \
      bit-identical for every value."
   in
-  Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
+  Term.(
+    const (function Some n -> n | None -> Rtr_sim.Parallel.env_jobs ())
+    $ Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc))
 
-let config_of ~cases ~seed ~topos ~mrc_k ~jobs =
+let config_of ?cases ?mrc_k ?jobs ~seed ~topos () =
   let base = Experiments.default_config () in
   let presets =
     match topos with
@@ -145,6 +173,10 @@ let emit ?out ~csv_name text csv =
   | Some dir ->
       Report.save ~dir ~name:csv_name csv;
       log_line (Printf.sprintf "wrote %s/%s" dir csv_name)
+
+let emit_table ?out (t : Experiments.table) =
+  emit ?out ~csv_name:(t.Experiments.id ^ ".csv") (Report.render_table t)
+    (Report.table_to_csv t)
 
 (* Figures additionally get a rendered SVG chart next to their CSV. *)
 let emit_figure ?out (f : Experiments.figure) =
@@ -184,126 +216,90 @@ let topologies_cmd =
     (Cmd.info "topologies" ~doc:"Table II plus generated-topology details")
     Term.(const run $ obs_term)
 
-type which =
-  | Fig7
-  | Table3
-  | Fig8
-  | Fig9
-  | Fig10
-  | Fig12
-  | Fig13
-  | Table4
-  | All
+(* The artifacts derived from collected case data, in the paper's
+   order: (name, doc, emit out data).  Each is a subcommand and a
+   [reduce --artifact] choice. *)
+let data_artifacts =
+  let fig f out data = emit_figure ?out (f data) in
+  let tbl t out data = emit_table ?out (t data) in
+  [
+    ("fig7", "CDF of phase-1 duration", fig Experiments.fig7);
+    ("table3", "Recoverable-case comparison (RTR/FCP/MRC)",
+     tbl Experiments.table3);
+    ("fig8", "CDF of recovery-path stretch", fig Experiments.fig8);
+    ("fig9", "CDF of shortest-path calculations", fig Experiments.fig9);
+    ("fig10", "Transmission overhead over time", fig Experiments.fig10);
+    ("fig12", "CDF of wasted computation (irrecoverable)",
+     fig Experiments.fig12);
+    ("fig13", "CDF of wasted transmission (irrecoverable)",
+     fig Experiments.fig13);
+    ("table4", "Irrecoverable-case waste summary", tbl Experiments.table4);
+  ]
 
-let needs_data_cmd which name doc =
+(* [all] keeps the paper's order: Table II first, and Fig. 11 (its own
+   failure sweep, no collected data) between Figs. 10 and 12. *)
+let emit_all config out data =
+  emit_table ?out (Experiments.table2 config);
+  List.iter
+    (fun (name, _, emit) ->
+      if name = "fig12" then
+        emit_figure ?out (Experiments.fig11 ~log:log_line config);
+      emit out data)
+    data_artifacts
+
+let data_cmd name doc emit =
   let run () cases seed topos mrc_k jobs out =
-    let config = config_of ~cases ~seed ~topos ~mrc_k ~jobs in
-    let data = Experiments.collect ~log:log_line config in
-    let fig (f : Experiments.figure) = emit_figure ?out f in
-    let tbl (t : Experiments.table) =
-      emit ?out ~csv_name:(t.Experiments.id ^ ".csv") (Report.render_table t)
-        (Report.table_to_csv t)
-    in
-    (match which with
-    | Fig7 -> fig (Experiments.fig7 data)
-    | Table3 -> tbl (Experiments.table3 data)
-    | Fig8 -> fig (Experiments.fig8 data)
-    | Fig9 -> fig (Experiments.fig9 data)
-    | Fig10 -> fig (Experiments.fig10 data)
-    | Fig12 -> fig (Experiments.fig12 data)
-    | Fig13 -> fig (Experiments.fig13 data)
-    | Table4 -> tbl (Experiments.table4 data)
-    | All ->
-        tbl (Experiments.table2 config);
-        fig (Experiments.fig7 data);
-        tbl (Experiments.table3 data);
-        fig (Experiments.fig8 data);
-        fig (Experiments.fig9 data);
-        fig (Experiments.fig10 data);
-        fig (Experiments.fig11 ~log:log_line config);
-        fig (Experiments.fig12 data);
-        fig (Experiments.fig13 data);
-        tbl (Experiments.table4 data))
+    let config = config_of ?cases ?mrc_k ~jobs ~seed ~topos () in
+    emit config out (Experiments.collect ~log:log_line config)
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const run $ obs_term $ cases_arg $ seed_arg $ topos_arg $ mrc_k_arg
-      $ jobs_arg $ out_arg)
+      $ jobs_term $ out_term)
+
+(* The extension and ablation tables (not in the paper): one table from
+   a per-topology case count, the base config and [table]'s own
+   options. *)
+let table_cmd ?(cases = (500, "Recoverable cases per topology.")) name ~doc
+    table =
+  let cases_arg =
+    let default, doc = cases in
+    Arg.(value & opt int default & info [ "cases" ] ~docv:"N" ~doc)
+  in
+  let run () seed topos cases jobs out table =
+    emit_table ?out (table cases (config_of ~jobs ~seed ~topos ()))
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ obs_term $ seed_arg $ topos_arg $ cases_arg $ jobs_term
+      $ out_term $ table)
 
 let ablation_cmd =
-  let cases_arg =
-    let doc = "Recoverable cases per topology." in
-    Arg.(value & opt int 500 & info [ "cases" ] ~docv:"N" ~doc)
-  in
-  let run () seed topos cases jobs out =
-    let config = config_of ~cases:None ~seed ~topos ~mrc_k:None ~jobs in
-    let t = Experiments.ablation_constraints ~cases config in
-    emit ?out ~csv_name:"ablation_constraints.csv" (Report.render_table t)
-      (Report.table_to_csv t)
-  in
-  Cmd.v
-    (Cmd.info "ablation"
-       ~doc:"Constraints 1&2 on/off ablation (not in the paper)")
-    Term.(
-      const run $ obs_term $ seed_arg $ topos_arg $ cases_arg $ jobs_arg
-      $ out_arg)
+  table_cmd "ablation"
+    ~doc:"Constraints 1&2 on/off ablation (not in the paper)"
+    (Term.const (fun cases -> Experiments.ablation_constraints ~cases))
 
 let mrc_k_sweep_cmd =
-  let cases_arg =
-    let doc = "Recoverable cases per topology." in
-    Arg.(value & opt int 500 & info [ "cases" ] ~docv:"N" ~doc)
-  in
-  let run () seed topos cases jobs out =
-    let config = config_of ~cases:None ~seed ~topos ~mrc_k:None ~jobs in
-    let t = Experiments.ablation_mrc_k ~cases config in
-    emit ?out ~csv_name:"ablation_mrc_k.csv" (Report.render_table t)
-      (Report.table_to_csv t)
-  in
-  Cmd.v
-    (Cmd.info "mrc-k" ~doc:"MRC recovery rate vs configuration count")
-    Term.(
-      const run $ obs_term $ seed_arg $ topos_arg $ cases_arg $ jobs_arg
-      $ out_arg)
+  table_cmd "mrc-k" ~doc:"MRC recovery rate vs configuration count"
+    (Term.const (fun cases c -> Experiments.ablation_mrc_k ~cases c))
 
 let variance_cmd =
-  let cases_arg =
-    let doc = "Recoverable cases per instance." in
-    Arg.(value & opt int 400 & info [ "cases" ] ~docv:"N" ~doc)
-  in
   let instances_arg =
     let doc = "Regenerated instances per AS." in
     Arg.(value & opt int 5 & info [ "instances" ] ~docv:"K" ~doc)
   in
-  let run () seed topos cases instances jobs out =
-    let config = config_of ~cases:None ~seed ~topos ~mrc_k:None ~jobs in
-    let t = Experiments.instance_variance ~cases ~instances config in
-    emit ?out ~csv_name:"instance_variance.csv" (Report.render_table t)
-      (Report.table_to_csv t)
-  in
-  Cmd.v
-    (Cmd.info "variance"
-       ~doc:"RTR recovery-rate spread across regenerated topology instances")
+  table_cmd "variance"
+    ~cases:(400, "Recoverable cases per instance.")
+    ~doc:"RTR recovery-rate spread across regenerated topology instances"
     Term.(
-      const run $ obs_term $ seed_arg $ topos_arg $ cases_arg $ instances_arg
-      $ jobs_arg $ out_arg)
+      const (fun instances cases ->
+          Experiments.instance_variance ~cases ~instances)
+      $ instances_arg)
 
 let bidir_cmd =
-  let cases_arg =
-    let doc = "Recoverable cases per topology." in
-    Arg.(value & opt int 500 & info [ "cases" ] ~docv:"N" ~doc)
-  in
-  let run () seed topos cases jobs out =
-    let config = config_of ~cases:None ~seed ~topos ~mrc_k:None ~jobs in
-    let t = Experiments.extension_bidir ~cases config in
-    emit ?out ~csv_name:"extension_bidir.csv" (Report.render_table t)
-      (Report.table_to_csv t)
-  in
-  Cmd.v
-    (Cmd.info "bidir"
-       ~doc:"Bidirectional-walk extension measurements (not in the paper)")
-    Term.(
-      const run $ obs_term $ seed_arg $ topos_arg $ cases_arg $ jobs_arg
-      $ out_arg)
+  table_cmd "bidir"
+    ~doc:"Bidirectional-walk extension measurements (not in the paper)"
+    (Term.const (fun cases -> Experiments.extension_bidir ~cases))
 
 let flows_cmd =
   let flows_arg =
@@ -311,13 +307,11 @@ let flows_cmd =
     Arg.(value & opt (some int) None & info [ "flows" ] ~docv:"N" ~doc)
   in
   let run () seed topos mrc_k jobs flows out =
-    let config = config_of ~cases:None ~seed ~topos ~mrc_k ~jobs in
+    let config = config_of ?mrc_k ~jobs ~seed ~topos () in
     let data =
       Experiments.congestion_data ~log:log_line ?flows_per_topo:flows config
     in
-    let t = Experiments.congestion_table data in
-    emit ?out ~csv_name:"congestion.csv" (Report.render_table t)
-      (Report.table_to_csv t);
+    emit_table ?out (Experiments.congestion_table data);
     emit_figure ?out (Experiments.congestion_figure data)
   in
   Cmd.v
@@ -326,8 +320,8 @@ let flows_cmd =
          "Flow-level congestion sweep: delivery, stretch and link load per \
           recovery scheme (not in the paper)")
     Term.(
-      const run $ obs_term $ seed_arg $ topos_arg $ mrc_k_arg $ jobs_arg
-      $ flows_arg $ out_arg)
+      const run $ obs_term $ seed_arg $ topos_arg $ mrc_k_arg $ jobs_term
+      $ flows_arg $ out_term)
 
 let fig11_cmd =
   let areas_arg =
@@ -335,7 +329,7 @@ let fig11_cmd =
     Arg.(value & opt int 200 & info [ "areas" ] ~docv:"N" ~doc)
   in
   let run () seed topos areas jobs out =
-    let config = config_of ~cases:None ~seed ~topos ~mrc_k:None ~jobs in
+    let config = config_of ~jobs ~seed ~topos () in
     let f = Experiments.fig11 ~log:log_line ~areas_per_radius:areas config in
     emit_figure ?out f
   in
@@ -343,16 +337,11 @@ let fig11_cmd =
     (Cmd.info "fig11"
        ~doc:"Percentage of irrecoverable failed paths vs failure radius")
     Term.(
-      const run $ obs_term $ seed_arg $ topos_arg $ areas_arg $ jobs_arg
-      $ out_arg)
+      const run $ obs_term $ seed_arg $ topos_arg $ areas_arg $ jobs_term
+      $ out_term)
 
 let run_cmd =
-  let topo_arg =
-    let doc = "Topology name." in
-    Arg.(value & opt string "AS209" & info [ "topo" ] ~docv:"AS" ~doc)
-  in
   let run () topo_name seed jobs =
-    let jobs = Option.value jobs ~default:(Rtr_sim.Parallel.env_jobs ()) in
     Rtr_obs.Trace.with_ "rtr_sim.run"
       ~attrs:[ ("topo", topo_name); ("seed", string_of_int seed) ]
     @@ fun () ->
@@ -433,7 +422,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Inspect one random failure scenario in detail")
-    Term.(const run $ obs_term $ topo_arg $ seed_arg $ jobs_arg)
+    Term.(const run $ obs_term $ topo_arg $ seed_arg $ jobs_term)
 
 let draw_cmd =
   let topo_arg =
@@ -445,6 +434,7 @@ let draw_cmd =
     Arg.(value & opt string "scenario.svg" & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let run () topo_name seed file =
+    check_writable file;
     let topo, damage, case =
       if topo_name = "paper" then begin
         let module PE = Rtr_topo.Paper_example in
@@ -500,6 +490,16 @@ let draw_cmd =
 (* ------------------------------------------------------------------ *)
 (* Staged pipeline: generate | evaluate (sharded, resumable) | reduce *)
 
+(* [Shard_store] raises [Failure] on a corrupt shard, with a message
+   that names the file, and [Sys_error] on I/O, whose message may not. *)
+let shard_io path f =
+  try f () with
+  | Failure msg -> die msg
+  | Sys_error msg ->
+      die
+        (if String.starts_with ~prefix:path msg then msg
+         else path ^ ": " ^ msg)
+
 let stream_arg =
   let doc = "Scenario stream file (see DESIGN.md §15 for the format)." in
   Arg.(
@@ -509,7 +509,7 @@ let stream_arg =
 
 let generate_cmd =
   let run () cases seed topos mrc_k stream =
-    let config = config_of ~cases ~seed ~topos ~mrc_k ~jobs:None in
+    let config = config_of ?cases ?mrc_k ~seed ~topos () in
     check_writable stream;
     let header, records =
       Rtr_sim.Pipeline.generate ~presets:config.Experiments.presets
@@ -558,21 +558,17 @@ let evaluate_cmd =
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
   let run () stream out shard shards resume jobs =
-    let jobs = Option.value jobs ~default:(Rtr_sim.Parallel.env_jobs ()) in
-    if shards <= 0 || shard < 0 || shard >= shards then begin
-      prerr_endline
-        (Printf.sprintf "rtr_sim: bad shard coordinates %d/%d" shard shards);
-      exit 2
-    end;
-    let header, pull =
-      match Rtr_sim.Stream.open_reader stream with
-      | Ok r -> r
-      | Error e -> die e
+    if shards <= 0 || shard < 0 || shard >= shards then
+      usage (Printf.sprintf "bad shard coordinates %d/%d" shard shards);
+    let header, pull = ok_or_die (Rtr_sim.Stream.open_reader stream) in
+    (* No [check_writable] on the shard: it would truncate the committed
+       records that [--resume] keeps. *)
+    let opened =
+      shard_io out (fun () ->
+          Rtr_sim.Shard_store.open_writer ~path:out ~resume ~shard ~shards
+            ~count:header.Rtr_sim.Stream.count)
     in
-    match
-      Rtr_sim.Shard_store.open_writer ~path:out ~resume ~shard ~shards
-        ~count:header.Rtr_sim.Stream.count
-    with
+    match opened with
     | Rtr_sim.Shard_store.Complete ->
         Format.printf "%s: shard %d/%d already complete@." out shard shards
     | Rtr_sim.Shard_store.Writer (w, committed) ->
@@ -613,7 +609,7 @@ let evaluate_cmd =
           from the last committed record.")
     Term.(
       const run $ obs_term $ stream_arg $ out_arg $ shard_arg $ shards_arg
-      $ resume_arg $ jobs_arg)
+      $ resume_arg $ jobs_term)
 
 let reduce_cmd =
   let shards_arg =
@@ -627,53 +623,22 @@ let reduce_cmd =
        $(b,all) (everything derivable from the shards — $(b,table2) and \
        $(b,fig11) need no collected data and keep their own commands)."
     in
-    let which =
-      Arg.enum
-        [
-          ("fig7", Fig7);
-          ("table3", Table3);
-          ("fig8", Fig8);
-          ("fig9", Fig9);
-          ("fig10", Fig10);
-          ("fig12", Fig12);
-          ("fig13", Fig13);
-          ("table4", Table4);
-          ("all", All);
-        ]
-    in
-    Arg.(value & opt which Table3 & info [ "artifact" ] ~docv:"NAME" ~doc)
+    let names = List.map (fun (name, _, _) -> name) data_artifacts in
+    let which = Arg.enum (List.map (fun n -> (n, n)) (names @ [ "all" ])) in
+    Arg.(value & opt which "table3" & info [ "artifact" ] ~docv:"NAME" ~doc)
   in
   let run () stream shard_files which out =
-    let header =
-      match Rtr_sim.Stream.read_header stream with
-      | Ok h -> h
-      | Error e -> die e
+    let header = ok_or_die (Rtr_sim.Stream.read_header stream) in
+    let shards =
+      List.map
+        (fun file -> shard_io file (fun () -> Rtr_sim.Shard_store.load file))
+        shard_files
     in
-    let shards = List.map Rtr_sim.Shard_store.load shard_files in
     let data = Experiments.reduce_shards ~log:log_line ~header shards in
-    let fig (f : Experiments.figure) = emit_figure ?out f in
-    let tbl (t : Experiments.table) =
-      emit ?out ~csv_name:(t.Experiments.id ^ ".csv") (Report.render_table t)
-        (Report.table_to_csv t)
-    in
-    match which with
-    | Fig7 -> fig (Experiments.fig7 data)
-    | Table3 -> tbl (Experiments.table3 data)
-    | Fig8 -> fig (Experiments.fig8 data)
-    | Fig9 -> fig (Experiments.fig9 data)
-    | Fig10 -> fig (Experiments.fig10 data)
-    | Fig12 -> fig (Experiments.fig12 data)
-    | Fig13 -> fig (Experiments.fig13 data)
-    | Table4 -> tbl (Experiments.table4 data)
-    | All ->
-        fig (Experiments.fig7 data);
-        tbl (Experiments.table3 data);
-        fig (Experiments.fig8 data);
-        fig (Experiments.fig9 data);
-        fig (Experiments.fig10 data);
-        fig (Experiments.fig12 data);
-        fig (Experiments.fig13 data);
-        tbl (Experiments.table4 data)
+    List.iter
+      (fun (name, _, emit) ->
+        if which = "all" || which = name then emit out data)
+      data_artifacts
   in
   Cmd.v
     (Cmd.info "reduce"
@@ -682,119 +647,7 @@ let reduce_cmd =
           tables and figures.  Deterministic: the output is byte-identical \
           to an in-process run at any shard or job count.")
     Term.(
-      const run $ obs_term $ stream_arg $ shards_arg $ artifact_arg $ out_arg)
-
-(* ------------------------------------------------------------------ *)
-(* Microbenchmark: the SPT hot path, scratch vs workspace, plus a
-   repeated-destination recovery so the smoke gate can assert the
-   phase-2 per-destination cache actually hits. *)
-
-let microbench_cmd =
-  let module Graph = Rtr_graph.Graph in
-  let module View = Rtr_graph.View in
-  let module Dijkstra = Rtr_graph.Dijkstra in
-  let topo_arg =
-    let doc = "Topology name." in
-    Arg.(value & opt string "AS209" & info [ "topo" ] ~docv:"AS" ~doc)
-  in
-  let iters_arg =
-    let doc = "Sweeps over all roots per SPT variant." in
-    Arg.(value & opt int 40 & info [ "iters" ] ~docv:"N" ~doc)
-  in
-  let run () topo_name iters seed =
-    Rtr_obs.Trace.with_ "rtr_sim.microbench" ~attrs:[ ("topo", topo_name) ]
-    @@ fun () ->
-    let topo = load_topo topo_name in
-    let g = Rtr_topo.Topology.graph topo in
-    let n = Graph.n_nodes g in
-    let full = View.full g in
-    let time f =
-      let t0 = Rtr_obs.Trace.now () in
-      f ();
-      Rtr_obs.Trace.now () -. t0
-    in
-    let per_spt s = s /. float_of_int (iters * n) *. 1e9 in
-    (* Scratch: every run allocates four label arrays and a heap. *)
-    let scratch_s =
-      time (fun () ->
-          for _ = 1 to iters do
-            for root = 0 to n - 1 do
-              ignore (Dijkstra.spt full ~root ())
-            done
-          done)
-    in
-    (* Workspace: one arena, reused for every run. *)
-    let workspace = Dijkstra.Workspace.create () in
-    let ws_s =
-      time (fun () ->
-          for _ = 1 to iters do
-            for root = 0 to n - 1 do
-              ignore (Dijkstra.spt ~workspace full ~root ())
-            done
-          done)
-    in
-    (* Route tables: one workspace To_root tree per destination. *)
-    let table_reps = 3 in
-    let table_s =
-      time (fun () ->
-          for _ = 1 to table_reps do
-            ignore (Rtr_routing.Route_table.compute full)
-          done)
-    in
-    let per_tbl s = s /. float_of_int table_reps *. 1e3 in
-    Rtr_obs.Metrics.Gauge.set
-      (Rtr_obs.Metrics.gauge "microbench.spt_scratch_ns")
-      (per_spt scratch_s);
-    Rtr_obs.Metrics.Gauge.set
-      (Rtr_obs.Metrics.gauge "microbench.spt_ws_ns")
-      (per_spt ws_s);
-    Rtr_obs.Metrics.Gauge.set
-      (Rtr_obs.Metrics.gauge "microbench.spt_ws_speedup")
-      (scratch_s /. ws_s);
-    Rtr_obs.Metrics.Gauge.set
-      (Rtr_obs.Metrics.gauge "microbench.route_table_ms")
-      (per_tbl table_s);
-    Format.printf "%s: %d nodes, %d links, %d SPT runs per variant@."
-      topo_name n (Graph.n_links g) (iters * n);
-    Format.printf "  spt/scratch     %8.0f ns/run@." (per_spt scratch_s);
-    Format.printf "  spt/workspace   %8.0f ns/run  (%.2fx)@." (per_spt ws_s)
-      (scratch_s /. ws_s);
-    Format.printf "  route-table     %8.2f ms@." (per_tbl table_s);
-    (* Repeated-destination smoke: recover a destination, then ask the
-       session for its recovery distance — the second query must be a
-       phase2.cache_hits, not a new calculation. *)
-    let cache = Rtr_sim.Topo_cache.shared topo in
-    let table = Rtr_sim.Topo_cache.table cache in
-    let rec scenario_with_cases attempt =
-      if attempt > 20 then None
-      else
-        let rng = Rtr_util.Rng.make (seed + attempt) in
-        let s = Rtr_sim.Scenario.generate topo table rng () in
-        if s.Rtr_sim.Scenario.cases = [] then scenario_with_cases (attempt + 1)
-        else Some s
-    in
-    match scenario_with_cases 0 with
-    | None -> log_line "no non-empty scenario found; cache smoke skipped"
-    | Some scenario ->
-        let case = List.hd scenario.Rtr_sim.Scenario.cases in
-        let open Rtr_sim.Scenario in
-        let session =
-          Rtr_core.Rtr.start topo scenario.damage ~initiator:case.initiator
-            ~trigger:case.trigger ()
-        in
-        ignore (Rtr_core.Rtr.recover session ~dst:case.dst);
-        ignore (Rtr_core.Rtr.recovery_distance session ~dst:case.dst);
-        Format.printf
-          "cache smoke: dst v%d queried twice, sp_calculations = %d@." case.dst
-          (Rtr_core.Rtr.sp_calculations session)
-  in
-  Cmd.v
-    (Cmd.info "microbench"
-       ~doc:
-         "Time the SPT hot path (scratch allocation vs reusable workspace, \
-          route tables) and smoke-test the phase-2 destination cache.  \
-          Pair with --metrics to record the numbers.")
-    Term.(const run $ obs_term $ topo_arg $ iters_arg $ seed_arg)
+      const run $ obs_term $ stream_arg $ shards_arg $ artifact_arg $ out_term)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery-map service: offline scenario compiler + lookup server *)
@@ -806,10 +659,6 @@ let write_file path contents =
 
 let precompute_cmd =
   let module Enum = Rtr_rmap.Enum in
-  let topo_arg =
-    let doc = "Topology name." in
-    Arg.(value & opt string "AS209" & info [ "topo" ] ~docv:"AS" ~doc)
-  in
   let out_arg =
     let doc = "Artifact file to write." in
     Arg.(value & opt string "rmap.bin" & info [ "out" ] ~docv:"FILE" ~doc)
@@ -845,18 +694,13 @@ let precompute_cmd =
   in
   let run () topo_name out manifest singles grid radii combo_k combo_budget
       jobs =
-    let jobs = Option.value jobs ~default:(Rtr_sim.Parallel.env_jobs ()) in
     let topo = load_topo topo_name in
     let grid_cols, grid_rows =
       match String.split_on_char 'x' (String.lowercase_ascii grid) with
       | [ c; r ] -> (
           try (int_of_string (String.trim c), int_of_string (String.trim r))
-          with Failure _ ->
-            prerr_endline ("rtr_sim: bad --grid " ^ grid);
-            exit 2)
-      | _ ->
-          prerr_endline ("rtr_sim: bad --grid " ^ grid);
-          exit 2
+          with Failure _ -> usage ("bad --grid " ^ grid))
+      | _ -> usage ("bad --grid " ^ grid)
     in
     let radii =
       if String.trim radii = "" then []
@@ -864,9 +708,7 @@ let precompute_cmd =
         String.split_on_char ',' radii
         |> List.map (fun r ->
                try float_of_string (String.trim r)
-               with Failure _ ->
-                 prerr_endline ("rtr_sim: bad radius " ^ r);
-                 exit 2)
+               with Failure _ -> usage ("bad radius " ^ r))
     in
     let config =
       {
@@ -879,12 +721,13 @@ let precompute_cmd =
         combo_budget;
       }
     in
-    check_writable out;
-    let result = Rtr_rmap.Compile.run ~log:log_line ~jobs topo config in
-    write_file out result.Rtr_rmap.Compile.artifact;
     let manifest_path =
       Option.value manifest ~default:(out ^ ".manifest.json")
     in
+    check_writable out;
+    check_writable manifest_path;
+    let result = Rtr_rmap.Compile.run ~log:log_line ~jobs topo config in
+    write_file out result.Rtr_rmap.Compile.artifact;
     write_file manifest_path
       (Rtr_obs.Json.to_string result.Rtr_rmap.Compile.manifest ^ "\n");
     let stats = result.Rtr_rmap.Compile.stats in
@@ -906,7 +749,7 @@ let precompute_cmd =
           Deterministic: byte-identical output at any $(b,--jobs).")
     Term.(
       const run $ obs_term $ topo_arg $ out_arg $ manifest_arg $ singles_arg
-      $ grid_arg $ radii_arg $ combo_k_arg $ combo_budget_arg $ jobs_arg)
+      $ grid_arg $ radii_arg $ combo_k_arg $ combo_budget_arg $ jobs_term)
 
 let serve_cmd =
   let module Store = Rtr_rmap.Store in
@@ -944,81 +787,70 @@ let serve_cmd =
     Arg.(value & opt (some int) None & info [ "dst" ] ~docv:"V" ~doc)
   in
   let run () map topo_name bench fail initiator trigger dst seed =
-    match Store.load map with
-    | Error e -> die (map ^ ": " ^ e)
-    | Ok store -> (
-        let topo =
-          match topo_name with
-          | Some "none" -> None
-          | Some name -> Some (load_topo name)
-          | None ->
-              (* Reload the artifact's own topology when we know it, so
-                 misses fall back to a reactive run out of the box. *)
-              Option.map Isp.load (Isp.find (Store.topo_name store))
+    let store =
+      ok_or_die (Result.map_error (fun e -> map ^ ": " ^ e) (Store.load map))
+    in
+    let topo =
+      match topo_name with
+      | Some "none" -> None
+      | Some name -> Some (load_topo name)
+      | None ->
+          (* Reload the artifact's own topology when we know it, so
+             misses fall back to a reactive run out of the box. *)
+          Option.map Isp.load (Isp.find (Store.topo_name store))
+    in
+    let service = ok_or_die (Service.create ?topo store) in
+    Format.printf
+      "%s: %s, %d routers, %d links, %d scenarios, %d cases, %d bytes, \
+       fallback %s@."
+      map (Store.topo_name store) (Store.n_nodes store) (Store.n_links store)
+      (Store.n_scenarios store) (Store.n_cases store) (Store.bytes store)
+      (if topo = None then "off" else "reactive");
+    (match (fail, initiator, trigger, dst) with
+    | None, None, None, None -> ()
+    | Some fail, Some initiator, Some trigger, Some dst -> (
+        let links =
+          if String.trim fail = "" then []
+          else
+            String.split_on_char ',' fail
+            |> List.map (fun s ->
+                   try int_of_string (String.trim s)
+                   with Failure _ -> usage ("bad link id " ^ s))
         in
-        match Service.create ?topo store with
-        | Error e -> die e
-        | Ok service ->
-            Format.printf
-              "%s: %s, %d routers, %d links, %d scenarios, %d cases, %d \
-               bytes, fallback %s@."
-              map (Store.topo_name store) (Store.n_nodes store)
-              (Store.n_links store) (Store.n_scenarios store)
-              (Store.n_cases store) (Store.bytes store)
-              (if topo = None then "off" else "reactive");
-            (match (fail, initiator, trigger, dst) with
-            | None, None, None, None -> ()
-            | Some fail, Some initiator, Some trigger, Some dst -> (
-                let links =
-                  if String.trim fail = "" then []
-                  else
-                    String.split_on_char ',' fail
-                    |> List.map (fun s ->
-                           try int_of_string (String.trim s)
-                           with Failure _ ->
-                             prerr_endline ("rtr_sim: bad link id " ^ s);
-                             exit 2)
-                in
-                match Service.query service ~links ~initiator ~trigger ~dst with
-                | Error e ->
-                    Format.printf "query: %s@." e;
-                    exit 1
-                | Ok reply ->
-                    Format.printf "query (v%d, v%d) -> v%d [%s]: %s@."
-                      initiator trigger dst
-                      (if reply.Service.from_artifact then "precomputed"
-                       else "reactive fallback")
-                      (match reply.Service.kind with
-                      | Store.Recovered -> "recovered"
-                      | Store.Unreachable -> "unreachable in view"
-                      | Store.False_path -> "false path");
-                    if reply.Service.path <> [||] then
-                      Format.printf "  route: %s (cost %d)@."
-                        (String.concat " -> "
-                           (Array.to_list
-                              (Array.map (Printf.sprintf "v%d")
-                                 reply.Service.path)))
-                        reply.Service.cost;
-                    if reply.Service.true_cost >= 0 then
-                      Format.printf "  true shortest: %d%s@."
-                        reply.Service.true_cost
-                        (match reply.Service.stretch with
-                        | Some s -> Printf.sprintf " (stretch %.3f)" s
-                        | None -> ""))
-            | _ ->
-                prerr_endline
-                  "rtr_sim: a query needs --fail, --initiator, --trigger \
-                   and --dst";
-                exit 2);
-            Option.iter
-              (fun n ->
-                let b = Service.bench_lookups service ~n ~seed in
-                Format.printf
-                  "bench: %d lookups (%d hits, %d misses) in %.3f s: %.0f \
-                   lookups/s, %.0f ns/lookup@."
-                  b.Service.lookups b.Service.hits b.Service.misses
-                  b.Service.wall_s b.Service.per_sec b.Service.ns_per_lookup)
-              bench)
+        match Service.query service ~links ~initiator ~trigger ~dst with
+        | Error e ->
+            Format.printf "query: %s@." e;
+            exit 1
+        | Ok reply ->
+            Format.printf "query (v%d, v%d) -> v%d [%s]: %s@." initiator
+              trigger dst
+              (if reply.Service.from_artifact then "precomputed"
+               else "reactive fallback")
+              (match reply.Service.kind with
+              | Store.Recovered -> "recovered"
+              | Store.Unreachable -> "unreachable in view"
+              | Store.False_path -> "false path");
+            if reply.Service.path <> [||] then
+              Format.printf "  route: %s (cost %d)@."
+                (String.concat " -> "
+                   (Array.to_list
+                      (Array.map (Printf.sprintf "v%d") reply.Service.path)))
+                reply.Service.cost;
+            if reply.Service.true_cost >= 0 then
+              Format.printf "  true shortest: %d%s@." reply.Service.true_cost
+                (match reply.Service.stretch with
+                | Some s -> Printf.sprintf " (stretch %.3f)" s
+                | None -> ""))
+    | _ -> usage "a query needs --fail, --initiator, --trigger and --dst");
+    Option.iter
+      (fun n ->
+        let b = Service.bench_lookups service ~n ~seed in
+        Format.printf
+          "bench: %d lookups (%d hits, %d misses) in %.3f s: %.0f lookups/s, \
+           %.0f ns/lookup@."
+          b.Service.lookups b.Service.hits b.Service.misses b.Service.wall_s
+          b.Service.per_sec b.Service.ns_per_lookup)
+      bench
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1073,7 +905,6 @@ let fuzz_cmd =
     Arg.(value & opt (some string) None & info [ "episodes" ] ~docv:"KIND" ~doc)
   in
   let run () cases seed jobs oracles inject out episodes =
-    let jobs = Option.value jobs ~default:(Rtr_sim.Parallel.env_jobs ()) in
     let oracles =
       match oracles with
       | [] -> Oracle.all
@@ -1082,9 +913,7 @@ let fuzz_cmd =
             (fun name ->
               match Oracle.find name with
               | Some o -> o
-              | None ->
-                  prerr_endline ("rtr_sim: unknown oracle " ^ name);
-                  exit 2)
+              | None -> usage ("unknown oracle " ^ name))
             names
     in
     let inject =
@@ -1092,9 +921,7 @@ let fuzz_cmd =
         (fun name ->
           match Oracle.injection_of_string name with
           | Some i -> i
-          | None ->
-              prerr_endline ("rtr_sim: unknown injection " ^ name);
-              exit 2)
+          | None -> usage ("unknown injection " ^ name))
         inject
     in
     let config =
@@ -1123,8 +950,7 @@ let fuzz_cmd =
           | s -> (
               match Oracle.Episode.kind_of_string s with
               | Some Oracle.Episode.Mixed | None ->
-                  prerr_endline ("rtr_sim: unknown episode kind " ^ s);
-                  exit 2
+                  usage ("unknown episode kind " ^ s)
               | Some k -> [ k ])
         in
         let outcome, rows = Campaign.run_episodes ~log:log_line config ~kinds in
@@ -1180,7 +1006,7 @@ let fuzz_cmd =
           greedy counterexample shrinking.  Exits 1 when a violation is \
           found.")
     Term.(
-      const run $ obs_term $ cases_arg $ seed_arg $ jobs_arg $ oracle_arg
+      const run $ obs_term $ cases_arg $ seed_arg $ jobs_term $ oracle_arg
       $ inject_arg $ out_arg $ episodes_arg)
 
 let replay_cmd =
@@ -1221,34 +1047,26 @@ let replay_cmd =
     Term.(const run $ obs_term $ files_arg)
 
 let cmds =
-  [
-    topologies_cmd;
-    needs_data_cmd Fig7 "fig7" "CDF of phase-1 duration";
-    needs_data_cmd Table3 "table3" "Recoverable-case comparison (RTR/FCP/MRC)";
-    needs_data_cmd Fig8 "fig8" "CDF of recovery-path stretch";
-    needs_data_cmd Fig9 "fig9" "CDF of shortest-path calculations";
-    needs_data_cmd Fig10 "fig10" "Transmission overhead over time";
-    fig11_cmd;
-    ablation_cmd;
-    bidir_cmd;
-    flows_cmd;
-    mrc_k_sweep_cmd;
-    variance_cmd;
-    needs_data_cmd Fig12 "fig12" "CDF of wasted computation (irrecoverable)";
-    needs_data_cmd Fig13 "fig13" "CDF of wasted transmission (irrecoverable)";
-    needs_data_cmd Table4 "table4" "Irrecoverable-case waste summary";
-    needs_data_cmd All "all" "Every table and figure of the evaluation";
-    generate_cmd;
-    evaluate_cmd;
-    reduce_cmd;
-    run_cmd;
-    draw_cmd;
-    microbench_cmd;
-    precompute_cmd;
-    serve_cmd;
-    fuzz_cmd;
-    replay_cmd;
-  ]
+  let data (name, doc, emit) = data_cmd name doc (fun _config -> emit) in
+  (topologies_cmd :: List.map data data_artifacts)
+  @ [
+      data_cmd "all" "Every table and figure of the evaluation" emit_all;
+      fig11_cmd;
+      ablation_cmd;
+      bidir_cmd;
+      flows_cmd;
+      mrc_k_sweep_cmd;
+      variance_cmd;
+      generate_cmd;
+      evaluate_cmd;
+      reduce_cmd;
+      run_cmd;
+      draw_cmd;
+      precompute_cmd;
+      serve_cmd;
+      fuzz_cmd;
+      replay_cmd;
+    ]
 
 let () =
   let info =

@@ -5,14 +5,15 @@
 # emitted artifact is not valid JSON / JSONL.  Then the gates: the
 # perf-regression gate (quick-bench throughput vs the latest committed
 # BENCH_*.json, see scripts/perf_gate.sh), the determinism gate
-# (RTR_JOBS must not change a byte), the microbench
-# hot-path gate, the recovery-map gate, the streaming-pipeline gate
-# (generate | evaluate | reduce must equal the in-process run, shard
-# splits and crash-resume included), the hostile-input gate (bad input
-# exits 1 with one line), the fuzz gate, and the episode
-# gate (theorem-survival matrix on cascading/transient/moving
-# timelines), and the benchmark-correctness gate (every perfbench
-# workload's own result checks).
+# (RTR_JOBS must not change a byte), the flow-engine gate, the
+# recovery-map gate, the streaming-pipeline gate (generate | evaluate |
+# reduce must equal the in-process run, shard splits and crash-resume
+# included), the hostile-input gate (bad input or an unwritable output
+# exits 1 with one line), the fuzz gate, the episode gate
+# (theorem-survival matrix on cascading/transient/moving timelines),
+# and the benchmark-correctness gate (every perfbench workload's own
+# result checks).  The SPT-arena and phase-2 cache bounds live in
+# dune runtest (graph.workspace, core.phase2, sim.runner).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -146,36 +147,6 @@ fi
 
 echo "ci_smoke: flow gate OK (congestion report jobs-invariant; $flows_n flows swept)"
 
-# --- microbench / hot-path gate --------------------------------------
-# The SPT workspace must actually be reused (spt.ws_alloc stays small —
-# one arena per domain plus the microbench's own pinned arena, far
-# below the thousands of runs), and the phase-2 per-destination cache
-# must be live (BENCH_0003 shipped with phase2.cache_hits stuck at 0).
-mb="$tmp/microbench.json"
-
-dune exec bin/rtr_sim.exe -- microbench --topo AS209 --iters 4 \
-  --metrics "$mb" > /dev/null
-dune exec tools/json_check.exe -- "$mb"
-
-ws_alloc=$(grep -o '"spt.ws_alloc":[0-9]*' "$mb" | cut -d: -f2)
-ws_reuse=$(grep -o '"spt.ws_reuse":[0-9]*' "$mb" | cut -d: -f2)
-cache_hits=$(grep -o '"phase2.cache_hits":[0-9]*' "$mb" | cut -d: -f2)
-
-if [ -z "$ws_alloc" ] || [ "$ws_alloc" -gt 8 ]; then
-  echo "ci_smoke: FAIL — spt.ws_alloc='$ws_alloc' (want 1..8: one arena per domain)" >&2
-  exit 1
-fi
-if [ -z "$ws_reuse" ] || [ "$ws_reuse" -le "$ws_alloc" ]; then
-  echo "ci_smoke: FAIL — spt.ws_reuse='$ws_reuse' not above ws_alloc='$ws_alloc'" >&2
-  exit 1
-fi
-if [ -z "$cache_hits" ] || [ "$cache_hits" -lt 1 ]; then
-  echo "ci_smoke: FAIL — phase2.cache_hits='$cache_hits' (the BENCH_0003 dead-cache bug)" >&2
-  exit 1
-fi
-
-echo "ci_smoke: microbench gate OK (ws_alloc=$ws_alloc ws_reuse=$ws_reuse cache_hits=$cache_hits)"
-
 # --- recovery-map gate -----------------------------------------------
 # The precompute/serve pipeline end to end on a small artifact: the
 # compiler must be jobs-invariant byte for byte, the manifest must be
@@ -281,8 +252,9 @@ echo "ci_smoke: stream gate OK (1 shard == 2 shards with crash-resume == in-memo
 
 # --- hostile-input gate ----------------------------------------------
 # Bad input must end a subcommand with exit 1 and a one-line message,
-# never an uncaught exception (exit 125): an unknown topology name, and
-# a stream whose header or whose record is corrupt.
+# never an uncaught exception (exit 125): an unknown topology name, a
+# stream whose header or whose record is corrupt, a torn or garbage
+# result shard, and an output path under a regular file.
 expect_exit_1() {
   what=$1
   shift
@@ -309,7 +281,22 @@ expect_exit_1 "evaluate on a corrupt stream header" evaluate \
 expect_exit_1 "evaluate on a corrupt stream record" evaluate \
   --stream "$streamdir/bad_record.jsonl" --out "$streamdir/bad_r.jsonl"
 
-echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header and record exit 1)"
+head -c 300 "$streamdir/whole.jsonl" > "$streamdir/torn_shard.jsonl"
+printf 'garbage\n' > "$streamdir/garbage_shard.jsonl"
+: > "$streamdir/regular"
+
+expect_exit_1 "reduce on a torn shard" reduce \
+  --stream "$streamdir/scenarios.jsonl" "$streamdir/torn_shard.jsonl"
+expect_exit_1 "evaluate --resume on a garbage shard" evaluate \
+  --stream "$streamdir/scenarios.jsonl" --out "$streamdir/garbage_shard.jsonl" \
+  --resume
+expect_exit_1 "table3 --out under a regular file" table3 --cases 5 \
+  --topos AS209 --out "$streamdir/regular/dir"
+expect_exit_1 "precompute --manifest under a regular file" precompute \
+  --topo AS1239 --out "$streamdir/m.bin" \
+  --manifest "$streamdir/regular/m.json"
+
+echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header/record/shard, unwritable outputs exit 1)"
 
 # --- fuzz gate -------------------------------------------------------
 # Theorem-oracle fuzzing (lib/check): random topologies and failures

@@ -115,6 +115,25 @@ let test_owned_runs_bypass_arena () =
   Alcotest.(check int) "no alloc" a0 (Metrics.Counter.value c_ws_alloc);
   Alcotest.(check int) "no reuse" r0 (Metrics.Counter.value c_ws_reuse)
 
+(* The production hot path: a route table is one To_root run per
+   destination on the domain's own arena, so an all-roots sweep over
+   AS209 allocates at most once (when the arena last held another
+   shape) and reuses the arena for every other root. *)
+let test_route_table_sweep_reuses_domain_arena () =
+  let topo = Rtr_topo.Isp.load (Option.get (Rtr_topo.Isp.find "AS209")) in
+  let full = View.full (Rtr_topo.Topology.graph topo) in
+  let a0 = Metrics.Counter.value c_ws_alloc
+  and r0 = Metrics.Counter.value c_ws_reuse in
+  ignore (Rtr_routing.Route_table.compute full);
+  let alloc = Metrics.Counter.value c_ws_alloc - a0
+  and reuse = Metrics.Counter.value c_ws_reuse - r0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "ws_alloc moved by %d (want <= 1)" alloc)
+    true (alloc <= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "ws_reuse moved by %d (want > %d)" reuse alloc)
+    true (reuse > alloc)
+
 let workspace_matches_reference_qcheck =
   QCheck.Test.make ~name:"workspace spt equals reference" ~count:60
     QCheck.(pair (int_range 4 40) small_nat)
@@ -145,5 +164,7 @@ let suite =
     Alcotest.test_case "alloc/reuse counters" `Quick test_alloc_reuse_counters;
     Alcotest.test_case "owned runs bypass arena" `Quick
       test_owned_runs_bypass_arena;
+    Alcotest.test_case "route-table sweep reuses the domain arena" `Quick
+      test_route_table_sweep_reuses_domain_arena;
     QCheck_alcotest.to_alcotest workspace_matches_reference_qcheck;
   ]
