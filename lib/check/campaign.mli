@@ -4,7 +4,9 @@
     each counterexample is sequential, so a campaign's outcome —
     including every artifact byte — depends only on [(cases, seed,
     oracles, inject)], never on [jobs].  Oracle evaluation itself is
-    sharded over {!Rtr_sim.Parallel.map}.
+    streamed through {!Rtr_sim.Parallel.stream}: specs are generated on
+    the calling domain, evaluated on the workers, and consumed (shrunk,
+    persisted) in index order.
 
     Instrumented under the [check.*] metric namespace
     ([check.cases], [check.violations], [check.shrink.evals]) and the

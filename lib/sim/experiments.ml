@@ -645,68 +645,71 @@ let table4 data =
 
 (* ------------------------------------------------------------------ *)
 
+(* The ablations and extensions below sample alike: draw scenarios
+   from one RNG until [cases] recoverable cases have gone to [f], in
+   generation order. *)
+let iter_recoverable ~cases ~seed topo f =
+  let table = Topo_cache.table (Topo_cache.shared topo) in
+  let rng = Rtr_util.Rng.make seed in
+  let n_done = ref 0 in
+  while !n_done < cases do
+    let scenario = Scenario.generate topo table rng () in
+    List.iter
+      (fun (c : Scenario.case) ->
+        if c.Scenario.kind = Scenario.Recoverable && !n_done < cases then begin
+          incr n_done;
+          f scenario c
+        end)
+      scenario.Scenario.cases
+  done
+
+(* Does phase 2's route to [dst] arrive over the damaged network? *)
+let delivered g damage p2 ~dst =
+  match Rtr_core.Phase2.recovery_path p2 ~dst with
+  | None -> false
+  | Some path -> (
+      match Rtr_routing.Source_route.follow g damage path with
+      | Rtr_routing.Source_route.Delivered -> true
+      | Rtr_routing.Source_route.Dropped _ -> false)
+
 (* The Figs. 4/5 ablation: recoverable cases replayed with the
    cross-link constraints off.  Recovery is re-derived from the raw
    phases, since the engine proper has no reason to expose a broken
    mode. *)
 let ablation_constraints ?(cases = 500) config =
-  let module Damage = Rtr_failure.Damage in
-  let module Graph = Rtr_graph.Graph in
   let row (preset : Isp.preset) =
     let topo = Isp.load preset in
     let g = Rtr_topo.Topology.graph topo in
-    let table = Topo_cache.table (Topo_cache.shared topo) in
-    let rng = Rtr_util.Rng.make (config.seed + preset.Isp.seed + 23) in
-    let n_done = ref 0 in
     let ok_on = ref 0 and ok_off = ref 0 in
     let links_on = ref 0 and links_off = ref 0 in
     let hops_on = ref 0 and hops_off = ref 0 in
     let clean_off = ref 0 in
-    while !n_done < cases do
-      let scenario = Scenario.generate topo table rng () in
-      List.iter
-        (fun (c : Scenario.case) ->
-          if c.Scenario.kind = Scenario.Recoverable && !n_done < cases then begin
-            incr n_done;
-            let attempt ~constraints =
-              let p1 =
-                Rtr_core.Phase1.run topo scenario.Scenario.damage ~constraints
-                  ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger
-                  ()
-              in
-              let p2 =
-                Rtr_core.Phase2.create topo scenario.Scenario.damage
-                  ~initiator:c.Scenario.initiator
-                  ~removed:p1.Rtr_core.Phase1.failed_links
-              in
-              let delivered =
-                match Rtr_core.Phase2.recovery_path p2 ~dst:c.Scenario.dst with
-                | None -> false
-                | Some path -> (
-                    match
-                      Rtr_routing.Source_route.follow g
-                        scenario.Scenario.damage path
-                    with
-                    | Rtr_routing.Source_route.Delivered -> true
-                    | Rtr_routing.Source_route.Dropped _ -> false)
-              in
-              (delivered, p1)
-            in
-            let on, p1_on = attempt ~constraints:true in
-            let off, p1_off = attempt ~constraints:false in
-            if on then incr ok_on;
-            if off then incr ok_off;
-            links_on := !links_on + List.length p1_on.Rtr_core.Phase1.failed_links;
-            links_off := !links_off + List.length p1_off.Rtr_core.Phase1.failed_links;
-            hops_on := !hops_on + p1_on.Rtr_core.Phase1.hops;
-            hops_off := !hops_off + p1_off.Rtr_core.Phase1.hops;
-            (match p1_off.Rtr_core.Phase1.status with
-            | Rtr_core.Phase1.Completed | Rtr_core.Phase1.No_live_neighbor ->
-                incr clean_off
-            | Rtr_core.Phase1.Hop_limit | Rtr_core.Phase1.Stuck _ -> ())
-          end)
-        scenario.Scenario.cases
-    done;
+    iter_recoverable ~cases ~seed:(config.seed + preset.Isp.seed + 23) topo
+      (fun scenario c ->
+        let damage = scenario.Scenario.damage in
+        let attempt ~constraints =
+          let p1 =
+            Rtr_core.Phase1.run topo damage ~constraints
+              ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger ()
+          in
+          let p2 =
+            Rtr_core.Phase2.create topo damage ~initiator:c.Scenario.initiator
+              ~removed:p1.Rtr_core.Phase1.failed_links
+          in
+          (delivered g damage p2 ~dst:c.Scenario.dst, p1)
+        in
+        let on, p1_on = attempt ~constraints:true in
+        let off, p1_off = attempt ~constraints:false in
+        if on then incr ok_on;
+        if off then incr ok_off;
+        links_on := !links_on + List.length p1_on.Rtr_core.Phase1.failed_links;
+        links_off := !links_off + List.length p1_off.Rtr_core.Phase1.failed_links;
+        hops_on := !hops_on + p1_on.Rtr_core.Phase1.hops;
+        hops_off := !hops_off + p1_off.Rtr_core.Phase1.hops;
+        match p1_off.Rtr_core.Phase1.status with
+        | Rtr_core.Phase1.Completed | Rtr_core.Phase1.No_live_neighbor ->
+            incr clean_off
+        | Rtr_core.Phase1.Hop_limit | Rtr_core.Phase1.Stuck _ -> ());
     let avg x = float_of_int x /. float_of_int cases in
     [
       preset.Isp.as_name;
@@ -743,60 +746,34 @@ let ablation_constraints ?(cases = 500) config =
 (* The bidirectional-walk extension, measured: delay to first return
    and recovery from the merged two-walk view. *)
 let extension_bidir ?(cases = 500) config =
-  let module Damage = Rtr_failure.Damage in
   let row (preset : Isp.preset) =
     let topo = Isp.load preset in
     let g = Rtr_topo.Topology.graph topo in
-    let table = Topo_cache.table (Topo_cache.shared topo) in
-    let rng = Rtr_util.Rng.make (config.seed + preset.Isp.seed + 31) in
-    let n_done = ref 0 in
     let single_hops = ref 0 and first_hops = ref 0 and both_hops = ref 0 in
     let single_links = ref 0 and merged_links = ref 0 in
     let ok_single = ref 0 and ok_merged = ref 0 in
-    while !n_done < cases do
-      let scenario = Scenario.generate topo table rng () in
-      List.iter
-        (fun (c : Scenario.case) ->
-          if c.Scenario.kind = Scenario.Recoverable && !n_done < cases then begin
-            incr n_done;
-            let delivered p2 =
-              match
-                Rtr_core.Phase2.recovery_path p2 ~dst:c.Scenario.dst
-              with
-              | None -> false
-              | Some path -> (
-                  match
-                    Rtr_routing.Source_route.follow g scenario.Scenario.damage
-                      path
-                  with
-                  | Rtr_routing.Source_route.Delivered -> true
-                  | Rtr_routing.Source_route.Dropped _ -> false)
-            in
-            let bid =
-              Rtr_core.Bidir.run topo scenario.Scenario.damage
-                ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger ()
-            in
-            let p2_single =
-              Rtr_core.Phase2.create topo scenario.Scenario.damage
-                ~initiator:c.Scenario.initiator
-                ~removed:bid.Rtr_core.Bidir.right.Rtr_core.Phase1.failed_links
-            in
-            let p2_merged =
-              Rtr_core.Bidir.phase2_of_merged topo scenario.Scenario.damage bid
-            in
-            if delivered p2_single then incr ok_single;
-            if delivered p2_merged then incr ok_merged;
-            single_hops := !single_hops + bid.Rtr_core.Bidir.right.Rtr_core.Phase1.hops;
-            first_hops := !first_hops + bid.Rtr_core.Bidir.first_return_hops;
-            both_hops := !both_hops + bid.Rtr_core.Bidir.both_return_hops;
-            single_links :=
-              !single_links
-              + List.length bid.Rtr_core.Bidir.right.Rtr_core.Phase1.failed_links;
-            merged_links :=
-              !merged_links + List.length bid.Rtr_core.Bidir.merged_failed_links
-          end)
-        scenario.Scenario.cases
-    done;
+    iter_recoverable ~cases ~seed:(config.seed + preset.Isp.seed + 31) topo
+      (fun scenario c ->
+        let damage = scenario.Scenario.damage in
+        let bid =
+          Rtr_core.Bidir.run topo damage ~initiator:c.Scenario.initiator
+            ~trigger:c.Scenario.trigger ()
+        in
+        let p2_single =
+          Rtr_core.Phase2.create topo damage ~initiator:c.Scenario.initiator
+            ~removed:bid.Rtr_core.Bidir.right.Rtr_core.Phase1.failed_links
+        in
+        let p2_merged = Rtr_core.Bidir.phase2_of_merged topo damage bid in
+        if delivered g damage p2_single ~dst:c.Scenario.dst then incr ok_single;
+        if delivered g damage p2_merged ~dst:c.Scenario.dst then incr ok_merged;
+        single_hops := !single_hops + bid.Rtr_core.Bidir.right.Rtr_core.Phase1.hops;
+        first_hops := !first_hops + bid.Rtr_core.Bidir.first_return_hops;
+        both_hops := !both_hops + bid.Rtr_core.Bidir.both_return_hops;
+        single_links :=
+          !single_links
+          + List.length bid.Rtr_core.Bidir.right.Rtr_core.Phase1.failed_links;
+        merged_links :=
+          !merged_links + List.length bid.Rtr_core.Bidir.merged_failed_links);
     let avg x = float_of_int x /. float_of_int cases in
     let ms hops = Delay.ms (Delay.of_hops (int_of_float (Float.round (avg hops)))) in
     [
@@ -834,47 +811,28 @@ let extension_bidir ?(cases = 500) config =
 (* MRC recovery rate vs configuration count: fairness check on the
    baseline. *)
 let ablation_mrc_k ?(cases = 500) ?(ks = [ 4; 6; 8; 12; 16 ]) config =
-  let module Damage = Rtr_failure.Damage in
   let module Mrc = Rtr_baselines.Mrc in
   let row (preset : Isp.preset) =
     let topo = Isp.load preset in
     let g = Rtr_topo.Topology.graph topo in
-    let table = Topo_cache.table (Topo_cache.shared topo) in
-    let mrcs =
-      List.map
-        (fun k ->
-          match Mrc.build g ~k with
-          | Some m -> (k, Some m)
-          | None -> (k, None))
-        ks
-    in
+    let mrcs = List.map (fun k -> (k, Mrc.build g ~k)) ks in
     let ok = Hashtbl.create 8 in
     List.iter (fun k -> Hashtbl.replace ok k 0) ks;
-    let rng = Rtr_util.Rng.make (config.seed + preset.Isp.seed + 41) in
-    let n_done = ref 0 in
-    while !n_done < cases do
-      let scenario = Scenario.generate topo table rng () in
-      List.iter
-        (fun (c : Scenario.case) ->
-          if c.Scenario.kind = Scenario.Recoverable && !n_done < cases then begin
-            incr n_done;
-            List.iter
-              (fun (k, mrc) ->
-                match mrc with
-                | None -> ()
-                | Some mrc -> (
-                    match
-                      Mrc.recover mrc scenario.Scenario.damage
-                        ~initiator:c.Scenario.initiator
-                        ~trigger:c.Scenario.trigger ~dst:c.Scenario.dst
-                    with
-                    | Mrc.Delivered _ ->
-                        Hashtbl.replace ok k (Hashtbl.find ok k + 1)
-                    | Mrc.Dropped _ -> ()))
-              mrcs
-          end)
-        scenario.Scenario.cases
-    done;
+    iter_recoverable ~cases ~seed:(config.seed + preset.Isp.seed + 41) topo
+      (fun scenario c ->
+        List.iter
+          (fun (k, mrc) ->
+            match mrc with
+            | None -> ()
+            | Some mrc -> (
+                match
+                  Mrc.recover mrc scenario.Scenario.damage
+                    ~initiator:c.Scenario.initiator
+                    ~trigger:c.Scenario.trigger ~dst:c.Scenario.dst
+                with
+                | Mrc.Delivered _ -> Hashtbl.replace ok k (Hashtbl.find ok k + 1)
+                | Mrc.Dropped _ -> ()))
+          mrcs);
     preset.Isp.as_name
     :: List.map
          (fun (k, mrc) ->
@@ -897,28 +855,16 @@ let ablation_mrc_k ?(cases = 500) ?(ks = [ 4; 6; 8; 12; 16 ]) config =
 (* Topology-instance sensitivity: the error bars of the synthetic
    substitution. *)
 let instance_variance ?(cases = 400) ?(instances = 5) config =
-  let module Damage = Rtr_failure.Damage in
   let rate_on topo seed =
-    let table = Topo_cache.table (Topo_cache.shared topo) in
-    let rng = Rtr_util.Rng.make seed in
-    let n_done = ref 0 and ok = ref 0 in
-    while !n_done < cases do
-      let scenario = Scenario.generate topo table rng () in
-      List.iter
-        (fun (c : Scenario.case) ->
-          if c.Scenario.kind = Scenario.Recoverable && !n_done < cases then begin
-            incr n_done;
-            let session =
-              Rtr_core.Rtr.start topo scenario.Scenario.damage
-                ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger ()
-            in
-            match Rtr_core.Rtr.recover session ~dst:c.Scenario.dst with
-            | Rtr_core.Rtr.Recovered _ -> incr ok
-            | Rtr_core.Rtr.Unreachable_in_view | Rtr_core.Rtr.False_path _ ->
-                ()
-          end)
-        scenario.Scenario.cases
-    done;
+    let ok = ref 0 in
+    iter_recoverable ~cases ~seed topo (fun scenario c ->
+        let session =
+          Rtr_core.Rtr.start topo scenario.Scenario.damage
+            ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger ()
+        in
+        match Rtr_core.Rtr.recover session ~dst:c.Scenario.dst with
+        | Rtr_core.Rtr.Recovered _ -> incr ok
+        | Rtr_core.Rtr.Unreachable_in_view | Rtr_core.Rtr.False_path _ -> ());
     100.0 *. Stats.ratio !ok cases
   in
   let row (preset : Isp.preset) =
@@ -1038,13 +984,8 @@ let congestion_data ?(log = fun _ -> ()) ?flows_per_topo
       let mrc =
         if List.mem Flowsim.Mrc_scheme schemes then
           Some
-            (let g = Rtr_topo.Topology.graph topo in
-             match config.mrc_k with
-             | Some k -> (
-                 match Rtr_baselines.Mrc.build g ~k with
-                 | Some t -> t
-                 | None -> Rtr_baselines.Mrc.build_auto g)
-             | None -> Rtr_baselines.Mrc.build_auto g)
+            (Pipeline.mrc_for ~mrc_k:config.mrc_k
+               (Rtr_topo.Topology.graph topo))
         else None
       in
       let per_scheme =

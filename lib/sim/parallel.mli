@@ -28,6 +28,8 @@ val noted_jobs : unit -> int option
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f input] is [Rtr_util.Pool.map] plus observability.
     Results come back in submission order regardless of scheduling.
+    It runs on the same scheduler as [stream] (the pool has only one),
+    fed from the array with [min jobs (Array.length input)] workers.
 
     With [jobs <= 1] (or fewer than two tasks) this is exactly
     [Array.map]: no domains, no [pool.*] metrics registered, so a

@@ -1,6 +1,14 @@
 module Graph = Rtr_graph.Graph
 
-let fail_line lineno msg = failwith (Printf.sprintf "line %d: %s" lineno msg)
+(* Parsers raise [Malformed] internally; the entry points turn it into
+   an [Error]. *)
+exception Malformed of string
+
+let fail msg = raise (Malformed msg)
+let fail_line lineno msg = fail (Printf.sprintf "line %d: %s" lineno msg)
+
+let guard parse =
+  match parse () with t -> Ok t | exception Malformed msg -> Error msg
 
 (* Dense node numbering in order of first appearance. *)
 module Interner = struct
@@ -21,11 +29,11 @@ module Interner = struct
 end
 
 let finish ~name ~seed ~n edges =
-  if n = 0 then failwith "Rocketfuel: no nodes";
-  if n = 1 then failwith "Rocketfuel: single-node map";
+  if n = 0 then fail "Rocketfuel: no nodes";
+  if n = 1 then fail "Rocketfuel: single-node map";
   let graph = Graph.build_weighted ~n ~edges in
   if not (Rtr_graph.Components.is_connected graph) then
-    failwith "Rocketfuel: map is not connected";
+    fail "Rocketfuel: map is not connected";
   let rng = Rtr_util.Rng.make seed in
   let embedding = Embedding.random rng ~n () in
   Topology.create ~name graph embedding
@@ -76,7 +84,12 @@ let weights_fields line =
           | [] -> None)
       | _ -> None)
 
+(* Largest accepted weight: far above any inferred IGP weight, and low
+   enough that path costs over any realistic map stay exact ints. *)
+let max_weight = float_of_int (1 lsl 30)
+
 let of_weights ?(name = "rocketfuel") ~seed content =
+  guard @@ fun () ->
   let interner = Interner.create () in
   (* directed weights, keyed by canonical pair *)
   let forward : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
@@ -89,6 +102,9 @@ let of_weights ?(name = "rocketfuel") ~seed content =
       | Some (a, b, w) -> (
           match float_of_string_opt w with
           | None -> fail_line lineno (Printf.sprintf "bad weight %S" w)
+          | Some wf when not (wf > 0.0 && wf <= max_weight) ->
+              fail_line lineno
+                (Printf.sprintf "weight %S outside (0, 2^30]" w)
           | Some wf ->
               let wi = max 1 (int_of_float (Float.round wf)) in
               let u = Interner.get interner a and v = Interner.get interner b in
@@ -112,12 +128,12 @@ let of_weights ?(name = "rocketfuel") ~seed content =
   finish ~name ~seed ~n:(Interner.count interner) !edges
 
 let load_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | content -> Ok content
+  | exception Sys_error msg -> Error msg
 
-let load_weights ?name ~seed path = of_weights ?name ~seed (load_file path)
+let load_weights ?name ~seed path =
+  Result.bind (load_file path) (of_weights ?name ~seed)
 
 (* --- cch format ----------------------------------------------------- *)
 
@@ -125,6 +141,7 @@ let load_weights ?name ~seed path = of_weights ?name ~seed (load_file path)
    We keep the internal neighbour list (<...>) and drop external links
    ({-...}). *)
 let of_cch ?(name = "rocketfuel-cch") ~seed content =
+  guard @@ fun () ->
   let neighbours : (int * int) list ref = ref [] in
   let max_uid = ref (-1) in
   let uids = Hashtbl.create 256 in
@@ -185,4 +202,5 @@ let of_cch ?(name = "rocketfuel-cch") ~seed content =
     !neighbours;
   finish ~name ~seed ~n:(Interner.count interner) !edges
 
-let load_cch ?name ~seed path = of_cch ?name ~seed (load_file path)
+let load_cch ?name ~seed path =
+  Result.bind (load_file path) (of_cch ?name ~seed)

@@ -19,17 +19,21 @@
     graph uniformly at random from a caller-supplied seed — exactly the
     paper's procedure. *)
 
-val of_weights : ?name:string -> seed:int -> string -> Topology.t
+val of_weights :
+  ?name:string -> seed:int -> string -> (Topology.t, string) result
 (** Parse `weights.intra`-format content.  Weights are rounded to
-    positive ints (Rocketfuel's inferred weights are floats).  Raises
-    [Failure] with a line-numbered message on malformed input and on
-    disconnected or empty graphs. *)
+    positive ints (Rocketfuel's inferred weights are floats).  A
+    malformed record, or a weight that is not a number in (0, 2{^30}]
+    ([nan], [inf], negative or huge), is an [Error] naming its line;
+    so is an empty, single-node or disconnected map. *)
 
-val load_weights : ?name:string -> seed:int -> string -> Topology.t
-(** Same, from a file path. *)
+val load_weights :
+  ?name:string -> seed:int -> string -> (Topology.t, string) result
+(** Same, from a file path; an unreadable file is an [Error] too. *)
 
-val of_cch : ?name:string -> seed:int -> string -> Topology.t
+val of_cch : ?name:string -> seed:int -> string -> (Topology.t, string) result
 (** Parse `.cch`-format content (unit link costs; backbone and
-    customer routers alike; external neighbours dropped). *)
+    customer routers alike; external neighbours dropped), with the same
+    [Error]s as [of_weights]. *)
 
-val load_cch : ?name:string -> seed:int -> string -> Topology.t
+val load_cch : ?name:string -> seed:int -> string -> (Topology.t, string) result

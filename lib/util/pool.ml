@@ -5,85 +5,16 @@ type worker_stats = {
   idle_s : float;
 }
 
-(* Workers pull the next unclaimed index from a shared cursor and write
-   the result into its submission slot, so reassembly order never
-   depends on scheduling.  A failure parks the first exception in
-   [failed]; the other workers notice the flag before claiming another
-   task and drain out, and the caller re-raises after joining every
-   domain. *)
-let map_domains ~jobs ?wrap_worker ?on_stats f input =
-  let n = Array.length input in
-  let jobs = min jobs n in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  let failed = Atomic.make None in
-  let stats = Array.make jobs None in
-  let task_loop w =
-    let t_start = Unix.gettimeofday () in
-    let tasks = ref 0 and busy = ref 0.0 in
-    let rec loop () =
-      if Atomic.get failed = None then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (let t0 = Unix.gettimeofday () in
-           match f input.(i) with
-           | v ->
-               busy := !busy +. (Unix.gettimeofday () -. t0);
-               incr tasks;
-               results.(i) <- Some v
-           | exception e ->
-               busy := !busy +. (Unix.gettimeofday () -. t0);
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set failed None (Some (e, bt))));
-          loop ()
-        end
-      end
-    in
-    loop ();
-    let wall = Unix.gettimeofday () -. t_start in
-    stats.(w) <-
-      Some
-        {
-          worker = w;
-          tasks = !tasks;
-          busy_s = !busy;
-          idle_s = Float.max 0.0 (wall -. !busy);
-        }
-  in
-  let worker w =
-    (* [task_loop] cannot raise; anything escaping here came from the
-       caller's [wrap_worker] and is propagated like a task failure. *)
-    try
-      match wrap_worker with
-      | None -> task_loop w
-      | Some wrap -> wrap w (fun () -> task_loop w)
-    with e ->
-      let bt = Printexc.get_raw_backtrace () in
-      ignore (Atomic.compare_and_set failed None (Some (e, bt)))
-  in
-  let domains = Array.init jobs (fun w -> Domain.spawn (fun () -> worker w)) in
-  Array.iter Domain.join domains;
-  (match Atomic.get failed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  Option.iter
-    (fun cb ->
-      cb (Array.to_list stats |> List.filter_map Fun.id))
-    on_stats;
-  Array.map (function Some v -> v | None -> assert false) results
-
-let map ?wrap_worker ?on_stats ~jobs f input =
-  if jobs <= 1 || Array.length input <= 1 then Array.map f input
-  else map_domains ~jobs ?wrap_worker ?on_stats f input
-
-(* Streaming variant: the coordinator pulls tasks from [producer] and
-   hands finished results to [consumer] in strict submission order; at
-   most [capacity] tasks are in flight, so an unbounded stream never
-   materialises.  One mutex guards a pending queue (workers wait on
-   [can_take]) and a reorder ring indexed [seq mod capacity] (the
-   coordinator waits on [can_consume] for the next in-order slot).  The
-   ring never wraps onto a live slot: in-flight seqs span less than
-   [capacity], so their slots are distinct. *)
+(* The one scheduler, behind both [stream] and [map]: the coordinator
+   pulls tasks from [producer] and hands finished results to [consumer]
+   in strict submission order; at most [capacity] tasks are in flight,
+   so an unbounded stream never materialises.  One mutex guards a
+   pending queue (workers wait on [can_take]) and a reorder ring
+   indexed [seq mod capacity] (the coordinator waits on [can_consume]
+   for the next in-order slot).  The ring never wraps onto a live slot:
+   in-flight seqs span less than [capacity], so their slots are
+   distinct.  A failure parks the first exception in [failed]; workers
+   drain out, and the caller re-raises after joining every domain. *)
 let stream_domains ?wrap_worker ?on_stats ~capacity ~jobs f ~producer ~consumer
     =
   let m = Mutex.create () in
@@ -142,6 +73,8 @@ let stream_domains ?wrap_worker ?on_stats ~capacity ~jobs f ~producer ~consumer
         }
   in
   let worker w =
+    (* [task_loop] cannot raise; anything escaping here came from the
+       caller's [wrap_worker] and is propagated like a task failure. *)
     try
       match wrap_worker with
       | None -> task_loop w
@@ -233,3 +166,29 @@ let stream ?wrap_worker ?on_stats ?capacity ~jobs f ~producer ~consumer () =
     in
     stream_domains ?wrap_worker ?on_stats ~capacity ~jobs f ~producer
       ~consumer
+
+(* [map] is [stream] over the array with a window of the whole input:
+   the array is already materialised, so backpressure would only stall
+   the coordinator behind a slow head-of-line task.  Results arrive in
+   submission order and land in their slot by [seq]. *)
+let map ?wrap_worker ?on_stats ~jobs f input =
+  let n = Array.length input in
+  if jobs <= 1 || n <= 1 then Array.map f input
+  else begin
+    let results = Array.make n None in
+    let next = ref 0 in
+    let producer () =
+      if !next = n then None
+      else begin
+        let x = input.(!next) in
+        incr next;
+        Some x
+      end
+    in
+    ignore
+      (stream ?wrap_worker ?on_stats ~capacity:n ~jobs:(min jobs n) f
+         ~producer
+         ~consumer:(fun seq v -> results.(seq) <- Some v)
+         ());
+    Array.map (function Some v -> v | None -> assert false) results
+  end

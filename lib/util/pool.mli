@@ -5,12 +5,15 @@
     always [f input.(i)] no matter which domain evaluated it or when it
     finished — so a parallel run is observationally a [Array.map] as
     long as [f] itself is deterministic and the tasks are independent.
-    Scheduling is dynamic (workers pull the next unclaimed index), so
-    per-worker shard composition varies run to run; only the reassembly
-    is guaranteed stable.
 
-    The pool is hand-rolled on stdlib [Domain]/[Atomic] machinery only
-    — no external dependencies. *)
+    There is one scheduler, [stream]'s: the calling domain feeds a
+    pending queue that idle workers pull from, and reorders finished
+    results by sequence number.  [map] is [stream] fed from the array.
+    Scheduling is dynamic, so per-worker shard composition varies run
+    to run; only the reassembly is guaranteed stable.
+
+    The pool is hand-rolled on stdlib [Domain]/[Mutex]/[Condition]
+    only — no external dependencies. *)
 
 type worker_stats = {
   worker : int;  (** 0-based worker index *)
@@ -42,7 +45,11 @@ val map :
     every domain is joined (the pool never wedges), and the first
     captured exception is re-raised — with its backtrace — in the
     calling domain.  [f] must be safe to run concurrently with
-    itself. *)
+    itself.
+
+    This is [stream] over the array with [min jobs n] workers and a
+    window of the whole input ([capacity = n]): the input is already in
+    memory, so there is nothing for backpressure to bound. *)
 
 val stream :
   ?wrap_worker:(int -> (unit -> unit) -> unit) ->

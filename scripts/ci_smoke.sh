@@ -120,7 +120,17 @@ if ! diff "$tmp/b1.txt" "$tmp/b4.txt"; then
   exit 1
 fi
 
-echo "ci_smoke: determinism gate OK (RTR_JOBS=1 == RTR_JOBS=4)"
+# rtr_sim run evaluates every case of its one scenario through
+# Parallel.map; its summary must print identically at any --jobs.
+dune exec bin/rtr_sim.exe -- run --topo AS209 --jobs 1 > "$tmp/run1.txt" 2> /dev/null
+dune exec bin/rtr_sim.exe -- run --topo AS209 --jobs 4 > "$tmp/run4.txt" 2> /dev/null
+
+if ! diff "$tmp/run1.txt" "$tmp/run4.txt"; then
+  echo "ci_smoke: FAIL — run output differs between --jobs 1 and --jobs 4" >&2
+  exit 1
+fi
+
+echo "ci_smoke: determinism gate OK (RTR_JOBS=1 == RTR_JOBS=4; run --jobs 1 == --jobs 4)"
 
 # --- flow-engine gate ------------------------------------------------
 # The flow-level congestion report must be byte-identical across

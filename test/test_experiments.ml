@@ -218,6 +218,25 @@ let test_jobs_equivalence () =
         (a.Experiments.irrecoverable = b.Experiments.irrecoverable))
     seq par
 
+(* The flow sweep builds MRC by the paper tables' rule: an infeasible
+   [--mrc-k K] falls back to the smallest feasible k above K, so K=2
+   on AS209 (3 configurations in table3) sweeps exactly like K=3. *)
+let test_congestion_mrc_fallback () =
+  let config, _ = Lazy.force data in
+  let as209 = Option.get (Isp.find "AS209") in
+  let g = Rtr_topo.Topology.graph (Isp.load as209) in
+  Alcotest.(check bool) "k=2 infeasible" true
+    (Rtr_baselines.Mrc.build g ~k:2 = None);
+  Alcotest.(check int) "table3's MRC" 3
+    (Rtr_baselines.Mrc.n_configs
+       (Rtr_sim.Pipeline.mrc_for ~mrc_k:(Some 2) g));
+  let sweep k =
+    Experiments.congestion_data ~flows_per_topo:2000
+      ~schemes:[ Rtr_des.Flowsim.Mrc_scheme ]
+      { config with Experiments.presets = [ as209 ]; mrc_k = Some k }
+  in
+  Alcotest.(check bool) "k=2 sweeps like k=3" true (sweep 2 = sweep 3)
+
 let test_report_rendering () =
   let config, data = Lazy.force data in
   let table_text = Report.render_table (Experiments.table2 config) in
@@ -247,5 +266,7 @@ let suite =
     Alcotest.test_case "instance variance shape" `Slow
       test_instance_variance_shape;
     Alcotest.test_case "jobs=4 equals jobs=1" `Slow test_jobs_equivalence;
+    Alcotest.test_case "flows MRC fallback matches table3" `Slow
+      test_congestion_mrc_fallback;
     Alcotest.test_case "report rendering" `Slow test_report_rendering;
   ]

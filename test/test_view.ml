@@ -209,7 +209,9 @@ let rocketfuel_matches_reference =
   QCheck.Test.make ~name:"rocketfuel: view stack = reference" ~count:40
     QCheck.(int_range 0 1000)
     (fun salt ->
-      let topo = Rtr_topo.Rocketfuel.of_weights ~seed:1 weights_sample in
+      let topo =
+        Result.get_ok (Rtr_topo.Rocketfuel.of_weights ~seed:1 weights_sample)
+      in
       let g = Rtr_topo.Topology.graph topo in
       let rng = Rtr_util.Rng.make salt in
       let dead_links =
