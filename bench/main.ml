@@ -177,8 +177,6 @@ let a_case =
      in
      find 0)
 
-let spt =
-  lazy (Rtr_graph.Dijkstra.spt (View.full (graph_of (Lazy.force topo))) ~root:0 ())
 let mrc = lazy (Rtr_baselines.Mrc.build_auto (graph_of (Lazy.force topo)))
 
 let bench_tests () =
@@ -187,7 +185,6 @@ let bench_tests () =
   let d = Lazy.force damage in
   let initiator, trigger, dst = Lazy.force a_case in
   let tbl = Lazy.force table in
-  let pre_spt = Lazy.force spt in
   let dead = Damage.failed_links d in
   let damaged_view = View.remove_links (View.full g) dead in
   let mrc = Lazy.force mrc in
@@ -231,8 +228,7 @@ let bench_tests () =
             List.init 2000 (fun i -> float_of_int (i * 7919 mod 663))
           in
           fun () -> ignore (Rtr_sim.Cdf.of_values xs)));
-    (* Ablation: the full SPF phase 2 runs vs repairing the
-       pre-failure tree incrementally (the paper's [19, 20]). *)
+    (* Ablation: the full SPF that phase 2 and FCP run. *)
     Test.make ~name:"ablation/spt-scratch"
       (Staged.stage (fun () ->
            ignore (Rtr_graph.Dijkstra.spt damaged_view ~root:0 ())));
@@ -244,12 +240,6 @@ let bench_tests () =
           fun () ->
             ignore
               (Rtr_graph.Dijkstra.spt ~workspace:ws damaged_view ~root:0 ())));
-    Test.make ~name:"ablation/spt-incremental"
-      (Staged.stage (fun () ->
-           let c = Rtr_graph.Spt.copy pre_spt in
-           ignore
-             (Rtr_graph.Incremental_spt.remove c ~dead_links:dead
-                ~view:damaged_view ())));
     (* Ablation: deriving the damaged view inside the timed run. *)
     Test.make ~name:"ablation/spt-view"
       (Staged.stage (fun () ->

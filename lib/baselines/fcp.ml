@@ -17,34 +17,71 @@ type result = {
   discarded_at : Graph.node option;
 }
 
-(* Shortest-path trees are shared across the routes of one session:
-   a recomputing router's view is the pre-failure map minus the
-   carried links, so its tree depends only on (router, carried-link
-   set).  Each distinct key is computed once and kept as an owned
-   copy. *)
+(* Shortest-path trees are shared across the routes of one session.
+   A router recomputing with carried set C' needs its tree over the
+   pre-failure map minus C', but only that tree's path to one
+   destination.  Any tree T(C) the router already holds with C ⊆ C'
+   gives the same path whenever that path crosses no link of C' (or
+   reaches nothing): dropping off-path links leaves every path node's
+   distance unchanged and can only remove equal-cost parent
+   candidates, so each path node keeps its smallest-id parent, the
+   canonical tree of [Dijkstra.spt]; unreachability is monotone under
+   link removal.  Each router's trees are owned copies, newest first. *)
 type session = {
   g : Graph.t;
   damage : Damage.t;
   full : View.t;
-  trees : (Graph.node * Graph.link_id list, Spt.t) Hashtbl.t;
+  trees : (Graph.link_id list * Spt.t) list array;
+  mutable carried_mask : Bytes.t;
+      (* one byte per link, set only while a recomputation scans the
+         held trees; allocated on the first scan *)
 }
 
 let start topo damage =
   let g = Rtr_topo.Topology.graph topo in
-  { g; damage; full = View.full g; trees = Hashtbl.create 16 }
+  {
+    g;
+    damage;
+    full = View.full g;
+    trees = Array.make (Graph.n_nodes g) [];
+    carried_mask = Bytes.empty;
+  }
 
-let tree s ~root carried =
-  let key = (root, List.sort Int.compare carried) in
-  match Hashtbl.find_opt s.trees key with
-  | Some spt -> spt
+(* Whether the held tree [(c, t)] answers [dst] when [carried] is the
+   carried set: its path to [dst] avoids every carried link (or does
+   not exist), and it was computed without links outside [carried]. *)
+let answers carried dst (c, (t : Spt.t)) =
+  let rec clear v =
+    let id = t.Spt.parent_link.(v) in
+    id = -1 || ((not (carried id)) && clear t.Spt.parent_node.(v))
+  in
+  clear dst && List.for_all carried c
+
+let held_answer s ~root carried dst =
+  match s.trees.(root) with
+  | [] -> None
+  | held ->
+      if Bytes.length s.carried_mask = 0 then
+        s.carried_mask <- Bytes.make (Graph.n_links s.g) '\000';
+      let mask = s.carried_mask in
+      List.iter (fun id -> Bytes.set mask id '\001') carried;
+      let found =
+        List.find_opt (answers (fun id -> Bytes.get mask id <> '\000') dst) held
+      in
+      List.iter (fun id -> Bytes.set mask id '\000') carried;
+      found
+
+let tree_path s ~root carried dst =
+  match held_answer s ~root carried dst with
+  | Some (_, t) -> Spt.path t dst
   | None ->
       let view = View.remove_links s.full carried in
-      let spt =
+      let t =
         Spt.copy
           (Dijkstra.spt ~workspace:(Dijkstra.Workspace.get ()) view ~root ())
       in
-      Hashtbl.add s.trees key spt;
-      spt
+      s.trees.(root) <- (carried, t) :: s.trees.(root);
+      Spt.path t dst
 
 let route s ~initiator ~dst =
   if initiator = dst then invalid_arg "Fcp.route: initiator equals destination";
@@ -71,7 +108,7 @@ let route s ~initiator ~dst =
   (* One recomputation round at [current]: the router's view is the
      pre-failure map minus carried failures minus what it can see on
      its own links.  It counts as a calculation whether or not the
-     session already holds its tree. *)
+     session already holds a tree that answers it. *)
   let rec round current =
     (* The recomputing router contributes everything it can see to the
        header: FCP packets carry the failure knowledge of the nodes
@@ -79,7 +116,7 @@ let route s ~initiator ~dst =
     Graph.iter_neighbors g current (fun v id ->
         if Damage.neighbor_unreachable damage v id then carry id);
     incr sp_calcs;
-    match Spt.path (tree s ~root:current !carried_rev) dst with
+    match tree_path s ~root:current !carried_rev dst with
     | None -> finish ~delivered:false ~discarded_at:(Some current)
     | Some path -> follow path
   and follow path =

@@ -39,13 +39,21 @@ type result = {
 type session
 (** FCP recoveries over one damage, sharing shortest-path trees.
 
-    A recomputing router's view is the pre-failure map minus the links
-    carried in the header, so its tree is a function of (router,
-    carried-link {e set}) alone — not of the destination, the initiator
-    or the order the links joined the header.  A session computes each
-    distinct such tree once and keeps it: one owned tree ([Spt.copy],
-    three [int] arrays of the node count) per distinct (router, carried
-    set) it has met, held until the session is dropped.  Routes served
+    A recomputing router [u] whose header carries the link set [C']
+    needs the root-to-destination path of [T(C')], its tree over the
+    pre-failure map minus [C'].  The session keeps, per router, every
+    tree it has computed, [T(C)] for the carried set [C] of that
+    recomputation (an owned [Spt.copy]), newest first.  A recomputation
+    is answered by the first held [T(C)] at [u] with [C ⊆ C'] whose
+    path to the destination crosses no link of [C'], or that reaches
+    no path at all; only when none qualifies does it run a Dijkstra
+    over the pre-failure map minus [C'] and keep the new tree.
+
+    The answer is exact.  Removing links that are not on the path
+    leaves every path node's distance unchanged and can only remove
+    equal-cost parent candidates, so each path node keeps its
+    smallest-id parent — [Dijkstra.spt]'s canonical tree; and
+    unreachability is monotone under link removal.  So routes served
     from a shared tree equal fresh [run]s field for field,
     [sp_calculations] included: every protocol recomputation counts,
     whether its tree was computed or found.

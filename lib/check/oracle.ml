@@ -571,38 +571,33 @@ let episode_single_link_run ~inject:_ spec =
 
 (* --- differential oracles ------------------------------------------- *)
 
-let incr_spt_run ~inject:_ spec =
+(* FCP's shared-tree session against the from-scratch reference: every
+   case of the damage, twice, in shuffled order, through one session,
+   so trees held for one route answer later routes with other
+   initiators, destinations and carried sets. *)
+let fcp_vs_reference_run ~inject:_ spec =
   let topo, damage = Spec.build spec in
   let g = Rtr_topo.Topology.graph topo in
-  let truth = Damage.view damage in
-  let full = View.full g in
-  let dead_nodes = Damage.failed_nodes damage in
-  let dead_links = Damage.failed_links damage in
-  let name = "incr_spt_vs_dijkstra" in
+  let name = "fcp_vs_reference" in
+  let table = Route_table.compute (View.full g) in
+  let cases = Scenario.cases_of_damage topo table damage in
+  let order = Array.of_list (cases @ cases) in
+  Rtr_util.Rng.shuffle (Rtr_util.Rng.make (Hashtbl.hash spec)) order;
+  let session = Rtr_baselines.Fcp.start topo damage in
   first_violation @@ fun () ->
-  for root = 0 to Graph.n_nodes g - 1 do
-    if Damage.node_ok damage root then begin
-      let base = Dijkstra.spt full ~root () in
-      let t = Spt.copy base in
-      ignore (Rtr_graph.Incremental_spt.remove t ~dead_nodes ~dead_links ~view:truth ());
-      let fresh = Dijkstra.spt truth ~root () in
-      if t.Spt.dist <> fresh.Spt.dist then
+  Array.iter
+    (fun (c : Scenario.case) ->
+      let initiator = c.Scenario.initiator and dst = c.Scenario.dst in
+      if
+        Rtr_baselines.Fcp.route session ~initiator ~dst
+        <> Reference.fcp topo damage ~initiator ~dst
+      then
         raise
           (Found
              (violation name
-                "incremental removal from v%d disagrees with Dijkstra" root));
-      (* And back: restoring the failed elements must return to the
-         pre-failure distances. *)
-      ignore
-        (Rtr_graph.Incremental_spt.restore t ~new_nodes:dead_nodes
-           ~new_links:dead_links ~view:full ());
-      if t.Spt.dist <> base.Spt.dist then
-        raise
-          (Found
-             (violation name
-                "incremental restore at v%d does not round-trip" root))
-    end
-  done
+                "session route v%d -> v%d differs from the reference" initiator
+                dst)))
+    order
 
 (* Every graph-layer computation the theorem oracles lean on, against
    the textbook reference: owned and workspace SPTs in both directions,
@@ -901,11 +896,11 @@ let single_link =
     run = single_link_run;
   }
 
-let incr_spt_vs_dijkstra =
+let fcp_vs_reference =
   {
-    name = "incr_spt_vs_dijkstra";
-    doc = "incremental SPT repair equals from-scratch Dijkstra";
-    run = incr_spt_run;
+    name = "fcp_vs_reference";
+    doc = "FCP routes from a shared-tree session equal the from-scratch reference";
+    run = fcp_vs_reference_run;
   }
 
 let graph_vs_reference =
@@ -1053,7 +1048,7 @@ let all =
     no_loop;
     optimal;
     single_link;
-    incr_spt_vs_dijkstra;
+    fcp_vs_reference;
     graph_vs_reference;
     dial_vs_heap;
     parallel_vs_sequential;

@@ -18,8 +18,9 @@
     - [single_link] — Theorem 3: exhaustive single-link-failure sweep;
       every destination recovers optimally whenever the graph stays
       connected.
-    - [incr_spt_vs_dijkstra] — incremental SPT repair distances equal a
-      from-scratch Dijkstra over the damaged view.
+    - [fcp_vs_reference] — every case of the damage, run twice in
+      shuffled order through one FCP session, equals
+      {!Reference.fcp} field for field.
     - [graph_vs_reference] — for every root on the full and the damaged
       view, owned and workspace SPTs (both directions) equal
       {!Reference.spt} bit for bit, routing-table rows equal its
@@ -120,7 +121,7 @@ end
 val no_loop : t
 val optimal : t
 val single_link : t
-val incr_spt_vs_dijkstra : t
+val fcp_vs_reference : t
 val graph_vs_reference : t
 val dial_vs_heap : t
 val parallel_vs_sequential : t

@@ -50,3 +50,64 @@ let spt view ~root ~direction =
           end)
   done;
   { Spt.graph = g; root; direction; dist; parent_node; parent_link }
+
+(* FCP from scratch: every round runs [spt] over the pre-failure map
+   minus the links carried so far, and nothing is shared between
+   rounds or routes. *)
+let fcp topo damage ~initiator ~dst =
+  let module Damage = Rtr_failure.Damage in
+  let module Fcp = Rtr_baselines.Fcp in
+  let g = Rtr_topo.Topology.graph topo in
+  let full = View.full g in
+  let unreachable v id = Damage.neighbor_unreachable damage v id in
+  let finish ~delivered ~discarded_at ~carried ~calcs ~journey ~hops =
+    {
+      Fcp.delivered;
+      journey = Rtr_graph.Path.of_nodes (List.rev journey);
+      sp_calculations = calcs;
+      carried_links = carried;
+      hops = List.rev hops;
+      discarded_at;
+    }
+  in
+  (* [carried] in insertion order; [journey] and [hops] newest first. *)
+  let rec round at ~carried ~calcs ~journey ~hops =
+    let carried =
+      Array.fold_left
+        (fun acc (v, id) ->
+          if unreachable v id && not (List.mem id acc) then acc @ [ id ]
+          else acc)
+        carried (Graph.neighbors g at)
+    in
+    let calcs = calcs + 1 in
+    let tree =
+      spt (View.remove_links full carried) ~root:at ~direction:Spt.From_root
+    in
+    match Spt.path tree dst with
+    | None ->
+        finish ~delivered:false ~discarded_at:(Some at) ~carried ~calcs
+          ~journey ~hops
+    | Some path ->
+        let route_hops = Rtr_graph.Path.hops path in
+        let n_failed = List.length carried in
+        let rec walk idx journey hops = function
+          | u :: v :: rest ->
+              let id = Option.get (Graph.find_link g u v) in
+              if unreachable v id then round u ~carried ~calcs ~journey ~hops
+              else
+                let header_bytes =
+                  Rtr_routing.Header.fcp ~n_failed
+                    ~route_hops:(route_hops - idx)
+                in
+                let hops = { Fcp.from_ = u; to_ = v; header_bytes } :: hops in
+                if v = dst then
+                  finish ~delivered:true ~discarded_at:None ~carried ~calcs
+                    ~journey:(v :: journey) ~hops
+                else walk (idx + 1) (v :: journey) hops (v :: rest)
+          | [ _ ] | [] ->
+              finish ~delivered:true ~discarded_at:None ~carried ~calcs
+                ~journey ~hops
+        in
+        walk 0 journey hops (Rtr_graph.Path.nodes path)
+  in
+  round initiator ~carried:[] ~calcs:0 ~journey:[ initiator ] ~hops:[]

@@ -14,3 +14,14 @@ val spt :
     part of the view, followed by the canonical tree: each reached
     node's parent is its smallest-id live neighbour on a shortest
     path.  A masked-out root reaches nothing.  Costs must be positive. *)
+
+val fcp :
+  Rtr_topo.Topology.t ->
+  Rtr_failure.Damage.t ->
+  initiator:Rtr_graph.Graph.node ->
+  dst:Rtr_graph.Graph.node ->
+  Rtr_baselines.Fcp.result
+(** FCP recomputed from scratch: each round's path is [spt]'s canonical
+    path over the pre-failure map minus the links carried so far, with
+    no tree kept between rounds.  [Rtr_baselines.Fcp.route] must equal
+    it field for field, however its session shares trees. *)

@@ -12,8 +12,7 @@
     Dijkstra run needs, so repeated runs on the same domain allocate
     nothing: slots dirtied by one run are recorded on a touched stack
     and lazily reset at the start of the next run (O(touched), not
-    O(n)).  [Incremental_spt] borrows the same arena for its repair
-    scratch.
+    O(n)).
 
     Workspaces are single-domain values; use [get] for the calling
     domain's own arena (created on first use, observable as the
@@ -22,8 +21,7 @@
 
     {b Borrowing discipline}: an [Spt.t] produced by [spt ~workspace]
     aliases the workspace arrays.  It is valid only until the next
-    operation on the same workspace (another [spt ~workspace] run, an
-    [Incremental_spt] repair on the same domain, ...).  Copy it with
+    [spt ~workspace] run on the same workspace.  Copy it with
     [Spt.copy] if it must outlive that, or call [spt] without
     [?workspace] for an owned tree. *)
 module Workspace : sig

@@ -7,9 +7,10 @@
     view used to build per-destination routing tables under asymmetric
     link costs).
 
-    The representation is exposed because [Incremental_spt] repairs
-    trees in place; every other consumer must treat values of this type
-    as read-only. *)
+    The representation is exposed so that hot loops can read the
+    parent and distance arrays without an option per node ([Fcp]'s
+    tree reuse test, [Route_table]'s rows); consumers must treat values
+    of this type as read-only. *)
 
 type direction = From_root | To_root
 
@@ -43,9 +44,8 @@ val path : t -> Graph.node -> Path.t option
 
 val copy : t -> t
 (** Deep copy (fresh arrays).  Turns a tree borrowed from a workspace
-    run into an owned one (phase 2 keeps its session tree this way),
-    and lets the incremental algorithms mutate a copy, not the
-    original. *)
+    run into an owned one (phase 2 and FCP keep their session trees
+    this way). *)
 
 val children : t -> Graph.node list array
 (** Tree children of every node, derived from the parent pointers. *)

@@ -57,37 +57,6 @@ let default_path t ~src ~dst =
     Some (Rtr_graph.Path.of_nodes (walk [] src))
   end
 
-(* [default_path] + [Path.is_valid] fused, without materialising the
-   path: walk the precomputed next/link rows and probe the view's
-   bitsets directly.  This is the fig-11 classification kernel, run
-   n^2 times per sampled failure area, so the list building and the
-   per-hop [Graph.find_link] scans of the naive pair are worth fusing
-   away.  [None] when the table has no pre-failure path; otherwise
-   [Some valid] with exactly [Path.is_valid view (default_path ...)]'s
-   verdict. *)
-let default_path_valid t view ~src ~dst =
-  if src = dst then Some (View.node_ok view src)
-  else begin
-    let next_row = t.next.(dst) and link_row = t.next_lnk.(dst) in
-    if next_row.(src) = -1 then None
-    else begin
-      let u = ref src and verdict = ref true and walking = ref true in
-      while !walking do
-        if not (View.node_ok view !u) then begin
-          verdict := false;
-          walking := false
-        end
-        else if !u = dst then walking := false
-        else if not (View.link_ok view link_row.(!u)) then begin
-          verdict := false;
-          walking := false
-        end
-        else u := next_row.(!u)
-      done;
-      Some !verdict
-    end
-  end
-
 let equal a b =
   a.graph == b.graph && a.next = b.next && a.next_lnk = b.next_lnk
   && a.dist_to = b.dist_to

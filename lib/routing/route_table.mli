@@ -37,16 +37,13 @@ val link_row : t -> dst:Graph.node -> int array
     [(next_row t ~dst).(src)] is [next_hop t ~src ~dst] and
     [(link_row t ~dst).(src)] is [next_link t ~src ~dst], with [-1] for
     [None].  Shared, not copied — read only.  For hot loops that walk
-    many routes to one destination without an option per hop. *)
+    many routes to one destination without an option per hop:
+    Flowsim's window routing, and [Scenario.count_failed_paths], which
+    classifies every default path towards [dst] in one memoised pass
+    over these rows. *)
 
 val default_path : t -> src:Graph.node -> dst:Graph.node -> Rtr_graph.Path.t option
 (** The full default routing path, by following [next_hop]. *)
-
-val default_path_valid : t -> View.t -> src:Graph.node -> dst:Graph.node -> bool option
-(** [default_path_valid t view ~src ~dst] is
-    [Option.map (Path.is_valid view) (default_path t ~src ~dst)],
-    computed allocation-free by walking the table rows against the
-    view's bitsets — the hot classification kernel behind fig. 11. *)
 
 val equal : t -> t -> bool
 (** Structural equality of the routing state (same underlying graph,

@@ -39,13 +39,16 @@ let handles =
 let obs_hooks ~jobs =
   let c_runs, c_tasks, g_jobs, h_tasks, h_busy, h_idle = Lazy.force handles in
   let snaps = Array.make jobs Metrics.Snapshot.empty in
+  let spawned = ref 0 in
   let wrap w body =
     Trace.with_ "pool.shard" ~attrs:[ ("worker", string_of_int w) ] body;
     (* Runs in the worker domain: capture its cells before it exits.
        Publication to the coordinator is ordered by Domain.join. *)
     snaps.(w) <- Metrics.snapshot ()
   in
+  (* One record per spawned worker. *)
   let on_stats stats =
+    spawned := List.length stats;
     List.iter
       (fun (s : Pool.worker_stats) ->
         Metrics.Histogram.observe h_tasks (float_of_int s.Pool.tasks);
@@ -53,11 +56,11 @@ let obs_hooks ~jobs =
         Metrics.Histogram.observe h_idle s.Pool.idle_s)
       stats
   in
-  let finish ~tasks ~jobs_used =
+  let finish ~tasks =
     Array.iter Metrics.absorb snaps;
     Metrics.Counter.incr c_runs;
     Metrics.Counter.add c_tasks tasks;
-    Metrics.Gauge.set_max g_jobs (float_of_int jobs_used)
+    Metrics.Gauge.set_max g_jobs (float_of_int !spawned)
   in
   (wrap, on_stats, finish)
 
@@ -68,7 +71,7 @@ let map ~jobs f input =
   else begin
     let wrap, on_stats, finish = obs_hooks ~jobs in
     let out = Pool.map ~wrap_worker:wrap ~on_stats ~jobs f input in
-    finish ~tasks:n ~jobs_used:(min jobs n);
+    finish ~tasks:n;
     out
   end
 
@@ -82,6 +85,6 @@ let stream ~jobs ?capacity f ~producer ~consumer () =
       Pool.stream ~wrap_worker:wrap ~on_stats ?capacity ~jobs f ~producer
         ~consumer ()
     in
-    finish ~tasks:n ~jobs_used:jobs;
+    finish ~tasks:n;
     n
   end

@@ -54,5 +54,7 @@ val stream :
     [map]: bounded in-flight work pulled from [producer], results
     delivered to [consumer] in submission order, at most [capacity]
     (default [4 * jobs]) tasks in flight.  Returns the task count.
-    [jobs <= 1] is the bare sequential loop with no [pool.*] metrics,
-    exactly like [map]'s degenerate case. *)
+    [pool.jobs] records the workers actually spawned: a stream of
+    fewer than [jobs] tasks spawns one per task.  [jobs <= 1] is the
+    bare sequential loop with no [pool.*] metrics, exactly like
+    [map]'s degenerate case. *)

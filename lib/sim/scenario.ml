@@ -1,6 +1,7 @@
 module Graph = Rtr_graph.Graph
 module Damage = Rtr_failure.Damage
 module Route_table = Rtr_routing.Route_table
+module View = Rtr_graph.View
 
 type kind = Recoverable | Irrecoverable
 
@@ -129,6 +130,11 @@ let generate topo table rng ?(r_min = 100.0) ?(r_max = 300.0) () =
   let area = Rtr_failure.Area.random_disc rng ~r_min ~r_max () in
   of_area topo table area
 
+(* Per destination [t], the table's rows form a tree towards [t], and
+   a default path is valid iff its first hop is live and the rest is:
+   [valid u = node_ok u && (u = t || (link_ok (link_row u) && valid
+   (next_row u)))].  One memo over the rows settles each node once, so
+   a destination costs O(n) rather than O(n * path length). *)
 let count_failed_paths topo table damage =
   let g = Rtr_topo.Topology.graph topo in
   let view = Damage.view damage in
@@ -136,16 +142,37 @@ let count_failed_paths topo table damage =
   let comps = Rtr_graph.Components.compute view in
   let n = Graph.n_nodes g in
   let recoverable = ref 0 and irrecoverable = ref 0 in
-  for s = 0 to n - 1 do
-    if node_ok s then
-      for t = 0 to n - 1 do
-        if t <> s then
-          match Route_table.default_path_valid table view ~src:s ~dst:t with
-          | None | Some true -> ()
-          | Some false ->
-              if node_ok t && Rtr_graph.Components.same comps s t then
-                incr recoverable
-              else incr irrecoverable
-      done
+  (* 0 unknown, 1 valid, 2 invalid *)
+  let memo = Array.make n 0 and stack = Array.make n 0 in
+  for t = 0 to n - 1 do
+    let next_row = Route_table.next_row table ~dst:t
+    and link_row = Route_table.link_row table ~dst:t in
+    Array.fill memo 0 n 0;
+    for s = 0 to n - 1 do
+      if s <> t && node_ok s && next_row.(s) <> -1 then begin
+        (* Walk towards [t] until a settled node or a verdict, then
+           settle the walked prefix with it. *)
+        let depth = ref 0 and u = ref s and verdict = ref 0 in
+        while !verdict = 0 do
+          let v = !u in
+          if memo.(v) <> 0 then verdict := memo.(v)
+          else begin
+            stack.(!depth) <- v;
+            incr depth;
+            if not (View.node_ok view v) then verdict := 2
+            else if v = t then verdict := 1
+            else if not (View.link_ok view link_row.(v)) then verdict := 2
+            else u := next_row.(v)
+          end
+        done;
+        for i = 0 to !depth - 1 do
+          memo.(stack.(i)) <- !verdict
+        done;
+        if !verdict = 2 then
+          if node_ok t && Rtr_graph.Components.same comps s t then
+            incr recoverable
+          else incr irrecoverable
+      end
+    done
   done;
   (!recoverable, !irrecoverable)

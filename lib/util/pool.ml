@@ -13,8 +13,10 @@ type worker_stats = {
    indexed [seq mod capacity] (the coordinator waits on [can_consume]
    for the next in-order slot).  The ring never wraps onto a live slot:
    in-flight seqs span less than [capacity], so their slots are
-   distinct.  A failure parks the first exception in [failed]; workers
-   drain out, and the caller re-raises after joining every domain. *)
+   distinct.  Worker [k] is spawned when task [k] is submitted, so a
+   stream shorter than [jobs] starts one domain per task.  A failure
+   parks the first exception in [failed]; workers drain out, and the
+   caller re-raises after joining every domain. *)
 let stream_domains ?wrap_worker ?on_stats ~capacity ~jobs f ~producer ~consumer
     =
   let m = Mutex.create () in
@@ -85,14 +87,14 @@ let stream_domains ?wrap_worker ?on_stats ~capacity ~jobs f ~producer ~consumer
       park e bt;
       Mutex.unlock m
   in
-  let domains = Array.init jobs (fun w -> Domain.spawn (fun () -> worker w)) in
+  let domains = ref [] in
   let submitted = ref 0 and consumed = ref 0 in
   let shutdown () =
     Mutex.lock m;
     closed := true;
     Condition.broadcast can_take;
     Mutex.unlock m;
-    Array.iter Domain.join domains
+    List.iter Domain.join !domains
   in
   (* The coordinator produces while there is room in the window, and
      otherwise blocks on the next in-order result.  Producer and
@@ -112,7 +114,10 @@ let stream_domains ?wrap_worker ?on_stats ~capacity ~jobs f ~producer ~consumer
             Queue.add (!submitted, x) pending;
             incr submitted;
             Condition.signal can_take;
-            Mutex.unlock m
+            Mutex.unlock m;
+            let w = !submitted - 1 in
+            if w < jobs then
+              domains := Domain.spawn (fun () -> worker w) :: !domains
       end
       else begin
         let slot = !consumed mod capacity in

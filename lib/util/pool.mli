@@ -39,7 +39,7 @@ val map :
     domain around its whole task loop and must call [body] exactly
     once — the seam where callers install per-domain setup/teardown
     (metrics snapshots, trace spans).  [on_stats] receives one record
-    per worker after the join.
+    per spawned worker after the join.
 
     If any [f] application raises, the remaining tasks are abandoned,
     every domain is joined (the pool never wedges), and the first
@@ -74,6 +74,10 @@ val stream :
     never materialised.  [producer] and [consumer] both run on the
     calling domain and need no synchronisation of their own; ordering
     makes a parallel stream observationally the sequential loop.
+
+    Worker [k] is spawned when task [k] is submitted, so a stream of
+    [n < jobs] tasks starts only [n] domains, and [on_stats] receives
+    one record per spawned worker.
 
     With [jobs <= 1] this degenerates to an in-line
     produce/apply/consume loop on the calling domain: no domains, no

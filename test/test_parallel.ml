@@ -95,6 +95,20 @@ let test_map_pool_metrics () =
         (Metrics.Histogram.count h_workers - w0))
     sizes
 
+(* Workers are spawned as tasks arrive: a 2-task stream at jobs 4
+   starts two domains, so two stats records and [pool.jobs] = 2. *)
+let test_short_stream_spawns_per_task () =
+  let g_jobs = Metrics.gauge "pool.jobs" in
+  let h_workers = Metrics.histogram "pool.worker_tasks" in
+  Metrics.Gauge.set g_jobs 0.0;
+  let w0 = Metrics.Histogram.count h_workers in
+  let total, seen = stream_of 2 task in
+  Alcotest.(check int) "tasks" 2 total;
+  Alcotest.(check (list (pair int int))) "results" [ (0, 0); (1, 1) ] seen;
+  Alcotest.(check int) "one stats record per spawned worker" 2
+    (Metrics.Histogram.count h_workers - w0);
+  Alcotest.(check (float 0.0)) "pool.jobs" 2.0 (Metrics.Gauge.value g_jobs)
+
 (* Task 1 fails at once while its siblings are still sleeping: the
    exception may only reach the caller once no task is running, i.e.
    after every worker domain has joined. *)
@@ -135,6 +149,8 @@ let suite =
       test_worker_counters_absorbed;
     Alcotest.test_case "map records pool.jobs = min jobs n" `Quick
       test_map_pool_metrics;
+    Alcotest.test_case "short stream spawns one worker per task" `Quick
+      test_short_stream_spawns_per_task;
     Alcotest.test_case "exception re-raised after every join" `Quick
       test_exception_after_join;
   ]

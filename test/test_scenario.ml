@@ -99,6 +99,67 @@ let test_count_failed_paths () =
      live node. *)
   Alcotest.(check bool) "some irrecoverable" true (i >= 17)
 
+(* Fig. 11's definition pair by pair: the default path of every
+   ordered pair with a live source, materialised and checked link by
+   link; a failed one is recoverable iff the destination is still
+   reachable. *)
+let per_pair_failed_paths topo table damage =
+  let g = Rtr_topo.Topology.graph topo in
+  let view = Damage.view damage in
+  let n = Graph.n_nodes g in
+  let recoverable = ref 0 and irrecoverable = ref 0 in
+  for s = 0 to n - 1 do
+    for t = 0 to n - 1 do
+      if s <> t && Damage.node_ok damage s then
+        match Rtr_routing.Route_table.default_path table ~src:s ~dst:t with
+        | Some p when not (Rtr_graph.Path.is_valid view p) ->
+            if Damage.node_ok damage t && Rtr_graph.Bfs.reachable view s t
+            then incr recoverable
+            else incr irrecoverable
+        | Some _ | None -> ()
+    done
+  done;
+  (!recoverable, !irrecoverable)
+
+let test_count_failed_paths_per_pair () =
+  let seen = ref (0, 0) in
+  let check label topo table damage =
+    let ((r, i) as expected) = per_pair_failed_paths topo table damage in
+    seen := (fst !seen + r, snd !seen + i);
+    Alcotest.(check (pair int int))
+      label expected
+      (Scenario.count_failed_paths topo table damage)
+  in
+  List.iter
+    (fun (p : Rtr_topo.Isp.preset) ->
+      let topo = Rtr_topo.Isp.load p in
+      let g = Rtr_topo.Topology.graph topo in
+      let table = Rtr_routing.Route_table.compute (View.full g) in
+      let rng = Rtr_util.Rng.make 5 in
+      for i = 1 to 3 do
+        let area = Rtr_failure.Area.random_disc rng ~r_min:100. ~r_max:300. () in
+        check
+          (Printf.sprintf "%s disc %d" p.Rtr_topo.Isp.as_name i)
+          topo table
+          (Damage.apply topo area)
+      done)
+    Rtr_topo.Isp.table2;
+  let topo = PE.topology () in
+  let g = Rtr_topo.Topology.graph topo in
+  let table = Rtr_routing.Route_table.compute (View.full g) in
+  check "paper example" topo table
+    (Damage.of_failed g ~nodes:[ PE.failed_router ] ~links:(PE.cut_links ()));
+  (* Failing v12, v16 and v17 cuts v18 off from the rest. *)
+  let cut = Damage.of_failed g ~nodes:[ PE.v 12; PE.v 16; PE.v 17 ] ~links:[] in
+  Alcotest.(check bool) "disconnected" false
+    (Rtr_graph.Bfs.reachable (Damage.view cut) (PE.v 18) (PE.v 1));
+  check "disconnecting damage" topo table cut;
+  let r, i = !seen in
+  Alcotest.(check bool)
+    (Printf.sprintf "both kinds met (%d recoverable, %d irrecoverable)" r i)
+    true
+    (r > 0 && i > 0)
+
 let suite =
   [
     Alcotest.test_case "cases are valid detections" `Quick
@@ -108,4 +169,6 @@ let suite =
     Alcotest.test_case "cases deduplicated" `Quick test_cases_deduplicated;
     Alcotest.test_case "of_area deterministic" `Quick test_of_area_deterministic;
     Alcotest.test_case "count failed paths" `Quick test_count_failed_paths;
+    Alcotest.test_case "count failed paths = per-pair definition" `Quick
+      test_count_failed_paths_per_pair;
   ]
