@@ -108,8 +108,16 @@ let route s ~initiator ~dst =
   (* One recomputation round at [current]: the router's view is the
      pre-failure map minus carried failures minus what it can see on
      its own links.  It counts as a calculation whether or not the
-     session already holds a tree that answers it. *)
+     session already holds a tree that answers it.  Every round after
+     the first records a failure the header lacked, so more than
+     1 + |E| rounds means a path crossed a carried link: fail loudly
+     instead of looping while the journey grows. *)
   let rec round current =
+    if !sp_calcs > Graph.n_links g then
+      failwith
+        (Printf.sprintf
+           "Fcp.route v%d -> v%d: more than %d recomputations" initiator dst
+           (Graph.n_links g + 1));
     (* The recomputing router contributes everything it can see to the
        header: FCP packets carry the failure knowledge of the nodes
        they visit. *)

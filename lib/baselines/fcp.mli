@@ -64,9 +64,12 @@ val start : Rtr_topo.Topology.t -> Rtr_failure.Damage.t -> session
 (** An empty session; trees are computed on demand by [route]. *)
 
 val route : session -> initiator:Graph.node -> dst:Graph.node -> result
-(** Runs one FCP recovery.  Terminates in at most |E| recomputations:
-    each one is triggered by a failure absent from the header, which it
-    then records.  The initiator must be live and differ from [dst]
+(** Runs one FCP recovery.  Terminates in at most 1 + |E|
+    recomputations: each after the initiator's is triggered by a
+    failure absent from the header, which it then records.  A round
+    past that bound means a recomputed path crossed a carried link;
+    it raises [Failure] naming the initiator and destination rather
+    than looping.  The initiator must be live and differ from [dst]
     ([Invalid_argument] otherwise). *)
 
 val run :

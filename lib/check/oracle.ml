@@ -588,10 +588,11 @@ let fcp_vs_reference_run ~inject:_ spec =
   Array.iter
     (fun (c : Scenario.case) ->
       let initiator = c.Scenario.initiator and dst = c.Scenario.dst in
-      if
-        Rtr_baselines.Fcp.route session ~initiator ~dst
-        <> Reference.fcp topo damage ~initiator ~dst
-      then
+      let routed =
+        try Rtr_baselines.Fcp.route session ~initiator ~dst
+        with Failure msg -> raise (Found (violation name "%s" msg))
+      in
+      if routed <> Reference.fcp topo damage ~initiator ~dst then
         raise
           (Found
              (violation name

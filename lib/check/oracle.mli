@@ -20,7 +20,8 @@
       connected.
     - [fcp_vs_reference] — every case of the damage, run twice in
       shuffled order through one FCP session, equals
-      {!Reference.fcp} field for field.
+      {!Reference.fcp} field for field; a session route that overruns
+      FCP's recomputation bound is a violation, not a hang.
     - [graph_vs_reference] — for every root on the full and the damaged
       view, owned and workspace SPTs (both directions) equal
       {!Reference.spt} bit for bit, routing-table rows equal its

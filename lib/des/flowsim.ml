@@ -105,6 +105,7 @@ let ms_between t0 t1 =
 
 let context topo damage ?mrc config =
   let g = Rtr_topo.Topology.graph topo in
+  let cache = Topo_cache.shared topo in
   let timeline =
     (config.t_fail, damage)
     :: List.stable_sort
@@ -130,7 +131,7 @@ let context topo damage ?mrc config =
           e_det;
           e_conv;
           e_damage;
-          e_post = Route_table.compute (Damage.view e_damage);
+          e_post = Topo_cache.post_table cache e_damage;
           hold_ms = ms_between e_start e_det;
           rec_ms = ms_between e_det e_conv;
           conv_ms = ms_between e_conv e_end;
@@ -151,7 +152,7 @@ let context topo damage ?mrc config =
     topo;
     g;
     config;
-    pre = Topo_cache.table (Topo_cache.shared topo);
+    pre = Topo_cache.table cache;
     pre_ms = ms_between 0.0 (Float.min config.t_fail config.t_end);
     eras = Array.of_list (build timeline);
     mrc;

@@ -73,8 +73,10 @@ val default_config : config
 type context
 (** Immutable per-run state: routing tables and window boundaries for
     every era, shareable across evaluation shards.  The pre-failure
-    table is the topology's shared one ({!Rtr_routing.Topo_cache}), not
-    a per-context copy. *)
+    table and each era's post-failure table come from the topology's
+    shared cache ({!Rtr_routing.Topo_cache}), not per-context copies:
+    the five scheme contexts of one damage compute its post-failure
+    table once. *)
 
 val context : Rtr_topo.Topology.t -> Damage.t -> ?mrc:Mrc.t -> config -> context
 (** [?mrc] supplies a prebuilt MRC structure (it is topology-only, so

@@ -1,7 +1,7 @@
 module Graph = Rtr_graph.Graph
-module View = Rtr_graph.View
 module Damage = Rtr_failure.Damage
 module Route_table = Rtr_routing.Route_table
+module Topo_cache = Rtr_routing.Topo_cache
 module Delay = Rtr_routing.Delay
 module Convergence = Rtr_igp.Convergence
 module Sweep = Rtr_core.Sweep
@@ -416,7 +416,7 @@ and handle_sourced sim t packet remaining ~at =
 
 (* --- driver -------------------------------------------------------- *)
 
-let build_epochs g config damage =
+let build_epochs cache g config damage =
   let eras =
     (config.t_fail, damage)
     :: List.stable_sort
@@ -439,7 +439,7 @@ let build_epochs g config damage =
       {
         e_start;
         e_damage;
-        e_post = Route_table.compute (Damage.view e_damage);
+        e_post = Topo_cache.post_table cache e_damage;
         e_convergence = Convergence.compute config.igp g e_damage;
         e_since;
       })
@@ -456,13 +456,14 @@ let run topo damage config =
       ]
   @@ fun () ->
   let g = Rtr_topo.Topology.graph topo in
+  let cache = Topo_cache.shared topo in
   let sim =
     {
       topo;
       g;
       config;
-      pre = Route_table.compute (View.full g);
-      epochs = build_epochs g config damage;
+      pre = Topo_cache.table cache;
+      epochs = build_epochs cache g config damage;
       cur = 0;
       queue = Event_queue.create ();
       sessions = Hashtbl.create 16;

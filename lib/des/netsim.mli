@@ -82,7 +82,9 @@ type stats = {
 
 val run : Rtr_topo.Topology.t -> Rtr_failure.Damage.t -> config -> stats
 (** Deterministic: no randomness is involved once the inputs are
-    fixed. *)
+    fixed.  The pre-failure and each epoch's post-failure routing
+    tables come from the topology's shared
+    {!Rtr_routing.Topo_cache}. *)
 
 val ensure_metrics_registered : unit -> unit
 (** No-op whose only purpose is to force this module to be linked (and

@@ -34,12 +34,3 @@ let copy t =
     parent_node = Array.copy t.parent_node;
     parent_link = Array.copy t.parent_link;
   }
-
-let children t =
-  let n = Graph.n_nodes t.graph in
-  let kids = Array.make n [] in
-  for v = n - 1 downto 0 do
-    let p = t.parent_node.(v) in
-    if p >= 0 then kids.(p) <- v :: kids.(p)
-  done;
-  kids

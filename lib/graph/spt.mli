@@ -46,6 +46,3 @@ val copy : t -> t
 (** Deep copy (fresh arrays).  Turns a tree borrowed from a workspace
     run into an owned one (phase 2 and FCP keep their session trees
     this way). *)
-
-val children : t -> Graph.node list array
-(** Tree children of every node, derived from the parent pointers. *)

@@ -14,7 +14,6 @@ let c_ws_reuse = Rtr_obs.Metrics.counter "spt.ws_reuse"
 
 type t = {
   mutable n : int;  (* node capacity; -1 until first acquire *)
-  mutable m : int;  (* link count of the graph it was sized for *)
   mutable dist : int array;
   mutable parent_node : int array;
   mutable parent_link : int array;
@@ -28,7 +27,6 @@ type t = {
 let create () =
   {
     n = -1;
-    m = -1;
     dist = [||];
     parent_node = [||];
     parent_link = [||];
@@ -71,8 +69,8 @@ let select_queue ws g =
          ~n_nodes:(Graph.n_nodes g))
 
 let acquire ws g =
-  let n = Graph.n_nodes g and m = Graph.n_links g in
-  if ws.n = n && ws.m = m then begin
+  let n = Graph.n_nodes g in
+  if ws.n = n then begin
     Rtr_obs.Metrics.Counter.incr c_ws_reuse;
     flush ws;
     select_queue ws g
@@ -80,10 +78,9 @@ let acquire ws g =
   else begin
     Rtr_obs.Metrics.Counter.incr c_ws_alloc;
     Rtr_obs.Trace.with_ "spt.ws.alloc"
-      ~attrs:[ ("n", string_of_int n); ("m", string_of_int m) ]
+      ~attrs:[ ("n", string_of_int n) ]
     @@ fun () ->
     ws.n <- n;
-    ws.m <- m;
     ws.dist <- Array.make n max_int;
     ws.parent_node <- Array.make n (-1);
     ws.parent_link <- Array.make n (-1);

@@ -3,6 +3,8 @@ module Metrics = Rtr_obs.Metrics
 
 let c_table_hits = Metrics.counter "topo_cache.table_hits"
 let c_table_misses = Metrics.counter "topo_cache.table_misses"
+let c_post_hits = Metrics.counter "topo_cache.post_hits"
+let c_post_misses = Metrics.counter "topo_cache.post_misses"
 
 type t = {
   topo : Rtr_topo.Topology.t;
@@ -13,6 +15,8 @@ type t = {
      hit/miss counters exactly what a sequential run would record. *)
   lock : Mutex.t;
   mutable table : Route_table.t option;
+  (* The last damage asked of [post_table] and its table. *)
+  mutable post : (Rtr_failure.Damage.t * Route_table.t) option;
 }
 
 let create topo =
@@ -22,6 +26,7 @@ let create topo =
     full_view = View.full g;
     lock = Mutex.create ();
     table = None;
+    post = None;
   }
 
 let topology t = t.topo
@@ -57,4 +62,16 @@ let table t =
           Metrics.Counter.incr c_table_misses;
           let table = Route_table.compute t.full_view in
           t.table <- Some table;
+          table)
+
+let post_table t damage =
+  Mutex.protect t.lock (fun () ->
+      match t.post with
+      | Some (d, table) when d == damage ->
+          Metrics.Counter.incr c_post_hits;
+          table
+      | _ ->
+          Metrics.Counter.incr c_post_misses;
+          let table = Route_table.compute (Rtr_failure.Damage.view damage) in
+          t.post <- Some (damage, table);
           table)

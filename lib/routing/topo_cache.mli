@@ -6,8 +6,10 @@
     pre-failure routing table ([table]), reused by the scenario
     rejection-sampling loop instead of one [Route_table.compute] per
     candidate, and by every [Rtr_des.Flowsim.context] instead of one
-    per scheme.  The experiment harness reaches the same registry as
-    [Rtr_sim.Topo_cache].
+    per scheme.  One slot also holds the post-failure table of the
+    last damage asked for ([post_table]), so the scheme contexts of one
+    failure share it.  The experiment harness reaches the same registry
+    as [Rtr_sim.Topo_cache].
 
     Hit/miss counts are exported as [topo_cache.*] metrics. *)
 
@@ -33,3 +35,20 @@ val full_view : t -> Rtr_graph.View.t
 
 val table : t -> Route_table.t
 (** The pre-failure routing table, computed on first call. *)
+
+val post_table : t -> Rtr_failure.Damage.t -> Route_table.t
+(** The table the IGP converges to after [damage]:
+    [Route_table.compute (Damage.view damage)], computed once and
+    shared by every [Rtr_des.Flowsim.context] and [Rtr_des.Netsim.run]
+    era of that damage (the congestion sweep builds five scheme
+    contexts on one damage: one computation, four hits).
+
+    The cache holds one damage per topology, the last one asked for,
+    matched by physical equality: a distinct but [Damage.equal] value
+    is a miss, recomputed to an equal table, and replaces the slot.
+    One slot suffices because every caller asks for one damage's
+    table several times in a row and never alternates between damages
+    of one topology; a multi-era timeline, whose eras carry distinct
+    damages, recomputes each era's table every time.  Counted in
+    [topo_cache.post_hits] and [topo_cache.post_misses].  Thread-safe:
+    computes under the cache's lock, like [table]. *)

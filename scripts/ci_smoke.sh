@@ -138,16 +138,28 @@ echo "ci_smoke: determinism gate OK (RTR_JOBS=1 == RTR_JOBS=4; run --jobs 1 == -
 # the quick bench's flow sweep must actually have evaluated at least a
 # million flows (2 topologies x 5 schemes x REPRO_FLOWS).  AS3549 (486
 # links, the slowest AS per flow) joins the two smallest ASes so the
-# gate also covers a dense topology.
+# gate also covers a dense topology.  Each AS's five scheme contexts
+# share one damage, so at either worker count its post-failure table
+# must be computed once and served four times from Topo_cache: 3
+# misses and 12 hits, or the cache is dead.
 dune exec bin/rtr_sim.exe -- flows --topos AS209,AS1239,AS3549 \
-  --flows 20000 --jobs 1 > "$tmp/fl1.txt" 2> /dev/null
+  --flows 20000 --jobs 1 --metrics "$tmp/flm1.json" > "$tmp/fl1.txt" 2> /dev/null
 dune exec bin/rtr_sim.exe -- flows --topos AS209,AS1239,AS3549 \
-  --flows 20000 --jobs 4 > "$tmp/fl4.txt" 2> /dev/null
+  --flows 20000 --jobs 4 --metrics "$tmp/flm4.json" > "$tmp/fl4.txt" 2> /dev/null
 
 if ! diff "$tmp/fl1.txt" "$tmp/fl4.txt"; then
   echo "ci_smoke: FAIL — congestion report differs between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
+
+for j in 1 4; do
+  post_misses=$(grep -o '"topo_cache.post_misses":[0-9]*' "$tmp/flm$j.json" | cut -d: -f2)
+  post_hits=$(grep -o '"topo_cache.post_hits":[0-9]*' "$tmp/flm$j.json" | cut -d: -f2)
+  if [ "$post_misses" != 3 ] || [ "$post_hits" != 12 ]; then
+    echo "ci_smoke: FAIL — flows --jobs $j: topo_cache.post_misses='$post_misses' post_hits='$post_hits' (want 3 and 12)" >&2
+    exit 1
+  fi
+done
 
 flows_n=$(grep -o '"flowsim.flows":[0-9]*' BENCH_smoke.json | cut -d: -f2)
 if [ -z "$flows_n" ] || [ "$flows_n" -lt 1000000 ]; then
@@ -155,7 +167,7 @@ if [ -z "$flows_n" ] || [ "$flows_n" -lt 1000000 ]; then
   exit 1
 fi
 
-echo "ci_smoke: flow gate OK (congestion report jobs-invariant; $flows_n flows swept)"
+echo "ci_smoke: flow gate OK (congestion report jobs-invariant; post-failure tables 3 computed, 12 shared; $flows_n flows swept)"
 
 # --- recovery-map gate -----------------------------------------------
 # The precompute/serve pipeline end to end on a small artifact: the

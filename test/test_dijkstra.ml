@@ -67,8 +67,6 @@ let test_spt_path_and_children () =
   let t = Dijkstra.spt (View.full g) ~root:0 () in
   Alcotest.(check int) "root dist" 0 (Spt.dist t 0);
   Alcotest.(check int) "root parent" (-1) (Spt.parent_node t 0);
-  let kids = Spt.children t in
-  Alcotest.(check bool) "0 has children" true (List.length kids.(0) > 0);
   let copy = Spt.copy t in
   copy.Spt.dist.(3) <- 99;
   Alcotest.(check int) "copy is deep" 2 (Spt.dist t 3)

@@ -41,6 +41,7 @@ let () =
       ("sim.scenario", Test_scenario.suite);
       ("sim.runner", Test_runner.suite);
       ("sim.topo_cache", Test_topo_cache.suite);
+      ("routing.topo_cache", Test_topo_cache.post_suite);
       ("sim.experiments", Test_experiments.suite);
       ("sim.stream", Test_stream.suite);
       ("sim.parallel", Test_parallel.suite);

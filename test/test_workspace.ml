@@ -83,8 +83,8 @@ let test_get_is_per_domain_singleton () =
   Alcotest.(check bool) "same arena" true
     (Dijkstra.Workspace.get () == Dijkstra.Workspace.get ())
 
-(* First borrow against a given (n, m) allocates; later same-shape
-   borrows reuse; a different-shape graph reallocates. *)
+(* First borrow against a given node count allocates; later borrows on
+   that node count reuse; a graph with another node count reallocates. *)
 let test_alloc_reuse_counters () =
   let ws = Dijkstra.Workspace.create () in
   let g1 = Rtr_check.Gen.random_weighted_graph ~seed:5 ~n:12 ~extra:6 ~max_cost:5 in
@@ -104,6 +104,33 @@ let test_alloc_reuse_counters () =
   ignore (Dijkstra.spt ~workspace:ws v2 ~root:0 ());
   Alcotest.(check int) "shape change reallocates" (a0 + 2)
     (Metrics.Counter.value c_ws_alloc)
+
+(* The arena holds only node-indexed scratch, so two graphs with one
+   node count but different link counts share it: one allocation at
+   most (for the first borrow), reuse for the second graph, and both
+   trees still equal the reference. *)
+let test_same_node_count_reuses_arena () =
+  let ws = Dijkstra.Workspace.create () in
+  let sparse = Rtr_check.Gen.random_weighted_graph ~seed:5 ~n:15 ~extra:2 ~max_cost:5 in
+  let dense = Rtr_check.Gen.random_weighted_graph ~seed:7 ~n:15 ~extra:12 ~max_cost:5 in
+  Alcotest.(check bool) "link counts differ" true
+    (Graph.n_links sparse <> Graph.n_links dense);
+  let a0 = Metrics.Counter.value c_ws_alloc
+  and r0 = Metrics.Counter.value c_ws_reuse in
+  List.iter
+    (fun g ->
+      let view = View.full g in
+      check_same_tree
+        (Printf.sprintf "%d links" (Graph.n_links g))
+        (Reference.spt view ~root:0 ~direction:Spt.From_root)
+        (Dijkstra.spt ~workspace:ws view ~root:0 ()))
+    [ sparse; dense ];
+  let alloc = Metrics.Counter.value c_ws_alloc - a0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "ws_alloc moved by %d (want <= 1)" alloc)
+    true (alloc <= 1);
+  Alcotest.(check int) "second graph reuses" (r0 + 1)
+    (Metrics.Counter.value c_ws_reuse)
 
 (* An owned run must not touch the arena counters — [?workspace] is
    strictly opt-in. *)
@@ -162,6 +189,8 @@ let suite =
     Alcotest.test_case "get is a per-domain singleton" `Quick
       test_get_is_per_domain_singleton;
     Alcotest.test_case "alloc/reuse counters" `Quick test_alloc_reuse_counters;
+    Alcotest.test_case "same node count, other link count reuses" `Quick
+      test_same_node_count_reuses_arena;
     Alcotest.test_case "owned runs bypass arena" `Quick
       test_owned_runs_bypass_arena;
     Alcotest.test_case "route-table sweep reuses the domain arena" `Quick
