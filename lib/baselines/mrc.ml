@@ -13,10 +13,7 @@ type t = {
   restricted_link : int array;
       (* per isolated node, its single usable (restricted) link in the
          configuration isolating it; -1 for unprotected nodes *)
-  (* next.(c).(dst).(src) / dist.(c).(dst).(src) *)
-  next : int array array array;
-  dist : int array array array;
-  restricted_cost : int;
+  next : int array array array;  (* next.(c).(dst).(src) *)
 }
 
 (* Backbone connectivity: the non-isolated nodes must form one
@@ -101,11 +98,20 @@ let assign g k =
 
 (* In the configuration isolating v, exactly one of v's links — the
    restricted link, chosen as the smallest-id link to a non-isolated
-   neighbour — remains usable (at prohibitive weight, so only as a
-   first or last hop); every other link of v is isolated outright.
-   This is the original scheme's link treatment and what lets MRC
-   reroute around a failed last-hop link that the configuration
-   isolates.
+   neighbour — remains usable; every other link of v is isolated
+   outright.  This is the original scheme's link treatment and what
+   lets MRC reroute around a failed last-hop link that the
+   configuration isolates.
+
+   The original scheme also gives the restricted link a prohibitive
+   weight, so that shortest paths touch isolated nodes only as first
+   or last hop.  Here the masking alone guarantees that: an isolated
+   node keeps at most one link, to a node not isolated in the same
+   configuration, so it is a leaf of the configuration's view.  A leaf
+   can only be a first or last hop, and whatever weight its one link
+   carries adds the same amount to every path through it, so no
+   parent changes.  The configurations therefore route on the graph's
+   own costs.
 
    A link restricted at both its endpoints would be isolated in no
    configuration, leaving its failure unprotected; the chooser below
@@ -129,11 +135,6 @@ let build g ~k =
   | None -> None
   | Some (config_of, isolated) ->
       let n = Graph.n_nodes g in
-      let max_cost =
-        Graph.fold_links g ~init:1 ~f:(fun acc id u _ ->
-            max acc (Graph.cost g id ~src:u))
-      in
-      let restricted_cost = (n * max_cost) + 1 in
       let restricted_link = Array.make n (-1) in
       for v = 0 to n - 1 do
         if config_of.(v) <> -1 then
@@ -148,46 +149,27 @@ let build g ~k =
         else if v_iso then restricted_link.(v) = id
         else true
       in
-      let config_cost c id ~src =
-        let u, v = Graph.endpoints g id in
-        if iso u = c || iso v = c then restricted_cost
-        else Graph.cost g id ~src
+      let ws = Dijkstra.Workspace.get () in
+      let next =
+        Array.init k (fun c ->
+            (* MRC's configurations are precomputed failure views: each
+               one masks the links its isolated nodes may not carry
+               transit on. *)
+            let view_c =
+              View.of_failed g ~nodes:[]
+                ~links:
+                  (List.filter
+                     (fun id -> not (usable c id))
+                     (List.init (Graph.n_links g) Fun.id))
+            in
+            Array.init n (fun dst ->
+                let spt =
+                  Dijkstra.spt ~workspace:ws view_c ~root:dst
+                    ~direction:Spt.To_root ()
+                in
+                Array.init n (Spt.parent_node spt)))
       in
-      let next = Array.init k (fun _ -> [||])
-      and dist = Array.init k (fun _ -> [||]) in
-      for c = 0 to k - 1 do
-        (* MRC's configurations are precomputed failure views: each one
-           masks the links its isolated nodes may not carry transit on. *)
-        let view_c =
-          View.of_failed g ~nodes:[]
-            ~links:
-              (List.filter
-                 (fun id -> not (usable c id))
-                 (List.init (Graph.n_links g) Fun.id))
-        in
-        let next_c = Array.make n [||] and dist_c = Array.make n [||] in
-        for dst = 0 to n - 1 do
-          let spt =
-            Dijkstra.spt view_c ~root:dst ~direction:Spt.To_root
-              ~cost:(config_cost c) ()
-          in
-          next_c.(dst) <- Array.init n (fun src -> Spt.parent_node spt src);
-          dist_c.(dst) <- Array.init n (fun src -> Spt.dist spt src)
-        done;
-        next.(c) <- next_c;
-        dist.(c) <- dist_c
-      done;
-      Some
-        {
-          graph = g;
-          k;
-          config_of;
-          isolated;
-          restricted_link;
-          next;
-          dist;
-          restricted_cost;
-        }
+      Some { graph = g; k; config_of; isolated; restricted_link; next }
 
 let build_auto ?(k_start = 4) ?(k_max = 64) g =
   let rec try_k k =

@@ -3,9 +3,9 @@
 
     Ahead of any failure, the network precomputes k routing
     configurations.  In configuration c a subset of nodes is
-    {e isolated}: their links carry a prohibitive ("restricted") weight
-    so shortest paths only touch them as first or last hop, and links
-    between two isolated nodes are unusable.  Every node is isolated in
+    {e isolated}: each keeps one usable ("restricted") link, to a node
+    not isolated in c, and all its other links are masked, so shortest
+    paths only touch it as first or last hop.  Every node is isolated in
     exactly one configuration, and the non-isolated backbone of every
     configuration stays connected — so any {e single} component failure
     can be routed around by switching to the configuration that
@@ -27,7 +27,7 @@ val build : Graph.t -> k:int -> t option
     [k] configurations cannot cover every isolatable node. *)
 
 val build_auto : ?k_start:int -> ?k_max:int -> Graph.t -> t
-(** Smallest feasible k in [k_start, k_max] (defaults 4, 16).  Raises
+(** Smallest feasible k in [k_start, k_max] (defaults 4, 64).  Raises
     [Failure] if even [k_max] does not suffice (never observed on
     connected graphs of the evaluation's sizes). *)
 

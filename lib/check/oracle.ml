@@ -3,6 +3,7 @@ module View = Rtr_graph.View
 module Spt = Rtr_graph.Spt
 module Path = Rtr_graph.Path
 module Dijkstra = Rtr_graph.Dijkstra
+module Pqueue = Rtr_graph.Pqueue
 module Components = Rtr_graph.Components
 module Damage = Rtr_failure.Damage
 module Route_table = Rtr_routing.Route_table
@@ -661,21 +662,41 @@ let graph_vs_reference_run ~inject:_ spec =
 let dial_vs_heap_run ~inject:_ spec =
   let topo, damage = Spec.build spec in
   let g = Rtr_topo.Topology.graph topo in
-  let truth = Damage.view damage in
-  let full = View.full g in
+  let n = Graph.n_nodes g in
   let name = "dial_vs_heap" in
-  (* Passing the graph's own costs as a *custom* cost function forces
-     the binary heap (a closure's priorities carry no bound), while the
-     default run selects the Dial bucket queue whenever the graph bound
-     fits — so the two runs differ in nothing but the queue
-     discipline, and must agree on every label and parent (the Dial
-     pop order is lexicographic (prio, tag), same as the heap's). *)
-  let heap_cost id ~src = Graph.cost g id ~src in
-  let check ~root ~direction ~view label =
+  (* The heap side runs on a copy of [g] with the same link ids and
+     every cost multiplied by [factor], which pushes the copy's queue
+     bound past [Pqueue.max_dial_bound], so its runs take the binary
+     heap while [g]'s take the Dial buckets whenever its bound fits.
+     Scaling every cost by one factor changes no parent and multiplies
+     every distance by it, so the two runs must agree on every parent
+     and on dist up to the factor (the Dial pop order is lexicographic
+     (prio, tag), same as the heap's). *)
+  let factor =
+    (Pqueue.max_dial_bound / (Graph.max_cost g * max 1 (n - 1))) + 1
+  in
+  let scaled =
+    Graph.build_weighted ~n
+      ~edges:
+        (List.init (Graph.n_links g) (fun id ->
+             let u, v = Graph.endpoints g id in
+             ( u,
+               v,
+               factor * Graph.cost g id ~src:u,
+               factor * Graph.cost g id ~src:v )))
+  in
+  let views g =
+    ( View.full g,
+      View.of_failed g ~nodes:(Damage.failed_nodes damage)
+        ~links:(Damage.failed_links damage) )
+  in
+  let full, damaged = views g and full', damaged' = views scaled in
+  let check ~root ~direction (view, view') label =
     let a = Dijkstra.spt view ~root ~direction () in
-    let b = Dijkstra.spt view ~root ~direction ~cost:heap_cost () in
+    let b = Dijkstra.spt view' ~root ~direction () in
     if
-      a.Spt.dist <> b.Spt.dist
+      Array.map (fun d -> if d = max_int then d else d * factor) a.Spt.dist
+      <> b.Spt.dist
       || a.Spt.parent_node <> b.Spt.parent_node
       || a.Spt.parent_link <> b.Spt.parent_link
     then
@@ -686,11 +707,12 @@ let dial_vs_heap_run ~inject:_ spec =
               label))
   in
   first_violation @@ fun () ->
-  for root = 0 to Graph.n_nodes g - 1 do
-    check ~root ~direction:Spt.From_root ~view:full "full, from-root";
+  for root = 0 to n - 1 do
+    check ~root ~direction:Spt.From_root (full, full') "full, from-root";
     if Damage.node_ok damage root then begin
-      check ~root ~direction:Spt.From_root ~view:truth "damaged, from-root";
-      check ~root ~direction:Spt.To_root ~view:truth "damaged, to-root"
+      check ~root ~direction:Spt.From_root (damaged, damaged')
+        "damaged, from-root";
+      check ~root ~direction:Spt.To_root (damaged, damaged') "damaged, to-root"
     end
   done
 
@@ -916,7 +938,9 @@ let graph_vs_reference =
 let dial_vs_heap =
   {
     name = "dial_vs_heap";
-    doc = "bucket-queue (Dial) SPTs equal binary-heap SPTs bit for bit";
+    doc =
+      "bucket-queue (Dial) SPTs equal binary-heap SPTs on a cost-scaled \
+       copy";
     run = dial_vs_heap_run;
   }
 

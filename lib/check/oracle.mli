@@ -29,9 +29,10 @@
       reachability.  The workspace is the domain's own, so a campaign
       also exercises reuse across graph shapes.
     - [dial_vs_heap] — SPTs computed through the Dial bucket queue
-      (selected whenever the graph's cost bound fits) equal
-      binary-heap SPTs bit for bit, full and damaged views, both
-      directions.
+      (selected whenever the graph's cost bound fits) equal the
+      binary-heap SPTs of a copy whose costs are scaled past the Dial
+      cap: same parents, distances times the scale, full and damaged
+      views, both directions.
     - [parallel_vs_sequential] — evaluating the scenario's cases on a
       multi-domain pool yields results structurally identical to the
       sequential run.

@@ -39,7 +39,6 @@ val spt :
   View.t ->
   root:Graph.node ->
   ?direction:Spt.direction ->
-  ?cost:(Graph.link_id -> src:Graph.node -> int) ->
   unit ->
   Spt.t
 (** Single-source shortest paths from/towards [root] (default
@@ -53,15 +52,13 @@ val spt :
     [To_root] trees on this contract, and [Rtr_check.Reference] builds
     the same tree by definition.
 
-    Without [?workspace] the result owns freshly allocated arrays (and
-    the run counts as [spt.from_scratch]).  With [?workspace] the run
-    reuses the arena's arrays and heap and the result is {e borrowed} —
-    bit-identical to the owned result, but only readable until the next
-    workspace operation (see {!Workspace}).
-
-    [cost] overrides the graph's own link costs ([src] is the node the
-    link is crossed out of); MRC's restricted-link weights use this.
-    Costs must stay positive. *)
+    Without [?workspace] the run gets a fresh arena of its own, so the
+    result owns its arrays (the run counts as [spt.from_scratch], not
+    as [spt.ws_alloc]).  With [?workspace] the run reuses the arena's
+    arrays and heap and the result is {e borrowed} — bit-identical to
+    the owned result, but only readable until the next workspace
+    operation (see {!Workspace}).  Either way the graph's cost bound
+    selects the queue discipline (see [Pqueue]). *)
 
 val shortest_path :
   View.t -> src:Graph.node -> dst:Graph.node -> Path.t option

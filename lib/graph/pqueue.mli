@@ -30,9 +30,11 @@ val create_bounded : bound:int -> t
 
 val configure : t -> bound:int -> unit
 (** Re-select the discipline of an existing (empty or no longer
-    needed) queue for a new priority bound, clearing it first.  Used
-    by [Dijkstra.Workspace] to retarget the per-domain queue at each
-    acquired graph. *)
+    needed) queue for a new priority bound, clearing it first, and
+    count the choice in [pqueue.dial_selected] or
+    [pqueue.heap_selected].  Every [Dijkstra.spt] run, owned or on a
+    workspace, configures its queue here, so the two counters count
+    every SPT run. *)
 
 val max_dial_bound : int
 (** Largest priority bound for which dial mode is selected; above it

@@ -59,14 +59,31 @@ let flush ws =
 
 (* Retarget the persistent queue at [g]: dial buckets when the graph's
    cost bound is small (IGP-style integer weights), binary heap
-   otherwise.  Runs with a custom cost function must override this with
-   [Pqueue.configure ~bound:(-1)] after acquiring — the graph bound
-   says nothing about their priorities. *)
+   otherwise. *)
 let select_queue ws g =
   Pqueue.configure ws.heap
     ~bound:
       (Pqueue.dial_bound_for ~max_cost:(Graph.max_cost g)
          ~n_nodes:(Graph.n_nodes g))
+
+(* Fresh rest-state arrays for [g]'s node count. *)
+let size ws g =
+  let n = Graph.n_nodes g in
+  ws.n <- n;
+  ws.dist <- Array.make n max_int;
+  ws.parent_node <- Array.make n (-1);
+  ws.parent_link <- Array.make n (-1);
+  ws.settled <- Array.make n false;
+  ws.touched <- Array.make n 0;
+  ws.n_touched <- 0;
+  select_queue ws g
+
+(* An arena of its own for one owned run: not the domain's, so neither
+   arena counter moves. *)
+let fresh g =
+  let ws = create () in
+  size ws g;
+  ws
 
 let acquire ws g =
   let n = Graph.n_nodes g in
@@ -79,14 +96,5 @@ let acquire ws g =
     Rtr_obs.Metrics.Counter.incr c_ws_alloc;
     Rtr_obs.Trace.with_ "spt.ws.alloc"
       ~attrs:[ ("n", string_of_int n) ]
-    @@ fun () ->
-    ws.n <- n;
-    ws.dist <- Array.make n max_int;
-    ws.parent_node <- Array.make n (-1);
-    ws.parent_link <- Array.make n (-1);
-    ws.settled <- Array.make n false;
-    ws.touched <- Array.make n 0;
-    ws.n_touched <- 0;
-    Pqueue.clear ws.heap;
-    select_queue ws g
+    @@ fun () -> size ws g
   end

@@ -265,22 +265,19 @@ let fig7 data =
 
 (* ------------------------------------------------------------------ *)
 
-let optimal_eps = 1.0 +. 1e-9
-
-let rtr_optimal (r : Runner.result) =
-  r.Runner.rtr_recovered
+(* Optimal means the delivered path costs exactly the true shortest
+   path: integer equality on the recorded costs, not a float stretch
+   compared with a tolerance. *)
+let optimal (r : Runner.result) ~delivered cost =
+  delivered
   &&
-  match r.Runner.rtr_stretch with Some s -> s <= optimal_eps | None -> false
+  match r.Runner.case.Scenario.shortest_after with
+  | Some best -> cost = Some best
+  | None -> false
 
-let fcp_optimal (r : Runner.result) =
-  r.Runner.fcp_delivered
-  &&
-  match r.Runner.fcp_stretch with Some s -> s <= optimal_eps | None -> false
-
-let mrc_optimal (r : Runner.result) =
-  r.Runner.mrc_delivered
-  &&
-  match r.Runner.mrc_stretch with Some s -> s <= optimal_eps | None -> false
+let rtr_optimal r = optimal r ~delivered:r.Runner.rtr_recovered r.Runner.rtr_cost
+let fcp_optimal r = optimal r ~delivered:r.Runner.fcp_delivered r.Runner.fcp_cost
+let mrc_optimal r = optimal r ~delivered:r.Runner.mrc_delivered r.Runner.mrc_cost
 
 let count f xs = List.length (List.filter f xs)
 

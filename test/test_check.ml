@@ -132,6 +132,20 @@ let test_oracles_pass_on_protocol () =
   Alcotest.(check int) "no violations" 0
     (List.length outcome.Campaign.failures)
 
+(* dial_vs_heap compares two queue disciplines only if both really
+   run: every SPT configures its queue, so both selection counters must
+   move on a small-cost spec. *)
+let test_dial_vs_heap_runs_both_queues () =
+  let dial = Rtr_obs.Metrics.counter "pqueue.dial_selected"
+  and heap = Rtr_obs.Metrics.counter "pqueue.heap_selected" in
+  let value = Rtr_obs.Metrics.Counter.value in
+  let d0 = value dial and h0 = value heap in
+  (match Oracle.dial_vs_heap.Oracle.run ~inject:None (gen_spec 3) with
+  | None -> ()
+  | Some v -> Alcotest.failf "dial_vs_heap: %s" v.Oracle.detail);
+  Alcotest.(check bool) "dial runs counted" true (value dial > d0);
+  Alcotest.(check bool) "heap runs counted" true (value heap > h0)
+
 let test_corpus_specs_pass_every_oracle () =
   (* Corpus artifacts name one oracle each.  An [expect=pass] spec must
      be green under every oracle; an [expect=violation] spec must trip
@@ -411,6 +425,8 @@ let suite =
     Alcotest.test_case "shrinking moves" `Quick test_shrink_moves;
     Alcotest.test_case "oracles pass on the protocol" `Quick
       test_oracles_pass_on_protocol;
+    Alcotest.test_case "dial_vs_heap runs both queues" `Quick
+      test_dial_vs_heap_runs_both_queues;
     Alcotest.test_case "corpus passes every oracle" `Quick
       test_corpus_specs_pass_every_oracle;
     Alcotest.test_case "injected bug caught, shrunk, reproduced" `Quick

@@ -43,18 +43,6 @@ let test_filters_and_unreachable () =
        (View.of_failed g ~nodes:[ 1; 2 ] ~links:[])
        ~src:0 ~dst:3)
 
-let test_cost_override () =
-  let g = weighted_diamond () in
-  (* Override makes the 0-2 link cheap. *)
-  let cost id ~src =
-    let u, v = Graph.endpoints g id in
-    ignore src;
-    if (u, v) = (0, 2) then 1 else 10
-  in
-  let t = Dijkstra.spt (View.full g) ~root:0 ~cost () in
-  Alcotest.(check int) "override respected" 1 (Spt.dist t 2);
-  Alcotest.(check int) "other path dearer" 10 (Spt.dist t 1)
-
 let test_dead_root () =
   let g = weighted_diamond () in
   let t =
@@ -113,7 +101,6 @@ let suite =
     Alcotest.test_case "asymmetric" `Quick test_asymmetric;
     Alcotest.test_case "to_root direction" `Quick test_to_root_direction;
     Alcotest.test_case "filters/unreachable" `Quick test_filters_and_unreachable;
-    Alcotest.test_case "cost override" `Quick test_cost_override;
     Alcotest.test_case "dead root" `Quick test_dead_root;
     Alcotest.test_case "spt path/children/copy" `Quick test_spt_path_and_children;
     QCheck_alcotest.to_alcotest matches_bfs_on_unit_costs;

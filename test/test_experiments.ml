@@ -81,6 +81,66 @@ let test_table3_shape_and_claims () =
       Alcotest.(check string) "one calculation" "1" (nth 10))
     t.Experiments.rows
 
+(* Table III's optimal rates compare integer costs.  Rocketfuel weights
+   reach 2^30, where a path one unit too long has a stretch of
+   1 + 9.3e-10: a float tolerance would call it optimal. *)
+let test_table3_optimality_exact () =
+  let best = 1 lsl 30 in
+  let result cost =
+    let some = Some cost and shortest_after = Some best in
+    let stretch = Rtr_sim.Runner.stretch_of_cost ~shortest_after some in
+    {
+      Rtr_sim.Runner.case =
+        {
+          Rtr_sim.Scenario.initiator = 0;
+          trigger = 1;
+          dst = 2;
+          kind = Rtr_sim.Scenario.Recoverable;
+          shortest_after;
+        };
+      rtr_p1_hops = 0;
+      rtr_p1_bytes = [];
+      rtr_p1_completed = true;
+      rtr_recovered = true;
+      rtr_cost = some;
+      rtr_stretch = stretch;
+      rtr_route_bytes = 0;
+      rtr_wasted_tx = 0;
+      rtr_calcs = 1;
+      fcp_delivered = true;
+      fcp_cost = some;
+      fcp_stretch = stretch;
+      fcp_calcs = 1;
+      fcp_hop_bytes = [];
+      fcp_wasted_tx = 0;
+      mrc_delivered = true;
+      mrc_cost = some;
+      mrc_stretch = stretch;
+    }
+  in
+  let preset = Option.get (Isp.find "AS1239") in
+  let t =
+    Experiments.table3
+      [
+        {
+          Experiments.preset;
+          topo = Isp.load preset;
+          mrc_configs = 0;
+          recoverable = [ result best; result (best + 1) ];
+          irrecoverable = [];
+        };
+      ]
+  in
+  List.iter
+    (fun row ->
+      List.iter
+        (fun (i, scheme) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: one of two cases optimal" scheme)
+            "50.0" (List.nth row i))
+        [ (4, "RTR"); (5, "FCP"); (6, "MRC") ])
+    t.Experiments.rows
+
 let test_fig8_fig9 () =
   let _, data = Lazy.force data in
   let f8 = Experiments.fig8 data in
@@ -255,6 +315,8 @@ let suite =
     Alcotest.test_case "table2" `Slow test_table2;
     Alcotest.test_case "fig7" `Slow test_fig7;
     Alcotest.test_case "table3 claims" `Slow test_table3_shape_and_claims;
+    Alcotest.test_case "table3 optimality is exact" `Quick
+      test_table3_optimality_exact;
     Alcotest.test_case "fig8/fig9" `Slow test_fig8_fig9;
     Alcotest.test_case "fig10 shape" `Slow test_fig10_shape;
     Alcotest.test_case "fig12/fig13/table4" `Slow test_fig12_fig13_table4;

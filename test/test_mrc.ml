@@ -94,6 +94,69 @@ let test_build_k_too_small () =
       (* If it does succeed, the partition must still be valid. *)
       Alcotest.(check int) "k" 2 (Mrc.n_configs mrc)
 
+(* What the original scheme's prohibitive restricted-link weight
+   guarantees, checked on the masked configurations: in every
+   configuration c the tables never use a node isolated in c as an
+   interior hop, and between two backbone nodes they route at the cost
+   of a shortest path over the backbone alone. *)
+let check_configurations label g =
+  let mrc = Mrc.build_auto g in
+  let n = Graph.n_nodes g in
+  for c = 0 to Mrc.n_configs mrc - 1 do
+    let isolated = Mrc.isolated_in mrc c in
+    let is_iso = Array.make n false in
+    List.iter (fun v -> is_iso.(v) <- true) isolated;
+    let backbone = View.of_failed g ~nodes:isolated ~links:[] in
+    for dst = 0 to n - 1 do
+      let best =
+        Rtr_check.Reference.spt backbone ~root:dst
+          ~direction:Rtr_graph.Spt.To_root
+      in
+      for src = 0 to n - 1 do
+        if src <> dst then begin
+          let rec walk u acc hops =
+            if u = dst then Path.of_nodes (List.rev acc)
+            else if hops > n then
+              Alcotest.failf "%s config %d: v%d -> v%d loops" label c src dst
+            else
+              match Mrc.next_hop mrc ~config:c ~src:u ~dst with
+              | None ->
+                  Alcotest.failf "%s config %d: v%d -> v%d stops at v%d" label
+                    c src dst u
+              | Some v ->
+                  if v <> dst && is_iso.(v) then
+                    Alcotest.failf
+                      "%s config %d: v%d -> v%d transits isolated v%d" label c
+                      src dst v;
+                  walk v (v :: acc) (hops + 1)
+          in
+          let path = walk src [ src ] 0 in
+          if (not is_iso.(src)) && not is_iso.(dst) then
+            Alcotest.(check int)
+              (Printf.sprintf "%s config %d: v%d -> v%d cost" label c src dst)
+              (Rtr_graph.Spt.dist best src) (Path.cost g path)
+        end
+      done
+    done
+  done
+
+let test_configurations_asymmetric () =
+  List.iter
+    (fun seed ->
+      let g =
+        Rtr_check.Gen.random_weighted_graph ~seed ~n:(16 + seed) ~extra:20
+          ~max_cost:9
+      in
+      check_configurations (Printf.sprintf "seed %d" seed) g)
+    [ 1; 2; 3; 4; 5 ]
+
+let test_configurations_table2 () =
+  List.iter
+    (fun (preset : Rtr_topo.Isp.preset) ->
+      check_configurations preset.Rtr_topo.Isp.as_name
+        (Rtr_topo.Topology.graph (Rtr_topo.Isp.load preset)))
+    Rtr_topo.Isp.table2
+
 let delivered_paths_are_live =
   QCheck.Test.make ~name:"MRC delivered paths survive the damage" ~count:60
     QCheck.(pair (int_range 6 25) (int_range 0 300))
@@ -145,6 +208,10 @@ let suite =
     Alcotest.test_case "single node failure" `Quick test_single_node_failure_recovery;
     Alcotest.test_case "second failure drops" `Quick test_second_failure_drops;
     Alcotest.test_case "small k" `Quick test_build_k_too_small;
+    Alcotest.test_case "configurations, asymmetric costs" `Quick
+      test_configurations_asymmetric;
+    Alcotest.test_case "configurations, Table II" `Quick
+      test_configurations_table2;
     QCheck_alcotest.to_alcotest delivered_paths_are_live;
     QCheck_alcotest.to_alcotest single_failure_always_recovers;
   ]
