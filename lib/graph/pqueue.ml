@@ -227,11 +227,6 @@ let configure h ~bound =
     h.bound <- -1
   end
 
-let create_bounded ~bound =
-  let h = create () in
-  configure h ~bound;
-  h
-
 let dial_bound_for ~max_cost ~n_nodes =
   if n_nodes <= 1 then 0
   else if max_cost > max_dial_bound / (n_nodes - 1) then -1

@@ -22,12 +22,6 @@ type t
 val create : unit -> t
 (** A queue in binary-heap mode. *)
 
-val create_bounded : bound:int -> t
-(** [create_bounded ~bound] is a queue for priorities in [0, bound]:
-    dial mode when the bound is small enough (non-negative and at most
-    [max_dial_bound]), heap mode otherwise.  A negative [bound] means
-    "unbounded" and always selects the heap. *)
-
 val configure : t -> bound:int -> unit
 (** Re-select the discipline of an existing (empty or no longer
     needed) queue for a new priority bound, clearing it first, and

@@ -39,8 +39,9 @@ val link_row : t -> dst:Graph.node -> int array
     [None].  Shared, not copied — read only.  For hot loops that walk
     many routes to one destination without an option per hop:
     Flowsim's window routing, and [Scenario.count_failed_paths], which
-    classifies every default path towards [dst] in one memoised pass
-    over these rows. *)
+    indexes the tree these rows form towards [dst] once per table and
+    then classifies a damage's failed paths from the subtrees it
+    cuts. *)
 
 val default_path : t -> src:Graph.node -> dst:Graph.node -> Rtr_graph.Path.t option
 (** The full default routing path, by following [next_hop]. *)

@@ -468,8 +468,11 @@ let fig11 ?(log = fun _ -> ()) ?(areas_per_radius = 200) ?radii config =
   let series =
     List.map
       (fun (preset : Isp.preset) ->
+        Trace.with_ "experiments.fig11" ~attrs:[ ("as", preset.Isp.as_name) ]
+        @@ fun () ->
         let topo = Isp.load preset in
         let table = Topo_cache.table (Topo_cache.shared topo) in
+        let count_failed_paths = Scenario.count_failed_paths topo table in
         let rng = Rtr_util.Rng.make (config.seed + preset.Isp.seed + 11) in
         let points =
           List.map
@@ -481,7 +484,7 @@ let fig11 ?(log = fun _ -> ()) ?(areas_per_radius = 200) ?radii config =
                     ()
                 in
                 let damage = Rtr_failure.Damage.apply topo area in
-                let r, i = Scenario.count_failed_paths topo table damage in
+                let r, i = count_failed_paths damage in
                 rec_total := !rec_total + r;
                 irr_total := !irr_total + i
               done;

@@ -98,4 +98,14 @@ val count_failed_paths :
   int * int
 (** [(recoverable, irrecoverable)] counts over {e all} failed routing
     paths with a live source (no deduplication) — what Fig. 11
-    plots. *)
+    plots.
+
+    Apply it to [topo] and [table] once and reuse the result for every
+    damage: the partial application builds a preorder index of each
+    destination's tree in the table (3 n{^ 2} words), and the damage
+    function then scans only the subtrees the damage cuts, in
+    O(n * |failed elements| + failed paths) plus one components pass.
+    Passing all three arguments at once gives the same counts but
+    rebuilds the index.  The damage function only reads the index and
+    allocates its scratch per call, so one instance may be shared
+    across domains. *)

@@ -50,6 +50,13 @@ let heap_sorts =
 
 (* --- Dial (bucket-queue) mode --------------------------------------- *)
 
+(* A dial-capable queue the way every workspace queue gets one: created
+   in heap mode, then configured for its bound. *)
+let bounded ~bound =
+  let q = Pqueue.create () in
+  Pqueue.configure q ~bound;
+  q
+
 let drain h =
   let rec go acc =
     match Pqueue.pop h with None -> List.rev acc | Some x -> go (x :: acc)
@@ -57,13 +64,13 @@ let drain h =
   go []
 
 let test_dial_selected () =
-  let d = Pqueue.create_bounded ~bound:100 in
+  let d = bounded ~bound:100 in
   Alcotest.(check bool) "bound 100 -> dial" true (Pqueue.uses_dial d);
-  let h = Pqueue.create_bounded ~bound:(-1) in
+  let h = bounded ~bound:(-1) in
   Alcotest.(check bool) "bound -1 -> heap" false (Pqueue.uses_dial h);
-  let big = Pqueue.create_bounded ~bound:(Pqueue.max_dial_bound + 1) in
+  let big = bounded ~bound:(Pqueue.max_dial_bound + 1) in
   Alcotest.(check bool) "bound over max -> heap" false (Pqueue.uses_dial big);
-  let edge = Pqueue.create_bounded ~bound:Pqueue.max_dial_bound in
+  let edge = bounded ~bound:Pqueue.max_dial_bound in
   Alcotest.(check bool) "bound at max -> dial" true (Pqueue.uses_dial edge)
 
 let test_dial_bound_for () =
@@ -77,7 +84,7 @@ let test_dial_bound_for () =
 (* The monotone-bound contract: dial mode rejects out-of-range
    priorities loudly instead of corrupting buckets. *)
 let test_dial_bound_violation () =
-  let d = Pqueue.create_bounded ~bound:10 in
+  let d = bounded ~bound:10 in
   Pqueue.push d ~prio:0 ~tag:1;
   Pqueue.push d ~prio:10 ~tag:2;
   Alcotest.check_raises "prio = bound + 1 rejected"
@@ -94,7 +101,7 @@ let test_dial_bound_violation () =
    position of a bucket array. *)
 let test_dial_bucket_boundary () =
   let b = 37 in
-  let d = Pqueue.create_bounded ~bound:b in
+  let d = bounded ~bound:b in
   Pqueue.push d ~prio:b ~tag:5;
   Pqueue.push d ~prio:b ~tag:3;
   Pqueue.push d ~prio:0 ~tag:9;
@@ -120,7 +127,7 @@ let test_dial_decrease_key () =
     Pqueue.push q ~prio:2 ~tag:4;
     drain q
   in
-  let dial = run (Pqueue.create_bounded ~bound:10) in
+  let dial = run (bounded ~bound:10) in
   let heap = run (Pqueue.create ()) in
   Alcotest.(check (list (pair int int)))
     "both disciplines expose the stale copy in order"
@@ -138,7 +145,7 @@ let dial_matches_heap =
         (list (pair (int_bound 50) (int_bound 20)))
         (list (pair (int_bound 50) (int_bound 20))))
     (fun (batch1, batch2) ->
-      let dial = Pqueue.create_bounded ~bound:50 in
+      let dial = bounded ~bound:50 in
       let heap = Pqueue.create () in
       let feed items =
         List.iter

@@ -160,6 +160,124 @@ let test_count_failed_paths_per_pair () =
     true
     (r > 0 && i > 0)
 
+(* One counter per topology, applied to many damages in a shuffled
+   order: the index built from [topo] and [table] must serve every
+   damage, whatever came before it. *)
+let check_reuse label topo table damages =
+  let count = Scenario.count_failed_paths topo table in
+  Rtr_util.Rng.shuffle (Rtr_util.Rng.make 23) damages;
+  Array.iteri
+    (fun i (name, damage) ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%s, damage %d (%s)" label i name)
+        (per_pair_failed_paths topo table damage)
+        (count damage))
+    damages
+
+let test_classifier_reuse () =
+  List.iter
+    (fun (p : Rtr_topo.Isp.preset) ->
+      let topo = Rtr_topo.Isp.load p in
+      let g = Rtr_topo.Topology.graph topo in
+      let table = Rtr_routing.Route_table.compute (View.full g) in
+      let rng = Rtr_util.Rng.make 11 in
+      let discs =
+        List.concat_map
+          (fun radius ->
+            List.init 3 (fun i ->
+                let area =
+                  Rtr_failure.Area.random_disc rng ~r_min:radius ~r_max:radius
+                    ()
+                in
+                ( Printf.sprintf "r = %.0f, disc %d" radius i,
+                  Damage.apply topo area )))
+          [ 20.; 100.; 200.; 300. ]
+      in
+      check_reuse p.Rtr_topo.Isp.as_name topo table
+        (Array.of_list (("none", Damage.none g) :: discs)))
+    Rtr_topo.Isp.table2
+
+(* The cut roots' corner cases on the paper's example: a dead
+   destination, a failed node nested under a failed tree link, and
+   the links a dead router takes down with it, which name the router
+   itself or a node below it as a root a second time. *)
+let test_classifier_cut_roots () =
+  let topo = PE.topology () in
+  let g = Rtr_topo.Topology.graph topo in
+  let n = Graph.n_nodes g in
+  let table = Rtr_routing.Route_table.compute (View.full g) in
+  let next ~src ~dst = Rtr_routing.Route_table.next_hop table ~src ~dst in
+  let count = Scenario.count_failed_paths topo table in
+  (* A lone dead router that leaves the rest connected: exactly the
+     n - 1 paths towards it are irrecoverable. *)
+  let lone = Damage.of_failed g ~nodes:[ PE.v 5 ] ~links:[] in
+  Alcotest.(check int) "one component left" 1
+    (Rtr_graph.Components.count (Rtr_graph.Components.compute (Damage.view lone)));
+  let r, i = count lone in
+  Alcotest.(check int) "paths towards the dead router" (n - 1) i;
+  Alcotest.(check bool) "paths through it recover" true (r > 0);
+  (* [w]'s path to [t] runs through [u <> t]: fail [u]'s tree link and
+     [w] itself, so [w]'s subtree nests in [u]'s. *)
+  let nested = ref [] in
+  for t = 0 to n - 1 do
+    for w = 0 to n - 1 do
+      match next ~src:w ~dst:t with
+      | Some u when u <> t ->
+          let link =
+            Option.get (Rtr_routing.Route_table.next_link table ~src:u ~dst:t)
+          in
+          nested :=
+            ( Printf.sprintf "v%d under v%d's link towards v%d" w u t,
+              Damage.of_failed g ~nodes:[ w ] ~links:[ link ] )
+            :: !nested
+      | Some _ | None -> ()
+    done
+  done;
+  Alcotest.(check bool) "nested cases exist" true (List.length !nested > 10);
+  check_reuse "paper example" topo table
+    (Array.of_list
+       (List.init n (fun v ->
+            (Printf.sprintf "dead v%d" v, Damage.of_failed g ~nodes:[ v ] ~links:[]))
+       @ !nested))
+
+(* Edge regimes: a pre-failure topology in two components, whose table
+   has [-1] rows, and a single router. *)
+let test_classifier_edge_regimes () =
+  let topo_of g =
+    Rtr_topo.Topology.create ~name:"edge" g
+      (Rtr_topo.Embedding.of_points
+         (Array.init (Graph.n_nodes g) (fun v ->
+              Rtr_geom.Point.make (float_of_int (100 * v)) (float_of_int (v * v)))))
+  in
+  let g = Graph.build ~n:6 ~edges:[ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5) ] in
+  let topo = topo_of g in
+  let table = Rtr_routing.Route_table.compute (View.full g) in
+  Alcotest.(check (option int)) "no row across components" None
+    (Rtr_routing.Route_table.next_hop table ~src:0 ~dst:4);
+  let link u v = Option.get (Graph.find_link g u v) in
+  let count = Scenario.count_failed_paths topo table in
+  (* 3 is cut off: 3->4, 3->5, 4->3 and 5->3 fail irrecoverably. *)
+  Alcotest.(check (pair int int)) "isolated router" (0, 4)
+    (count (Damage.of_failed g ~nodes:[] ~links:[ link 3 4 ]));
+  check_reuse "two components" topo table
+    [|
+      ("none", Damage.none g);
+      ("dead 1", Damage.of_failed g ~nodes:[ 1 ] ~links:[]);
+      ("dead 4", Damage.of_failed g ~nodes:[ 4 ] ~links:[]);
+      ("link 3-4", Damage.of_failed g ~nodes:[] ~links:[ link 3 4 ]);
+      ("dead 5, link 0-1", Damage.of_failed g ~nodes:[ 5 ] ~links:[ link 0 1 ]);
+      ( "everything",
+        Damage.of_failed g ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~links:[] );
+    |];
+  let single = Graph.build ~n:1 ~edges:[] in
+  let topo = topo_of single in
+  let table = Rtr_routing.Route_table.compute (View.full single) in
+  let count = Scenario.count_failed_paths topo table in
+  Alcotest.(check (pair int int)) "1 node, no damage" (0, 0)
+    (count (Damage.none single));
+  Alcotest.(check (pair int int)) "1 node, dead" (0, 0)
+    (count (Damage.of_failed single ~nodes:[ 0 ] ~links:[]))
+
 let suite =
   [
     Alcotest.test_case "cases are valid detections" `Quick
@@ -171,4 +289,8 @@ let suite =
     Alcotest.test_case "count failed paths" `Quick test_count_failed_paths;
     Alcotest.test_case "count failed paths = per-pair definition" `Quick
       test_count_failed_paths_per_pair;
+    Alcotest.test_case "classifier: shuffled reuse" `Quick test_classifier_reuse;
+    Alcotest.test_case "classifier: cut roots" `Quick test_classifier_cut_roots;
+    Alcotest.test_case "classifier: edge regimes" `Quick
+      test_classifier_edge_regimes;
   ]
