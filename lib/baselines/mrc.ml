@@ -129,56 +129,71 @@ let choose_restricted g config_of restricted v =
   | Some (id, _) -> id
   | None -> ( match candidates with (id, _) :: _ -> id | [] -> -1)
 
-let build g ~k =
-  if k < 2 then invalid_arg "Mrc.build: need k >= 2";
-  match assign g k with
-  | None -> None
-  | Some (config_of, isolated) ->
-      let n = Graph.n_nodes g in
-      let restricted_link = Array.make n (-1) in
-      for v = 0 to n - 1 do
-        if config_of.(v) <> -1 then
-          restricted_link.(v) <- choose_restricted g config_of restricted_link v
-      done;
-      let iso v = config_of.(v) in
-      let usable c id =
-        let u, v = Graph.endpoints g id in
-        let u_iso = iso u = c and v_iso = iso v = c in
-        if u_iso && v_iso then false
-        else if u_iso then restricted_link.(u) = id
-        else if v_iso then restricted_link.(v) = id
-        else true
-      in
-      let ws = Dijkstra.Workspace.get () in
-      let next =
-        Array.init k (fun c ->
-            (* MRC's configurations are precomputed failure views: each
-               one masks the links its isolated nodes may not carry
-               transit on. *)
-            let view_c =
-              View.of_failed g ~nodes:[]
-                ~links:
-                  (List.filter
-                     (fun id -> not (usable c id))
-                     (List.init (Graph.n_links g) Fun.id))
+(* The configurations one isolation assignment induces.  Only this
+   step runs Dijkstra (k x n trees); whether k suffices is settled by
+   [assign] alone. *)
+let of_assignment g k (config_of, isolated) =
+  let n = Graph.n_nodes g in
+  let restricted_link = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    if config_of.(v) <> -1 then
+      restricted_link.(v) <- choose_restricted g config_of restricted_link v
+  done;
+  let iso v = config_of.(v) in
+  let usable c id =
+    let u, v = Graph.endpoints g id in
+    let u_iso = iso u = c and v_iso = iso v = c in
+    if u_iso && v_iso then false
+    else if u_iso then restricted_link.(u) = id
+    else if v_iso then restricted_link.(v) = id
+    else true
+  in
+  let ws = Dijkstra.Workspace.get () in
+  let next =
+    Array.init k (fun c ->
+        (* MRC's configurations are precomputed failure views: each
+           one masks the links its isolated nodes may not carry
+           transit on. *)
+        let view_c =
+          View.of_failed g ~nodes:[]
+            ~links:
+              (List.filter
+                 (fun id -> not (usable c id))
+                 (List.init (Graph.n_links g) Fun.id))
+        in
+        Array.init n (fun dst ->
+            let spt =
+              Dijkstra.spt ~workspace:ws view_c ~root:dst
+                ~direction:Spt.To_root ()
             in
-            Array.init n (fun dst ->
-                let spt =
-                  Dijkstra.spt ~workspace:ws view_c ~root:dst
-                    ~direction:Spt.To_root ()
-                in
-                Array.init n (Spt.parent_node spt)))
-      in
-      Some { graph = g; k; config_of; isolated; restricted_link; next }
+            Array.init n (Spt.parent_node spt)))
+  in
+  { graph = g; k; config_of; isolated; restricted_link; next }
 
-let build_auto ?(k_start = 4) ?(k_max = 64) g =
+let check_k k = if k < 2 then invalid_arg "Mrc.build: need k >= 2"
+
+let build g ~k =
+  check_k k;
+  Option.map (of_assignment g k) (assign g k)
+
+(* The one search for a feasible k: [k_start] first, then upward while
+   k <= [k_max]. *)
+let smallest_assignment ?(k_start = 4) ?(k_max = 64) g =
   let rec try_k k =
-    if k > k_max then
+    check_k k;
+    if k > k_start && k > k_max then
       failwith
         (Printf.sprintf "Mrc.build_auto: no valid configuration set with k <= %d" k_max)
-    else match build g ~k with Some t -> t | None -> try_k (k + 1)
+    else match assign g k with Some a -> (k, a) | None -> try_k (k + 1)
   in
   try_k k_start
+
+let configs_needed ?k_start ?k_max g =
+  fst (smallest_assignment ?k_start ?k_max g)
+
+let build_auto ?k_start ?k_max g =
+  let k, a = smallest_assignment ?k_start ?k_max g in
+  of_assignment g k a
 
 let n_configs t = t.k
 

@@ -27,9 +27,18 @@ val build : Graph.t -> k:int -> t option
     [k] configurations cannot cover every isolatable node. *)
 
 val build_auto : ?k_start:int -> ?k_max:int -> Graph.t -> t
-(** Smallest feasible k in [k_start, k_max] (defaults 4, 64).  Raises
-    [Failure] if even [k_max] does not suffice (never observed on
-    connected graphs of the evaluation's sizes). *)
+(** The first feasible k of [k_start], [k_start + 1], ... up to [k_max]
+    (defaults 4, 64); [k_start] itself is tried even above [k_max].
+    Raises [Invalid_argument] as {!build} does for k < 2, and [Failure]
+    if even [k_max] does not suffice (never observed on connected
+    graphs of the evaluation's sizes). *)
+
+val configs_needed : ?k_start:int -> ?k_max:int -> Graph.t -> int
+(** [n_configs (build_auto ?k_start ?k_max g)], with the same
+    exceptions, from the isolation assignment alone: whether k
+    configurations suffice depends only on the assignment ([build g ~k]
+    is [None] iff it fails), so this skips the k x n shortest-path
+    trees of the forwarding tables. *)
 
 val n_configs : t -> int
 

@@ -70,27 +70,40 @@ let to_string t =
 
 exception Bad of int * string
 
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+(* The scanner reads [s] in place and allocates nothing per character:
+   every [cur] follows a test that [pos] is inside [s], so it can skip
+   the bounds check.  Only the values it returns are allocated. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at_end () = !pos >= n in
+  let cur () = String.unsafe_get s !pos in
+  let next_is c = !pos < n && String.unsafe_get s !pos = c in
   let advance () = incr pos in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+    if not (at_end ()) then
+      match cur () with
+      | ' ' | '\t' | '\n' | '\r' ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
   in
   let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
+    if next_is c then advance () else fail (Printf.sprintf "expected %C" c)
   in
   let literal word value =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
+    let rec same i =
+      i = l
+      || String.unsafe_get s (!pos + i) = String.unsafe_get word i
+         && same (i + 1)
+    in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       value
     end
@@ -101,7 +114,7 @@ let parse s =
     let v = ref 0 in
     for _ = 1 to 4 do
       let d =
-        match s.[!pos] with
+        match cur () with
         | '0' .. '9' as c -> Char.code c - Char.code '0'
         | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
         | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
@@ -112,19 +125,29 @@ let parse s =
     done;
     !v
   in
-  let parse_string () =
-    expect '"';
+  (* A string without escapes is one [String.sub]; the first escape or
+     control character sends the whole string through the buffer. *)
+  let rec plain_end i =
+    if i >= n then -1
+    else
+      match String.unsafe_get s i with
+      | '"' -> i
+      | '\\' -> -1
+      | c when Char.code c < 0x20 -> -1
+      | _ -> plain_end (i + 1)
+  in
+  let escaped_string () =
     let buf = Buffer.create 16 in
     let rec go () =
-      if !pos >= n then fail "unterminated string"
+      if at_end () then fail "unterminated string"
       else
-        let c = s.[!pos] in
+        let c = cur () in
         advance ();
         match c with
         | '"' -> Buffer.contents buf
         | '\\' -> (
-            if !pos >= n then fail "unterminated escape";
-            let e = s.[!pos] in
+            if at_end () then fail "unterminated escape";
+            let e = cur () in
             advance ();
             (match e with
             | '"' -> Buffer.add_char buf '"'
@@ -149,36 +172,62 @@ let parse s =
     in
     go ()
   in
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    let close = plain_end start in
+    if close < 0 then escaped_string ()
+    else begin
+      pos := close + 1;
+      String.sub s start (close - start)
+    end
+  in
+  (* A plain decimal integer of at most 18 digits (optionally negated)
+     cannot overflow and reads the same as [int_of_string] reads it, so
+     it is accumulated in place.  Any other run of number characters
+     takes the [int_of_string_opt] / [float_of_string_opt] path. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
+    let neg = next_is '-' in
+    if neg then advance ();
+    let first = !pos in
+    let v = ref 0 in
+    while
+      (not (at_end ()))
+      && match cur () with '0' .. '9' -> true | _ -> false
+    do
+      v := (!v * 10) + (Char.code (cur ()) - Char.code '0');
       advance ()
     done;
-    let text = String.sub s start (!pos - start) in
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail (Printf.sprintf "bad number %S" text))
+    let digits = !pos - first in
+    if digits > 0 && digits <= 18 && not (!pos < n && is_num_char (cur ()))
+    then Int (if neg then - !v else !v)
+    else begin
+      pos := start;
+      while !pos < n && is_num_char (cur ()) do
+        advance ()
+      done;
+      let text = String.sub s start (!pos - start) in
+      match int_of_string_opt text with
+      | Some i -> Int i
+      | None -> (
+          match float_of_string_opt text with
+          | Some f -> Float f
+          | None -> fail (Printf.sprintf "bad number %S" text))
+    end
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some '[' ->
+    if at_end () then fail "unexpected end of input";
+    match cur () with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if next_is ']' then begin
           advance ();
           Arr []
         end
@@ -186,21 +235,22 @@ let parse s =
           let rec items acc =
             let v = parse_value () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
+            if next_is ',' then begin
+              advance ();
+              items (v :: acc)
+            end
+            else if next_is ']' then begin
+              advance ();
+              List.rev (v :: acc)
+            end
+            else fail "expected ',' or ']'"
           in
           Arr (items [])
         end
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if next_is '}' then begin
           advance ();
           Obj []
         end
@@ -216,19 +266,20 @@ let parse s =
           let rec members acc =
             let kv = pair () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members (kv :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev (kv :: acc)
-            | _ -> fail "expected ',' or '}'"
+            if next_is ',' then begin
+              advance ();
+              members (kv :: acc)
+            end
+            else if next_is '}' then begin
+              advance ();
+              List.rev (kv :: acc)
+            end
+            else fail "expected ',' or '}'"
           in
           Obj (members [])
         end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected %C" c)
   in
   match
     let v = parse_value () in

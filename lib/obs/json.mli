@@ -19,7 +19,13 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Strict parse of one JSON value (surrounding whitespace allowed).
-    [Error msg] carries a byte offset. *)
+    [Error msg] carries a byte offset.  A number is the longest run of
+    [0-9 - + . e E] from its first character, read as an [Int] if
+    [int_of_string] takes it and as a [Float] otherwise.  The scan
+    reads [s] in place and allocates only the returned tree: strings
+    without escapes are one [String.sub], and a plain decimal integer
+    of at most 18 digits (with an optional [-]) is accumulated without
+    one. *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] looks up key [k]; [None] on other variants. *)

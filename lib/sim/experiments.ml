@@ -95,10 +95,10 @@ let reduce_stream ?(log = fun _ -> ()) ~header ~mrc results =
         | None ->
             (* No shard footer recorded this topology (e.g. every one
                of its records was already committed before a resume):
-               rebuild — MRC construction is deterministic. *)
-            Rtr_baselines.Mrc.n_configs
-              (Pipeline.mrc_for ~mrc_k:header.Stream.mrc_k
-                 (Rtr_topo.Topology.graph topo))
+               k follows from MRC's deterministic isolation assignment,
+               as [Pipeline.mrc_for] would find it. *)
+            Rtr_baselines.Mrc.configs_needed ?k_start:header.Stream.mrc_k
+              (Rtr_topo.Topology.graph topo)
       in
       {
         preset;

@@ -5,13 +5,7 @@ module Metrics = Rtr_obs.Metrics
 
 let c_results = Metrics.counter "stream.results"
 
-let mrc_for ~mrc_k g =
-  match mrc_k with
-  | Some k -> (
-      match Mrc.build g ~k with
-      | Some m -> m
-      | None -> Mrc.build_auto ~k_start:(k + 1) g)
-  | None -> Mrc.build_auto g
+let mrc_for ~mrc_k g = Mrc.build_auto ?k_start:mrc_k g
 
 let generate ~presets ~rec_quota ~irr_quota ~seed ~mrc_k () =
   Trace.with_ "stream.generate" @@ fun () ->

@@ -11,9 +11,11 @@
     bit-identical by construction. *)
 
 val mrc_for : mrc_k:int option -> Rtr_graph.Graph.t -> Rtr_baselines.Mrc.t
-(** The experiment harness's MRC construction policy: [Some k] builds
-    with exactly [k] configurations, falling back to the auto search
-    from [k+1] when infeasible; [None] is the full auto search. *)
+(** The experiment harness's MRC construction policy,
+    [Mrc.build_auto ?k_start:mrc_k]: [Some k] builds with exactly [k]
+    configurations, falling back to [k+1] upward when infeasible;
+    [None] is the full auto search.  [Mrc.configs_needed
+    ?k_start:mrc_k] gives the same k without building the tables. *)
 
 val generate :
   presets:Rtr_topo.Isp.preset list ->

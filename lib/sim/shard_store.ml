@@ -6,6 +6,7 @@ let c_resumed = Metrics.counter "checkpoint.resumed"
 let c_torn = Metrics.counter "checkpoint.torn_tail"
 let c_results_in = Metrics.counter "stream.results_in"
 let c_shards_read = Metrics.counter "stream.shards_read"
+let c_lines_parsed = Metrics.counter "shard_store.lines_parsed"
 
 let ( let* ) = Result.bind
 
@@ -21,6 +22,11 @@ let header_line m =
          ("count", Json.Int m.count);
        ])
 
+(* Every shard line this module decodes goes through here, once. *)
+let parse_line line =
+  Metrics.Counter.incr c_lines_parsed;
+  Json.parse line
+
 let as_int = function Json.Int i -> Some i | _ -> None
 
 let member_int k j =
@@ -29,7 +35,7 @@ let member_int k j =
   | None -> Error ("bad " ^ k)
 
 let parse_header line =
-  let* j = Json.parse line in
+  let* j = parse_line line in
   let* () =
     match Json.member "format" j with
     | Some (Json.String f) when f = Stream.format_shard -> Ok ()
@@ -50,37 +56,38 @@ let footer_line ~records ~mrc =
          ("complete", Json.Bool true);
        ])
 
-(* [None] when the line is not a footer at all (so the caller can try
-   it as a result record); [Error] when it is a malformed footer. *)
+(* A line is a footer iff its [format] member names the footer
+   format.  [None] when it is not (so the caller can try it as a result
+   record); [Error] when it is a malformed footer. *)
+let footer_of_json j =
+  match Json.member "format" j with
+  | Some (Json.String f) when f = Stream.format_footer ->
+      let r =
+        let* records = member_int "records" j in
+        let* mrc =
+          match Json.member "mrc" j with
+          | Some (Json.Obj kvs) ->
+              List.fold_right
+                (fun (k, v) acc ->
+                  let* acc = acc in
+                  match as_int v with
+                  | Some n -> Ok ((k, n) :: acc)
+                  | None -> Error "bad mrc entry")
+                kvs (Ok [])
+          | _ -> Error "bad mrc"
+        in
+        let* complete =
+          match Json.member "complete" j with
+          | Some (Json.Bool b) -> Ok b
+          | _ -> Error "bad complete"
+        in
+        Ok (records, mrc, complete)
+      in
+      Some r
+  | _ -> None
+
 let parse_footer line =
-  match Json.parse line with
-  | Error _ -> None
-  | Ok j -> (
-      match Json.member "format" j with
-      | Some (Json.String f) when f = Stream.format_footer ->
-          let r =
-            let* records = member_int "records" j in
-            let* mrc =
-              match Json.member "mrc" j with
-              | Some (Json.Obj kvs) ->
-                  List.fold_right
-                    (fun (k, v) acc ->
-                      let* acc = acc in
-                      match as_int v with
-                      | Some n -> Ok ((k, n) :: acc)
-                      | None -> Error "bad mrc entry")
-                    kvs (Ok [])
-              | _ -> Error "bad mrc"
-            in
-            let* complete =
-              match Json.member "complete" j with
-              | Some (Json.Bool b) -> Ok b
-              | _ -> Error "bad complete"
-            in
-            Ok (records, mrc, complete)
-          in
-          Some r
-      | _ -> None)
+  match parse_line line with Error _ -> None | Ok j -> footer_of_json j
 
 (* Split file content into complete lines plus an optional torn tail
    (a final chunk not terminated by a newline — the mark of a killed
@@ -129,7 +136,8 @@ let open_writer ~path ~resume ~shard ~shards ~count =
                    path m.shard m.shards m.count shard shards count));
         (* Keep the longest prefix of parseable result records; anything
            after the first bad line — and any unterminated tail — is a
-           torn write from a killed run and is dropped. *)
+           torn write from a killed run and is dropped.  Each line is
+           parsed once, then read as a footer or as a record. *)
         let done_seqs = Hashtbl.create 64 in
         let good = ref [] and n_good = ref 0 and footer = ref None in
         let bad = ref false in
@@ -137,19 +145,22 @@ let open_writer ~path ~resume ~shard ~shards ~count =
           (fun line ->
             if !bad || !footer <> None then bad := true
             else
-              match parse_footer line with
-              | Some (Ok (records, mrc, complete)) ->
-                  if complete && records = !n_good then
-                    footer := Some (records, mrc)
-                  else bad := true
-              | Some (Error _) -> bad := true
-              | None -> (
-                  match Stream.parse_result line with
-                  | Ok r ->
-                      Hashtbl.replace done_seqs r.Stream.rseq ();
-                      good := line :: !good;
-                      incr n_good
-                  | Error _ -> bad := true))
+              match parse_line line with
+              | Error _ -> bad := true
+              | Ok j -> (
+                  match footer_of_json j with
+                  | Some (Ok (records, mrc, complete)) ->
+                      if complete && records = !n_good then
+                        footer := Some (records, mrc)
+                      else bad := true
+                  | Some (Error _) -> bad := true
+                  | None -> (
+                      match Stream.result_of_json j with
+                      | Ok r ->
+                          Hashtbl.replace done_seqs r.Stream.rseq ();
+                          good := line :: !good;
+                          incr n_good
+                      | Error _ -> bad := true)))
           rest;
         match !footer with
         | Some _ when not !bad -> Complete
@@ -230,7 +241,7 @@ let load path =
           let results =
             List.map
               (fun line ->
-                match Stream.parse_result line with
+                match Result.bind (parse_line line) Stream.result_of_json with
                 | Ok r -> r
                 | Error msg -> failwith (path ^ ": bad result record: " ^ msg))
               records

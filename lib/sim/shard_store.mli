@@ -11,10 +11,16 @@
     the reduced output is byte-identical to an uninterrupted run
     because records are keyed by seq, not by when they were written.
 
+    Every line {!open_writer} or {!load} decodes is parsed once and
+    then read as a footer (its [format] member names the footer
+    format) or as a result record; a torn tail is never parsed.
+
     Counters: [checkpoint.commits] per appended record,
     [checkpoint.resumed] per resumed partial shard,
     [checkpoint.torn_tail] per truncation; [stream.results_in] /
-    [stream.shards_read] on {!load}. *)
+    [stream.shards_read] on {!load}; [shard_store.lines_parsed] per
+    line handed to the JSON parser (so resuming a shard with N
+    complete records and a torn tail counts 1 + N). *)
 
 type meta = { shard : int; shards : int; count : int }
 (** [count] is the total record count of the {e stream} (all shards),

@@ -371,8 +371,7 @@ let result_line r =
          ("r", Json.Arr (List.map result_row_to_json r.results));
        ])
 
-let parse_result line =
-  let* j = Json.parse line in
+let result_of_json j =
   let* rseq = member_int "seq" j in
   let* rtopo = member_int "topo" j in
   let* results =
@@ -382,6 +381,10 @@ let parse_result line =
       | _ -> None)
   in
   Ok { rseq; rtopo; results }
+
+let parse_result line =
+  let* j = Json.parse line in
+  result_of_json j
 
 (* --- stream files ---------------------------------------------------- *)
 

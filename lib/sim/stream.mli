@@ -90,6 +90,11 @@ val parse_scenario : string -> (scenario, string) Stdlib.result
 val result_line : result -> string
 val parse_result : string -> (result, string) Stdlib.result
 
+val result_of_json : Rtr_obs.Json.t -> (result, string) Stdlib.result
+(** [parse_result] on an already-parsed line: a shard reader parses
+    each line once and decides from the tree whether it is a footer or
+    a result record. *)
+
 val write : string -> header -> scenario list -> unit
 (** Write a scenario stream: header line then records.  Counts
     [stream.scenarios_out]. *)

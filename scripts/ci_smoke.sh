@@ -83,6 +83,7 @@ canon() {
     --strip metrics.histograms.pool. \
     --strip metrics.counters.spt.ws_ \
     --strip metrics.counters.stream.shards_read \
+    --strip metrics.counters.shard_store.lines_parsed \
     "$1"
 }
 
@@ -209,8 +210,9 @@ echo "ci_smoke: rmap gate OK (artifact jobs-invariant, $rmap_hits/1000 lookup hi
 # two ways — as a single shard, and as two shard processes with shard 0
 # killed mid-record and resumed — must reduce to reports byte-identical
 # to each other AND to the in-memory table3 run above; the reduce-stage
-# metrics must agree too (modulo stream.shards_read, which honestly
-# counts the files read).
+# metrics must agree too (modulo stream.shards_read and
+# shard_store.lines_parsed, which honestly count the files and lines
+# read).
 streamdir="$tmp/stream"
 mkdir "$streamdir"
 
@@ -246,6 +248,30 @@ for counter in '"checkpoint.torn_tail":1' '"checkpoint.resumed":1'; do
   fi
 done
 
+# Kill shard 1 inside its footer line: every record survives, so the
+# resume re-runs nothing and its new footer lists no topology.  The
+# reduce below then takes the MRC size of every topology shard 0's
+# footer does not list (AS1239: shard 0 re-ran an AS209 record) from
+# the isolation assignment (Mrc.configs_needed).
+total=$(wc -l < "$streamdir/shard1.jsonl")
+head -n $((total - 1)) "$streamdir/shard1.jsonl" > "$streamdir/shard1.cut"
+tail -n 1 "$streamdir/shard1.jsonl" | cut -c1-40 | tr -d '\n' \
+  >> "$streamdir/shard1.cut"
+mv "$streamdir/shard1.cut" "$streamdir/shard1.jsonl"
+
+dune exec bin/rtr_sim.exe -- evaluate --stream "$streamdir/scenarios.jsonl" \
+  --out "$streamdir/shard1.jsonl" --shard 1 --shards 2 --jobs 1 --resume \
+  --metrics "$streamdir/resume1_metrics.json" > /dev/null
+
+if ! grep -q '"checkpoint.torn_tail":1' "$streamdir/resume1_metrics.json"; then
+  echo "ci_smoke: FAIL — footer-cut resume did not record a torn tail" >&2
+  exit 1
+fi
+if ! tail -n 1 "$streamdir/shard1.jsonl" | grep -q '"mrc":{}'; then
+  echo "ci_smoke: FAIL — footer-cut resume rebuilt an MRC" >&2
+  exit 1
+fi
+
 dune exec bin/rtr_sim.exe -- reduce --stream "$streamdir/scenarios.jsonl" \
   --artifact table3 --metrics "$streamdir/ms1.json" \
   "$streamdir/whole.jsonl" > "$streamdir/s1.txt" 2> /dev/null
@@ -270,7 +296,8 @@ if ! diff "$streamdir/cs1.json" "$streamdir/cs2.json"; then
   exit 1
 fi
 
-echo "ci_smoke: stream gate OK (1 shard == 2 shards with crash-resume == in-memory)"
+echo "ci_smoke: stream gate OK (1 shard == 2 shards with crash-resume" \
+  "and a torn footer == in-memory)"
 
 # --- hostile-input gate ----------------------------------------------
 # Bad input must end a subcommand with exit 1 and a one-line message,

@@ -157,6 +157,54 @@ let test_configurations_table2 () =
         (Rtr_topo.Topology.graph (Rtr_topo.Isp.load preset)))
     Rtr_topo.Isp.table2
 
+(* [configs_needed] reads k from the isolation assignment alone; it
+   must agree with the k the harness's full construction ends up
+   with, and with the first k from the start whose [build] succeeds. *)
+let test_configs_needed () =
+  let mrc_ks = None :: List.init 7 (fun i -> Some (i + 2)) in
+  let agree label g mrc_k =
+    let label =
+      Printf.sprintf "%s, mrc_k %s" label
+        (match mrc_k with None -> "auto" | Some k -> string_of_int k)
+    in
+    let rec first_built k =
+      match Mrc.build g ~k with
+      | Some t -> Mrc.n_configs t
+      | None -> first_built (k + 1)
+    in
+    let needed = Mrc.configs_needed ?k_start:mrc_k g in
+    Alcotest.(check int) label
+      (Mrc.n_configs (Rtr_sim.Pipeline.mrc_for ~mrc_k g))
+      needed;
+    Alcotest.(check int) (label ^ ", first k that builds")
+      (first_built (Option.value mrc_k ~default:4))
+      needed
+  in
+  List.iter
+    (fun (preset : Rtr_topo.Isp.preset) ->
+      let g = Rtr_topo.Topology.graph (Rtr_topo.Isp.load preset) in
+      List.iter (agree preset.Rtr_topo.Isp.as_name g) mrc_ks)
+    Rtr_topo.Isp.table2;
+  let rng = Rtr_util.Rng.make 23 in
+  for i = 0 to 199 do
+    let n = 4 + Rtr_util.Rng.int rng 37 in
+    let m = min (n * (n - 1) / 2) (n - 1 + Rtr_util.Rng.int rng (n + 2)) in
+    let topo = Rtr_topo.Generator.generate rng ~name:"g" ~n ~m () in
+    agree
+      (Printf.sprintf "random graph %d (n %d, m %d)" i n m)
+      (Rtr_topo.Topology.graph topo)
+      (List.nth mrc_ks (i mod List.length mrc_ks))
+  done;
+  let g = ring 8 in
+  let raised f =
+    match f () with
+    | _ -> "no exception"
+    | exception Invalid_argument msg -> msg
+  in
+  Alcotest.(check string) "k_start 1 raises as build ~k:1"
+    (raised (fun () -> ignore (Mrc.build g ~k:1)))
+    (raised (fun () -> ignore (Mrc.configs_needed ~k_start:1 g)))
+
 let delivered_paths_are_live =
   QCheck.Test.make ~name:"MRC delivered paths survive the damage" ~count:60
     QCheck.(pair (int_range 6 25) (int_range 0 300))
@@ -212,6 +260,7 @@ let suite =
       test_configurations_asymmetric;
     Alcotest.test_case "configurations, Table II" `Quick
       test_configurations_table2;
+    Alcotest.test_case "configs_needed = built k" `Quick test_configs_needed;
     QCheck_alcotest.to_alcotest delivered_paths_are_live;
     QCheck_alcotest.to_alcotest single_failure_always_recovers;
   ]

@@ -45,6 +45,126 @@ let test_json_rejects_malformed () =
       | Error _ -> ())
     bad
 
+(* Real codec lines: a stream header, a scenario record, a result
+   record (its first two rows) and a shard footer. *)
+let codec_lines =
+  [
+    {|{"format":"rtr-stream/1","seed":7,"mrc_k":null,"rec_quota":4,"irr_quota":4,"count":1,"topos":[{"as":"AS1239","areas":1,"rec":4,"irr":4,"records":1}]}|};
+    {|{"seq":0,"topo":0,"area":[570.88494032,207.576429682,184.810634846],"nodes":[0,19,32],"links":[2,6,25,28,43,55,64,66,79],"cases":[[4,0,0,1,null],[9,32,19,1,null],[9,32,32,1,null],[9,32,44,1,null],[17,37,3,0,5],[17,37,4,0,7],[17,37,6,0,7],[17,37,9,0,5]]}|};
+    {|{"seq":0,"topo":0,"r":[[[4,0,0,1,null],2,[5,13],true,false,null,0,0,1,false,null,2,[6],1006,false,null],[[17,37,3,0,5],57,[7,7,9,11,13,19,21,23,25],true,true,5,11,0,1,true,5,1,[12,10,8,6,4],5040,false,null]]}|};
+    {|{"format":"rtr-shard-footer/1","records":1,"mrc":{"AS1239":4},"complete":true}|};
+  ]
+
+(* Numbers at the edges of the in-place integer scan, literals, and
+   escapes, with the value each decodes to. *)
+let number_edges =
+  [
+    ("0", Ok (Json.Int 0));
+    ("-0", Ok (Json.Int 0));
+    ("007", Ok (Json.Int 7));
+    ("-007", Ok (Json.Int (-7)));
+    ("+5", Error "offset 0: unexpected '+'");
+    ("[+1]", Error "offset 1: unexpected '+'");
+    ("-00", Ok (Json.Int 0));
+    ("123456789012345678", Ok (Json.Int 123456789012345678));
+    ("-123456789012345678", Ok (Json.Int (-123456789012345678)));
+    ("1234567890123456789", Ok (Json.Int 1234567890123456789));
+    ("9999999999999999999", Ok (Json.Float 9999999999999999999.));
+    ("4611686018427387903", Ok (Json.Int max_int));
+    ("4611686018427387904", Ok (Json.Float 4611686018427387904.));
+    ("-4611686018427387904", Ok (Json.Int min_int));
+    ("-4611686018427387905", Ok (Json.Float (-4611686018427387905.)));
+    ("1e5", Ok (Json.Float 1e5));
+    ("1E+2", Ok (Json.Float 100.));
+    ("-1.5e-3", Ok (Json.Float (-1.5e-3)));
+    ("1.5", Ok (Json.Float 1.5));
+    ("5.", Ok (Json.Float 5.));
+    ("[-3,12]", Ok (Json.Arr [ Json.Int (-3); Json.Int 12 ]));
+    ({|{"a":-1}|}, Ok (Json.Obj [ ("a", Json.Int (-1)) ]));
+    (" 12 ", Ok (Json.Int 12));
+    ("-", Error "offset 1: bad number \"-\"");
+    ("--1", Error "offset 3: bad number \"--1\"");
+    ("1-2", Error "offset 3: bad number \"1-2\"");
+    ("1e", Error "offset 2: bad number \"1e\"");
+    ("-a", Error "offset 1: bad number \"-\"");
+    ("-inf", Error "offset 1: bad number \"-\"");
+    (".5", Error "offset 0: unexpected '.'");
+    ("0x10", Error "offset 1: trailing garbage");
+    ("12abc", Error "offset 2: trailing garbage");
+    ("[1,-]", Error "offset 4: bad number \"-\"");
+    ("nul", Error "offset 0: expected null");
+    ("nulll", Error "offset 4: trailing garbage");
+    ("truex", Error "offset 4: trailing garbage");
+    ("fals", Error "offset 0: expected false");
+    ({|"aéb"|}, Ok (Json.String "a\xc3\xa9b"));
+    ({|"a\qb"|}, Error "offset 4: bad escape");
+    ("\"a\001\"", Error "offset 3: control character in string");
+    ({|"abc|}, Error "offset 4: unterminated string");
+  ]
+
+let render_outcome = function
+  | Ok v -> "ok " ^ Json.to_string v
+  | Error msg -> "error " ^ msg
+
+(* Every codec line flipped (to a random byte, and to a random byte of
+   JSON syntax), truncated and spliced at every third byte.  The flips
+   come from a fixed-seed generator, so the corpus is the same on every
+   run. *)
+let parse_corpus () =
+  let syntax = {|0123456789-+.eE"\{}[],: ntf|} in
+  let state = ref 0x2545F491 in
+  let next_byte () =
+    state := (!state * 1103515245 + 12345) land 0x3fffffff;
+    (!state lsr 16) land 0xff
+  in
+  let out = ref [] in
+  let add s = out := s :: !out in
+  let lines = Array.of_list codec_lines in
+  Array.iteri
+    (fun li line ->
+      add line;
+      let other = lines.((li + 1) mod Array.length lines) in
+      let n = String.length line in
+      let i = ref 0 in
+      while !i < n do
+        let flip c =
+          let b = Bytes.of_string line in
+          Bytes.set b !i c;
+          add (Bytes.to_string b)
+        in
+        flip (Char.chr (next_byte ()));
+        flip syntax.[next_byte () mod String.length syntax];
+        add (String.sub line 0 !i);
+        let j = !i mod String.length other in
+        add
+          (String.sub line 0 !i ^ String.sub other j (String.length other - j));
+        i := !i + 3
+      done)
+    lines;
+  List.iter (fun (s, _) -> add s) number_edges;
+  List.rev !out
+
+let test_json_parse_outcomes_pinned () =
+  List.iter
+    (fun (s, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "parse %S" s)
+        (render_outcome expected)
+        (render_outcome (Json.parse s));
+      Alcotest.(check bool)
+        (Printf.sprintf "parse %S value" s)
+        true
+        (Json.parse s = expected))
+    number_edges;
+  let corpus = parse_corpus () in
+  let rendered =
+    String.concat "\n"
+      (List.map (fun s -> render_outcome (Json.parse s)) corpus)
+  in
+  Alcotest.(check int) "corpus size" 969 (List.length corpus);
+  Alcotest.(check string) "parse-outcome digest" "4dbd3b8c2d3670a4"
+    (Rtr_rmap.Compile.fnv64_hex rendered)
+
 (* --- histogram quantiles -------------------------------------------- *)
 
 let test_histogram_quantiles_uniform () =
@@ -427,6 +547,8 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json rejects malformed" `Quick
       test_json_rejects_malformed;
+    Alcotest.test_case "json parse outcomes pinned" `Quick
+      test_json_parse_outcomes_pinned;
     Alcotest.test_case "histogram quantiles (uniform)" `Quick
       test_histogram_quantiles_uniform;
     Alcotest.test_case "histogram sub-second buckets" `Quick

@@ -77,6 +77,23 @@ let open_stream path =
       in
       (header, next)
 
+(* Evaluate the records of one shard that [committed] does not hold
+   yet into [w], then write the footer. *)
+let evaluate_into ~header ~next ~shard ~shards w committed =
+  let rec filtered () =
+    match next () with
+    | None -> None
+    | Some r
+      when r.Stream.seq mod shards = shard && not (committed r.Stream.seq) ->
+        Some r
+    | Some _ -> filtered ()
+  in
+  let mrc =
+    Pipeline.evaluate ~jobs:1 ~header ~next:filtered
+      ~emit:(Shard_store.append w) ()
+  in
+  Shard_store.finish w ~mrc
+
 (* Evaluate one shard of a stream file into a shard file, exactly as
    [bin/rtr_sim evaluate] does. *)
 let evaluate_shard ~stream_path ~path ~resume ~shard ~shards =
@@ -87,20 +104,7 @@ let evaluate_shard ~stream_path ~path ~resume ~shard ~shards =
   with
   | Shard_store.Complete -> ()
   | Shard_store.Writer (w, committed) ->
-      let rec filtered () =
-        match next () with
-        | None -> None
-        | Some r
-          when r.Stream.seq mod shards = shard && not (committed r.Stream.seq)
-          ->
-            Some r
-        | Some _ -> filtered ()
-      in
-      let mrc =
-        Pipeline.evaluate ~jobs:1 ~header ~next:filtered
-          ~emit:(Shard_store.append w) ()
-      in
-      Shard_store.finish w ~mrc
+      evaluate_into ~header ~next ~shard ~shards w committed
 
 (* --- codec round-trips ---------------------------------------------- *)
 
@@ -448,6 +452,12 @@ let test_crash_resume () =
   Alcotest.(check int) "only the killed record re-ran" 1
     (counter_of after "checkpoint.commits"
     - counter_of before "checkpoint.commits");
+  (* The header and each complete record are parsed once; the torn
+     tail is not a line at all. *)
+  Alcotest.(check int) "one parse per complete line"
+    (1 + (List.length intact_records - 1))
+    (counter_of after "shard_store.lines_parsed"
+    - counter_of before "shard_store.lines_parsed");
   let resumed = Shard_store.load (shard_path 0) in
   Alcotest.(check int) "record count restored"
     (List.length intact_records)
@@ -469,6 +479,136 @@ let test_crash_resume () =
   | Shard_store.Complete -> ()
   | Shard_store.Writer _ -> Alcotest.fail "complete shard reopened as writer"
 
+(* Damage a complete shard's tail in three ways a crash or a stray
+   write can leave it; each resume must keep exactly the shard's
+   records, count one truncation and one resume, and reduce to the
+   uninterrupted report. *)
+let test_resume_tail_edges () =
+  let header, records = Lazy.force generated in
+  with_tmpdir @@ fun dir ->
+  let stream_path = Filename.concat dir "scenarios.jsonl" in
+  let shard_path i = Filename.concat dir (Printf.sprintf "shard%d.jsonl" i) in
+  Stream.write stream_path header records;
+  List.iter
+    (fun shard ->
+      evaluate_shard ~stream_path ~path:(shard_path shard) ~resume:false ~shard
+        ~shards:2)
+    [ 0; 1 ];
+  let load_both () =
+    List.map (fun i -> Shard_store.load (shard_path i)) [ 0; 1 ]
+  in
+  let table3 shards =
+    Report.render_table
+      (Experiments.table3 (Experiments.reduce_shards ~header shards))
+  in
+  let uninterrupted = table3 (load_both ()) in
+  let intact =
+    Array.init 2 (fun i ->
+        In_channel.with_open_text (shard_path i) In_channel.input_all)
+  in
+  let seqs_of i =
+    List.map
+      (fun (r : Stream.result) -> r.Stream.rseq)
+      (Shard_store.load (shard_path i)).Shard_store.results
+  in
+  let intact_seqs = Array.init 2 seqs_of in
+  (* Rewrite shard [i] as its header and record lines followed by
+     [make ~records ~footer], built from the intact record lines and
+     footer line. *)
+  let damage i make =
+    let lines =
+      String.split_on_char '\n' intact.(i)
+      |> List.filter (fun l -> l <> "")
+    in
+    let hline = List.hd lines in
+    let rev = List.rev (List.tl lines) in
+    let footer = List.hd rev and records = List.rev (List.tl rev) in
+    Out_channel.with_open_text (shard_path i) (fun oc ->
+        List.iter
+          (fun l ->
+            output_string oc l;
+            output_char oc '\n')
+          (hline :: records);
+        output_string oc (make ~records ~footer))
+  in
+  let resume label i =
+    let before = Metrics.snapshot () in
+    let header, next = open_stream stream_path in
+    match
+      Shard_store.open_writer ~path:(shard_path i) ~resume:true ~shard:i
+        ~shards:2 ~count:header.Stream.count
+    with
+    | Shard_store.Complete -> Alcotest.failf "%s: damaged shard complete" label
+    | Shard_store.Writer (w, committed) ->
+        let after = Metrics.snapshot () in
+        let delta name = counter_of after name - counter_of before name in
+        Alcotest.(check (list int))
+          (label ^ ": committed seqs")
+          intact_seqs.(i)
+          (List.filter committed (List.init header.Stream.count Fun.id));
+        Alcotest.(check int)
+          (label ^ ": torn tail") 1
+          (delta "checkpoint.torn_tail");
+        Alcotest.(check int)
+          (label ^ ": resumed") 1
+          (delta "checkpoint.resumed");
+        evaluate_into ~header ~next ~shard:i ~shards:2 w committed;
+        delta "shard_store.lines_parsed"
+  in
+  let restore () =
+    Array.iteri
+      (fun i content ->
+        Out_channel.with_open_text (shard_path i) (fun oc ->
+            output_string oc content))
+      intact
+  in
+  (* Cut inside the footer line on both shards: every record is kept,
+     and the new footers list no topology, so reduce takes every MRC
+     size from the isolation assignment. *)
+  List.iter
+    (fun i ->
+      damage i (fun ~records:_ ~footer ->
+          String.sub footer 0 (String.length footer / 2));
+      let parsed = resume (Printf.sprintf "torn footer, shard %d" i) i in
+      Alcotest.(check int) "torn footer: one parse per complete line"
+        (1 + List.length intact_seqs.(i))
+        parsed)
+    [ 0; 1 ];
+  let resumed = load_both () in
+  List.iter
+    (fun (l : Shard_store.loaded) ->
+      Alcotest.(check (list (pair string int)))
+        "resumed footer lists no topology" [] l.Shard_store.mrc)
+    resumed;
+  Alcotest.(check string) "torn footers: table3 bytes" uninterrupted
+    (table3 resumed);
+  restore ();
+  (* A complete record after a complete footer. *)
+  damage 0 (fun ~records ~footer ->
+      footer ^ "\n" ^ List.nth records (List.length records - 1) ^ "\n");
+  ignore (resume "record after footer" 0);
+  Alcotest.(check string) "record after footer: table3 bytes" uninterrupted
+    (table3 (load_both ()));
+  restore ();
+  (* A complete footer whose record count is one too many. *)
+  damage 1 (fun ~records ~footer ->
+      let module Json = Rtr_obs.Json in
+      match Json.parse footer with
+      | Ok (Json.Obj kvs) ->
+          Json.to_string
+            (Json.Obj
+               (List.map
+                  (function
+                    | "records", _ ->
+                        ("records", Json.Int (List.length records + 1))
+                    | kv -> kv)
+                  kvs))
+          ^ "\n"
+      | _ -> Alcotest.fail "intact footer did not parse");
+  ignore (resume "footer overcounts" 1);
+  Alcotest.(check string) "footer overcounts: table3 bytes" uninterrupted
+    (table3 (load_both ()))
+
 let suite =
   [
     Alcotest.test_case "episode record round-trip" `Quick
@@ -486,4 +626,6 @@ let suite =
       test_file_pipeline_matches_collect;
     Alcotest.test_case "crash, resume, identical report" `Slow
       test_crash_resume;
+    Alcotest.test_case "resume: torn footer, trailing lines" `Slow
+      test_resume_tail_edges;
   ]
