@@ -303,13 +303,13 @@ let bidir_cmd =
 
 let flows_cmd =
   let flows_arg =
-    let doc = "Flows per topology (default: REPRO_FLOWS, else 125,000)." in
-    Arg.(value & opt (some int) None & info [ "flows" ] ~docv:"N" ~doc)
+    let doc = "Flows per topology." in
+    Arg.(value & opt int 125_000 & info [ "flows" ] ~docv:"N" ~doc)
   in
   let run () seed topos mrc_k jobs flows out =
     let config = config_of ?mrc_k ~jobs ~seed ~topos () in
     let data =
-      Experiments.congestion_data ~log:log_line ?flows_per_topo:flows config
+      Experiments.congestion_data ~log:log_line ~flows_per_topo:flows config
     in
     emit_table ?out (Experiments.congestion_table data);
     emit_figure ?out (Experiments.congestion_figure data)

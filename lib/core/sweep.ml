@@ -28,12 +28,12 @@ let candidates topo damage ?(hand = Right) ~at ~reference ~excluded () =
          let c = Float.compare a1 a2 in
          if c <> 0 then c else Int.compare v1 v2)
 
-(* [select] is the head of [candidates], but it runs 680k+ times per
-   bench, so it keeps the (angle, node) minimum in one pass over the
-   CSR adjacency with a per-domain scratch — no direction vectors, no
-   rotation closure, no accumulator options.  Same tie-break as the
-   sort: smaller angle first ([Float.compare]), then smaller node id.
-   [candidates] stays as the test oracle. *)
+(* [select] is the head of [candidates], but it runs once per phase-1
+   hop of every case, so it keeps the (angle, node) minimum in one pass
+   over the CSR adjacency with a per-domain scratch — no direction
+   vectors, no rotation closure, no accumulator options.  Same
+   tie-break as the sort: smaller angle first ([Float.compare]), then
+   smaller node id.  [candidates] stays as the test oracle. *)
 
 (* The running minimum; the angle sits in a one-slot float array so
    updating it never boxes. *)

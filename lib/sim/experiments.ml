@@ -5,6 +5,7 @@ module Trace = Rtr_obs.Trace
 
 let c_topologies = Metrics.counter "experiments.topologies"
 let c_scenarios_generated = Metrics.counter "experiments.scenarios_generated"
+let c_noop_damages = Metrics.counter "experiments.noop_damages"
 let h_case_throughput = Metrics.histogram "experiments.cases_per_topology"
 
 type config = {
@@ -16,27 +17,11 @@ type config = {
   jobs : int;
 }
 
-let default_quota = 2000
-
 let default_config () =
-  let quota =
-    match Sys.getenv_opt "REPRO_CASES" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n > 0 -> n
-        | Some _ | None ->
-            Printf.eprintf
-              "warning: REPRO_CASES=%S is not a positive integer; using the \
-               default of %d\n\
-               %!"
-              s default_quota;
-            default_quota)
-    | None -> default_quota
-  in
   {
     presets = Isp.table2;
-    recoverable_per_topo = quota;
-    irrecoverable_per_topo = quota;
+    recoverable_per_topo = 2000;
+    irrecoverable_per_topo = 2000;
     seed = 7;
     mrc_k = None;
     jobs = Parallel.env_jobs ();
@@ -919,22 +904,6 @@ let congestion_schemes =
     Flowsim.Randroute_scheme;
   ]
 
-let default_flows_per_topo = 125_000
-
-let flows_quota () =
-  match Sys.getenv_opt "REPRO_FLOWS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | Some _ | None ->
-          Printf.eprintf
-            "warning: REPRO_FLOWS=%S is not a positive integer; using the \
-             default of %d\n\
-             %!"
-            s default_flows_per_topo;
-          default_flows_per_topo)
-  | None -> default_flows_per_topo
-
 (* Fixed shard grid: the chunk boundaries depend only on the flow
    count, never on the worker count, so merged results cannot vary
    with --jobs. *)
@@ -956,12 +925,9 @@ let congestion_eval ~jobs ctx flows =
   in
   Flowsim.finish ctx merged
 
-let congestion_data ?(log = fun _ -> ()) ?flows_per_topo
+let congestion_data ?(log = fun _ -> ()) ?(flows_per_topo = 125_000)
     ?(schemes = congestion_schemes) config =
   Trace.with_ "experiments.congestion" @@ fun () ->
-  let flows_per_topo =
-    match flows_per_topo with Some n -> n | None -> flows_quota ()
-  in
   List.map
     (fun (preset : Isp.preset) ->
       let topo = Isp.load preset in
@@ -1008,6 +974,24 @@ let congestion_data ?(log = fun _ -> ()) ?flows_per_topo
             (scheme, stats))
           schemes
       in
+      (* A damage no scheme recovers a single flow from (every draw
+         missed the links, or no flow it breaks has a surviving path)
+         leaves every row equal to none's: say so rather than leave it
+         to the reader. *)
+      if List.for_all (fun (_, s) -> s.Flowsim.recovered = 0) per_scheme
+      then begin
+        Metrics.Counter.incr c_noop_damages;
+        let broken =
+          List.fold_left (fun m (_, s) -> max m s.Flowsim.broken) 0 per_scheme
+        in
+        log
+          (Printf.sprintf "%s: no-op damage (%s); every scheme equals none"
+             preset.Isp.as_name
+             (if Rtr_failure.Damage.n_failed_links damage = 0 then
+                "no drawn disc cut a link"
+              else
+                Printf.sprintf "%d broken flow-eras, none recovered" broken))
+      end;
       (preset, per_scheme))
     config.presets
 

@@ -4,9 +4,8 @@
     failures until quota many recoverable and irrecoverable test cases
     have been evaluated — and the per-artifact functions reduce the
     collected data to printable tables and figure series.  The paper
-    used 10,000 + 10,000 cases per topology; the default here is read
-    from the [REPRO_CASES] environment variable (falling back to 2,000)
-    so benches stay quick while a full run remains one env var away. *)
+    used 10,000 + 10,000 cases per topology; the default here is 2,000
+    of each, and [rtr_sim --cases] sets any other quota. *)
 
 type config = {
   presets : Rtr_topo.Isp.preset list;
@@ -22,8 +21,8 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Table II presets, quotas from [REPRO_CASES] (default 2,000), seed
-    7, automatic MRC k, jobs from [RTR_JOBS] (default: the recommended
+(** Table II presets, 2,000 cases of each kind per topology, seed 7,
+    automatic MRC k, jobs from [RTR_JOBS] (default: the recommended
     domain count, see [Parallel.env_jobs]). *)
 
 type topo_data = {
@@ -171,11 +170,13 @@ val congestion_data :
   (Rtr_topo.Isp.preset * (Rtr_des.Flowsim.scheme * Rtr_des.Flowsim.stats) list)
   list
 (** The flow-level sweep: per topology, one seeded large-scale disc
-    failure, one demand matrix ([flows_per_topo] flows, default from
-    [REPRO_FLOWS] falling back to 125,000), every scheme evaluated on
-    the identical flows.  Evaluation shards over a fixed chunk grid
-    with [config.jobs] workers and merges integer accumulators —
-    results are byte-identical for every jobs value. *)
+    failure, one demand matrix ([flows_per_topo] flows, default
+    125,000), every scheme evaluated on the identical flows.
+    Evaluation shards over a fixed chunk grid with [config.jobs]
+    workers and merges integer accumulators — results are
+    byte-identical for every jobs value.  A topology whose damage no
+    scheme recovers a flow from is logged and counted in
+    [experiments.noop_damages]; its rows stay in the table. *)
 
 val congestion_table :
   (Rtr_topo.Isp.preset * (Rtr_des.Flowsim.scheme * Rtr_des.Flowsim.stats) list)

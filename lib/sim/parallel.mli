@@ -12,8 +12,7 @@ val env_jobs : unit -> int
     [Domain.recommended_domain_count ()] when the variable is unset, so
     multi-core runners parallelise by default (results are
     jobs-invariant throughout).  A set-but-malformed value falls back
-    to the same recommended count, with a warning to stderr —
-    mirroring how [REPRO_CASES] is read. *)
+    to the same recommended count, with a warning to stderr. *)
 
 val note_jobs : int -> unit
 (** Record a job count as used; [map] and [stream] call this on entry.

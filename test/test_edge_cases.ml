@@ -8,6 +8,10 @@ module Damage = Rtr_failure.Damage
 module View = Rtr_graph.View
 module Rtr = Rtr_core.Rtr
 module Path = Rtr_graph.Path
+module Route_table = Rtr_routing.Route_table
+module Mrc = Rtr_baselines.Mrc
+module Scenario = Rtr_sim.Scenario
+module Runner = Rtr_sim.Runner
 
 (* RTR's guarantees are shape-independent: rerun the Theorem 2 property
    with polygonal areas. *)
@@ -218,6 +222,76 @@ let test_clique_single_node_failure () =
     end
   done
 
+(* Degenerate topologies through the whole stack.  One router: the
+   route table, MRC and the runner answer, and no damage yields a test
+   case (RTR and FCP need a neighbour and a destination other than the
+   initiator, and there is none). *)
+let test_single_node_graph () =
+  let g = Graph.build ~n:1 ~edges:[] in
+  let topo =
+    Rtr_topo.Topology.create ~name:"single" g
+      (Rtr_topo.Embedding.of_points [| Point.make 500.0 500.0 |])
+  in
+  let table = Route_table.compute (View.full g) in
+  Alcotest.(check (option int)) "no next hop to itself" None
+    (Route_table.next_hop table ~src:0 ~dst:0);
+  let mrc = Mrc.build_auto g in
+  Alcotest.(check bool) "MRC built" true (Mrc.n_configs mrc >= 2);
+  List.iter
+    (fun (what, x) ->
+      let sc =
+        Scenario.of_area topo table
+          (Rtr_failure.Area.disc ~center:(Point.make x 500.0) ~radius:10.0)
+      in
+      Alcotest.(check int) (what ^ ": no test case") 0
+        (List.length sc.Scenario.cases);
+      Alcotest.(check int) (what ^ ": no result") 0
+        (List.length (Runner.run_scenario ~mrc sc)))
+    [ ("router inside the disc", 500.0); ("disc beside the router", 700.0) ]
+
+(* Two components, a triangle and a pair, with a disc cutting one
+   triangle link: both cut directions recover through the third
+   router, and every scheme answers a destination in the other
+   component with its "unreachable" result. *)
+let test_two_component_graph () =
+  let g = Graph.build ~n:5 ~edges:[ (0, 1); (1, 2); (0, 2); (3, 4) ] in
+  let topo =
+    Rtr_topo.Topology.create ~name:"split" g
+      (Rtr_topo.Embedding.of_points
+         (Array.map
+            (fun (x, y) -> Point.make x y)
+            [| (100., 100.); (200., 100.); (150., 200.); (1000., 1000.);
+               (1100., 1000.) |]))
+  in
+  let table = Route_table.compute (View.full g) in
+  Alcotest.(check bool) "no route across components" true
+    (Route_table.next_hop table ~src:0 ~dst:3 = None
+    && Route_table.default_path table ~src:0 ~dst:3 = None);
+  let sc =
+    Scenario.of_area topo table
+      (Rtr_failure.Area.disc ~center:(Point.make 150.0 100.0) ~radius:10.0)
+  in
+  let damage = sc.Scenario.damage in
+  Alcotest.(check (list int)) "one link cut" [ 0 ] (Damage.failed_links damage);
+  let mrc = Mrc.build_auto g in
+  Alcotest.(check (list (triple int int (option (float 0.0)))))
+    "both cut directions are cases, recovered with stretch 1"
+    [ (0, 1, Some 1.0); (1, 0, Some 1.0) ]
+    (List.map
+       (fun (r : Runner.result) ->
+         (r.Runner.case.Scenario.initiator, r.Runner.case.Scenario.dst,
+          r.Runner.rtr_stretch))
+       (Runner.run_scenario ~mrc sc));
+  let session = Rtr.start topo damage ~initiator:0 ~trigger:1 () in
+  Alcotest.(check bool) "RTR: other component unreachable" true
+    (Rtr.recover session ~dst:3 = Rtr.Unreachable_in_view);
+  let fcp = Rtr_baselines.Fcp.run topo damage ~initiator:0 ~dst:3 in
+  Alcotest.(check bool) "FCP does not deliver" false
+    fcp.Rtr_baselines.Fcp.delivered;
+  match Mrc.recover mrc damage ~initiator:0 ~trigger:1 ~dst:3 with
+  | Mrc.Dropped _ -> ()
+  | Mrc.Delivered _ -> Alcotest.fail "MRC delivered across components"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest theorem2_polygon_areas;
@@ -225,6 +299,8 @@ let suite =
     QCheck_alcotest.to_alcotest theorem2_weighted_costs;
     Alcotest.test_case "total destruction" `Quick test_total_destruction;
     Alcotest.test_case "two-node graph" `Quick test_two_node_graph;
+    Alcotest.test_case "single-node graph" `Quick test_single_node_graph;
+    Alcotest.test_case "two-component graph" `Quick test_two_component_graph;
     Alcotest.test_case "clique single failure" `Quick test_clique_single_node_failure;
   ]
 

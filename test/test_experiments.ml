@@ -297,6 +297,48 @@ let test_congestion_mrc_fallback () =
   in
   Alcotest.(check bool) "k=2 sweeps like k=3" true (sweep 2 = sweep 3)
 
+(* A damage no scheme recovers a flow from is reported, not hidden: at
+   the default seed AS7018's disc breaks flows that have no surviving
+   path, so its rows all equal none's; AS1239's does not. *)
+let test_congestion_noop_damage_reported () =
+  let counter () =
+    Option.value ~default:(-1)
+      (Rtr_obs.Metrics.Snapshot.counter (Rtr_obs.Metrics.snapshot ())
+         "experiments.noop_damages")
+  in
+  let before = counter () in
+  let lines = ref [] in
+  let data =
+    Experiments.congestion_data
+      ~log:(fun l -> lines := l :: !lines)
+      ~flows_per_topo:2000
+      ~schemes:[ Rtr_des.Flowsim.No_recovery; Rtr_des.Flowsim.Rtr_scheme ]
+      {
+        (Experiments.default_config ()) with
+        Experiments.presets =
+          [ Option.get (Isp.find "AS7018"); Option.get (Isp.find "AS1239") ];
+        jobs = 1;
+      }
+  in
+  Alcotest.(check int) "one no-op damage counted" 1 (counter () - before);
+  Alcotest.(check (list string)) "logged for AS7018 only" [ "AS7018" ]
+    (List.filter_map
+       (fun l ->
+         if contains ~affix:"no-op damage" l then
+           Some (List.hd (String.split_on_char ':' l))
+         else None)
+       !lines);
+  List.iter
+    (fun ((p : Isp.preset), per_scheme) ->
+      let recovered =
+        List.map (fun (_, s) -> s.Rtr_des.Flowsim.recovered) per_scheme
+      in
+      Alcotest.(check bool)
+        (p.Isp.as_name ^ ": RTR recovers iff the damage is not a no-op")
+        (p.Isp.as_name = "AS1239")
+        (List.exists (fun r -> r > 0) recovered))
+    data
+
 let test_report_rendering () =
   let config, data = Lazy.force data in
   let table_text = Report.render_table (Experiments.table2 config) in
@@ -330,5 +372,7 @@ let suite =
     Alcotest.test_case "jobs=4 equals jobs=1" `Slow test_jobs_equivalence;
     Alcotest.test_case "flows MRC fallback matches table3" `Slow
       test_congestion_mrc_fallback;
+    Alcotest.test_case "flows no-op damage reported" `Slow
+      test_congestion_noop_damage_reported;
     Alcotest.test_case "report rendering" `Slow test_report_rendering;
   ]

@@ -523,25 +523,6 @@ let test_manifest_provenance () =
   Alcotest.(check bool) "git key kept" true
     (Json.member "git" j <> None)
 
-(* --- REPRO_CASES hardening ------------------------------------------ *)
-
-let test_repro_cases_fallback () =
-  let check value expected =
-    Unix.putenv "REPRO_CASES" value;
-    let q =
-      (Rtr_sim.Experiments.default_config ()).Rtr_sim.Experiments
-      .recoverable_per_topo
-    in
-    Unix.putenv "REPRO_CASES" "";
-    Alcotest.(check int) (Printf.sprintf "REPRO_CASES=%S" value) expected q
-  in
-  check "123" 123;
-  check " 77 " 77;
-  check "abc" 2000;
-  check "0" 2000;
-  check "-5" 2000;
-  check "" 2000
-
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -569,6 +550,5 @@ let suite =
     Alcotest.test_case "netsim counters end-to-end" `Quick
       test_netsim_counters_end_to_end;
     Alcotest.test_case "phase1 counters flow" `Quick test_phase1_counters_flow;
-    Alcotest.test_case "REPRO_CASES fallback" `Quick test_repro_cases_fallback;
     Alcotest.test_case "manifest provenance" `Quick test_manifest_provenance;
   ]

@@ -1,10 +1,10 @@
 (* json_canon [--strip PREFIX]... FILE: parse one JSON document, drop
    every object member whose dotted path starts with one of the given
-   prefixes, and print the compact canonical rendering.  The CI
+   prefixes, and print the compact canonical rendering.  ci_smoke's
    determinism gate uses it to compare metrics files modulo the fields
    that legitimately vary run to run (the manifest's argv/wall-clock,
-   the pool's scheduling metrics).  All logic lives in
-   [Rtr_tools.Json_tools]. *)
+   the pool's scheduling metrics), and its count gate to keep only a
+   snapshot's counters.  All logic lives in [Rtr_tools.Json_tools]. *)
 
 let () =
   match

@@ -42,21 +42,6 @@ let canon ~prefixes file =
   | Error msg -> Error (Printf.sprintf "%s: malformed JSON: %s" file msg)
   | Ok doc -> Ok (Json.to_string (strip ~prefixes doc))
 
-(* Metric names themselves contain dots ("bench.cases_per_sec.reproduce"
-   is one gauge key), so tree paths use '/' as the segment separator. *)
-let get ~path doc =
-  List.fold_left
-    (fun acc seg -> Option.bind acc (Json.member seg))
-    (Some doc) path
-
-let scalar_to_string = function
-  | Json.Null -> Some "null"
-  | Json.Bool b -> Some (string_of_bool b)
-  | Json.Int i -> Some (string_of_int i)
-  | Json.Float f -> Some (Printf.sprintf "%.12g" f)
-  | Json.String s -> Some s
-  | Json.Arr _ | Json.Obj _ -> None
-
 type problem = { where : string; message : string }
 
 let check_content ~path contents =

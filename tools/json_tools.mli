@@ -20,15 +20,6 @@ val canon : prefixes:string list -> string -> (string, string) result
     rendering (no trailing newline).  [Error] carries the message the
     executable prints. *)
 
-val get : path:string list -> Rtr_obs.Json.t -> Rtr_obs.Json.t option
-(** Walk object members segment by segment.  Segments are full member
-    keys — metric names contain dots, so callers split on ['/'], not
-    ['.'] (e.g. [["metrics"; "gauges"; "bench.cases_per_sec.reproduce"]]). *)
-
-val scalar_to_string : Rtr_obs.Json.t -> string option
-(** Bare rendering of a leaf (no quotes around strings, [%.12g] floats)
-    for shell consumption; [None] on arrays and objects. *)
-
 type problem = { where : string; message : string }
 (** [where] is ["path"] or ["path:LINE"] for .jsonl files. *)
 
