@@ -6,6 +6,10 @@ module Dijkstra = Rtr_graph.Dijkstra
 module Spt = Rtr_graph.Spt
 module Header = Rtr_routing.Header
 
+let c_recomputations = Rtr_obs.Metrics.counter "fcp.recomputations"
+let c_trees_built = Rtr_obs.Metrics.counter "fcp.trees_built"
+let c_trees_reused = Rtr_obs.Metrics.counter "fcp.trees_reused"
+
 type hop_record = { from_ : Graph.node; to_ : Graph.node; header_bytes : int }
 
 type result = {
@@ -71,10 +75,12 @@ let held_answer s ~root carried dst =
       List.iter (fun id -> Bytes.set mask id '\000') carried;
       found
 
-let tree_path s ~root carried dst =
+(* [built] counts the recomputations no held tree answered. *)
+let tree_path s ~built ~root carried dst =
   match held_answer s ~root carried dst with
   | Some (_, t) -> Spt.path t dst
   | None ->
+      incr built;
       let view = View.remove_links s.full carried in
       let t =
         Spt.copy
@@ -94,8 +100,11 @@ let route s ~initiator ~dst =
   in
   let journey_rev = ref [ initiator ] in
   let hops_rev = ref [] in
-  let sp_calcs = ref 0 in
+  let sp_calcs = ref 0 and built = ref 0 in
   let finish ~delivered ~discarded_at =
+    Rtr_obs.Metrics.Counter.add c_recomputations !sp_calcs;
+    Rtr_obs.Metrics.Counter.add c_trees_built !built;
+    Rtr_obs.Metrics.Counter.add c_trees_reused (!sp_calcs - !built);
     {
       delivered;
       journey = Path.of_nodes (List.rev !journey_rev);
@@ -124,7 +133,7 @@ let route s ~initiator ~dst =
     Graph.iter_neighbors g current (fun v id ->
         if Damage.neighbor_unreachable damage v id then carry id);
     incr sp_calcs;
-    match tree_path s ~root:current !carried_rev dst with
+    match tree_path s ~built ~root:current !carried_rev dst with
     | None -> finish ~delivered:false ~discarded_at:(Some current)
     | Some path -> follow path
   and follow path =

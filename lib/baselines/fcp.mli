@@ -70,7 +70,12 @@ val route : session -> initiator:Graph.node -> dst:Graph.node -> result
     past that bound means a recomputed path crossed a carried link;
     it raises [Failure] naming the initiator and destination rather
     than looping.  The initiator must be live and differ from [dst]
-    ([Invalid_argument] otherwise). *)
+    ([Invalid_argument] otherwise).
+
+    Each completed call adds its [sp_calculations] to
+    [fcp.recomputations], and splits them between [fcp.trees_built]
+    (no held tree answered, so a Dijkstra ran) and [fcp.trees_reused]
+    (a held tree answered). *)
 
 val run :
   Rtr_topo.Topology.t ->

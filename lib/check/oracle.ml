@@ -670,8 +670,10 @@ let dial_vs_heap_run ~inject:_ spec =
      heap while [g]'s take the Dial buckets whenever its bound fits.
      Scaling every cost by one factor changes no parent and multiplies
      every distance by it, so the two runs must agree on every parent
-     and on dist up to the factor (the Dial pop order is lexicographic
-     (prio, tag), same as the heap's). *)
+     and on dist up to the factor.  The two queues pop equal priorities
+     in different orders (Dial LIFO, the heap by tag), so a tree that
+     leaned on pop order rather than Dijkstra's tie rule would show
+     here. *)
   let factor =
     (Pqueue.max_dial_bound / (Graph.max_cost g * max 1 (n - 1))) + 1
   in

@@ -3,8 +3,11 @@
     All shortest-path computations in the reproduction go through this
     module, so the experiment harness can count them (the paper's
     "computational overhead" metric is the number of shortest-path
-    calculations).  Counting is the caller's concern; see
-    [Rtr_sim.Metrics]. *)
+    calculations).  Each run counts itself: [spt.from_scratch] or the
+    workspace's [spt.ws_reuse]/[spt.ws_alloc], the queue choice in
+    [pqueue.dial_selected]/[pqueue.heap_selected], and its queue work
+    in the [pqueue.push]/[pqueue.pop] family (see [Pqueue.publish]);
+    per-protocol calculation counts are kept by the protocols. *)
 
 (** Reusable scratch arenas for the SPT hot path.
 
@@ -59,8 +62,5 @@ val spt :
     the owned result, but only readable until the next workspace
     operation (see {!Workspace}).  Either way the graph's cost bound
     selects the queue discipline (see [Pqueue]). *)
-
-val shortest_path :
-  View.t -> src:Graph.node -> dst:Graph.node -> Path.t option
 
 val distance : View.t -> src:Graph.node -> dst:Graph.node -> int option

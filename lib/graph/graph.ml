@@ -16,6 +16,11 @@ type t = {
   adj_off : int array;
   adj_ngb : int array;
   adj_lnk : int array;
+  (* Per arc, beside [adj_lnk]: the cost of crossing the arc's link out
+     of the segment's node ([adj_out]) and into it ([adj_in]), so the
+     SPT relaxation reads one flat int per arc in either direction. *)
+  adj_out : int array;
+  adj_in : int array;
   (* Largest directional link cost; bounds every finite shortest-path
      distance by [max_cost * (n - 1)], which is what lets Dijkstra pick
      a bucket queue (see [Pqueue]) for small-weight graphs. *)
@@ -91,6 +96,18 @@ let build_weighted ~n ~edges =
         seg
     end
   done;
+  let adj_out = Array.make (2 * m) 0 and adj_in = Array.make (2 * m) 0 in
+  for u = 0 to n - 1 do
+    for i = adj_off.(u) to adj_off.(u + 1) - 1 do
+      let id = adj_lnk.(i) in
+      let out_, in_ =
+        if link_u.(id) = u then (cost_uv.(id), cost_vu.(id))
+        else (cost_vu.(id), cost_uv.(id))
+      in
+      adj_out.(i) <- out_;
+      adj_in.(i) <- in_
+    done
+  done;
   let max_cost =
     let best = ref 1 in
     for id = 0 to m - 1 do
@@ -99,7 +116,19 @@ let build_weighted ~n ~edges =
     done;
     !best
   in
-  { n; link_u; link_v; cost_uv; cost_vu; adj_off; adj_ngb; adj_lnk; max_cost }
+  {
+    n;
+    link_u;
+    link_v;
+    cost_uv;
+    cost_vu;
+    adj_off;
+    adj_ngb;
+    adj_lnk;
+    adj_out;
+    adj_in;
+    max_cost;
+  }
 
 let build ~n ~edges =
   build_weighted ~n ~edges:(List.map (fun (u, v) -> (u, v, 1, 1)) edges)
@@ -127,6 +156,8 @@ let neighbors g u =
 let adj_offsets g = g.adj_off
 let adj_targets g = g.adj_ngb
 let adj_links g = g.adj_lnk
+let adj_out_costs g = g.adj_out
+let adj_in_costs g = g.adj_in
 
 let find_link g u v =
   let lo = g.adj_off.(u) and hi = g.adj_off.(u + 1) in

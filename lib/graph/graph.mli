@@ -71,10 +71,12 @@ val fold_neighbors : t -> node -> init:'a -> f:('a -> node -> link_id -> 'a) -> 
     The raw compressed-sparse-row arrays behind the adjacency: the
     neighbours of [u] are [(adj_targets g).(i), (adj_links g).(i)] for
     [i] in [(adj_offsets g).(u) .. (adj_offsets g).(u+1) - 1], sorted
-    ascending by neighbour id.  The arrays are physically shared with
-    the graph — callers must not mutate them.  Exposed so [View] can
-    run the masked relaxation loop cache-linearly without per-neighbour
-    tuple indirection. *)
+    ascending by neighbour id, and that arc's two directional costs sit
+    at the same index [i] of [adj_out_costs] and [adj_in_costs].  The
+    arrays are physically shared with the graph — callers must not
+    mutate them.  Exposed so [View] and [Dijkstra] can run their masked
+    loops cache-linearly, without per-neighbour tuples, closures or a
+    per-arc [cost] call. *)
 
 val adj_offsets : t -> int array
 (** Length [n_nodes g + 1]. *)
@@ -84,6 +86,16 @@ val adj_targets : t -> int array
 
 val adj_links : t -> int array
 (** Length [2 * n_links g]. *)
+
+val adj_out_costs : t -> int array
+(** Per arc [i] of [u]'s segment, [cost g (adj_links g).(i) ~src:u]:
+    the cost of leaving [u] towards [(adj_targets g).(i)] — what a
+    [From_root] tree pays to grow from [u].  Length [2 * n_links g]. *)
+
+val adj_in_costs : t -> int array
+(** Per arc [i] of [u]'s segment, the cost of the reverse crossing,
+    from [(adj_targets g).(i)] into [u] — what a [To_root] tree pays
+    to grow from [u].  Length [2 * n_links g]. *)
 
 val iter_links : t -> (link_id -> node -> node -> unit) -> unit
 

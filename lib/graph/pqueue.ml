@@ -12,21 +12,20 @@ let c_heap_selected = Rtr_obs.Metrics.counter "pqueue.heap_selected"
 
    Dial mode (Dial's algorithm) is a bucket queue for priorities known
    to lie in [0, bound]: bucket [p] holds the tags pushed with priority
-   [p] as a singly linked list threaded through a bump-allocated slot
-   pool, kept sorted ascending by tag so that draining a bucket yields
-   exactly the heap's [(prio, tag)] lexicographic pop order.  A cursor
-   [cur] scans the buckets upward; a push below the cursor pulls it
-   back down, so the structure is a correct min-queue even off the
-   monotone Dijkstra path (e.g. the incremental repair's frontier
-   seeding, which pushes an arbitrary spread of priorities before the
-   first pop).  [clear] is O(touched): only buckets made non-empty
-   since the last clear (the [dirty] stack) are reset.
+   [p] as a LIFO list threaded through a bump-allocated slot pool.  A
+   cursor [cur] scans the buckets upward; a push below the cursor pulls
+   it back down, so the structure is a correct min-queue even when
+   pushes interleave with pops off the monotone Dijkstra path.  [clear]
+   is O(touched): only buckets made non-empty since the last clear (the
+   [dirty] stack) are reset.
 
    Shortest-path workloads on IGP-style graphs have small integer
-   costs, so distances are bounded by [max_cost * (n - 1)] and the
-   sorted-insert scan only ever walks the handful of equal-distance
-   nodes in one bucket — in exchange every push/pop is a few array
-   writes instead of a log-depth sift. *)
+   costs, so distances are bounded by [max_cost * (n - 1)] and every
+   push/pop is a few array writes instead of a log-depth sift.
+
+   Neither [push] nor [pop] touches a counter or allocates: the caller
+   tallies its pushes and pops in locals and hands the totals to
+   [publish] once per run. *)
 
 type t = {
   (* Binary-heap storage (heap mode). *)
@@ -119,14 +118,14 @@ let heap_push h ~prio ~tag =
   sift_up h (h.size - 1)
 
 let heap_pop h =
-  let p = h.prio.(0) and t = h.tag.(0) in
+  let t = h.tag.(0) in
   h.size <- h.size - 1;
   if h.size > 0 then begin
     h.prio.(0) <- h.prio.(h.size);
     h.tag.(0) <- h.tag.(h.size);
     sift_down h 0
   end;
-  Some (p, t)
+  t
 
 (* --- dial mode ------------------------------------------------------ *)
 
@@ -135,7 +134,6 @@ let dial_push h ~prio ~tag =
     invalid_arg
       (Printf.sprintf "Pqueue.push: priority %d outside dial bound [0,%d]"
          prio h.bound);
-  Rtr_obs.Metrics.Counter.incr c_dial_push;
   (let cap = Array.length h.pool_tag in
    if h.pool_size = cap then begin
      let bigger = max initial_capacity (2 * cap) in
@@ -160,45 +158,33 @@ let dial_push h ~prio ~tag =
     h.dirty.(h.n_dirty) <- prio;
     h.n_dirty <- h.n_dirty + 1
   end;
-  (* Sorted insert by tag keeps the bucket in heap pop order. *)
-  if first = -1 || tag <= Array.unsafe_get h.pool_tag first then begin
-    Array.unsafe_set h.pool_next s first;
-    Array.unsafe_set h.head prio s
-  end
-  else begin
-    let prev = ref first in
-    let next = ref (Array.unsafe_get h.pool_next first) in
-    while !next <> -1 && Array.unsafe_get h.pool_tag !next < tag do
-      prev := !next;
-      next := Array.unsafe_get h.pool_next !next
-    done;
-    Array.unsafe_set h.pool_next s !next;
-    Array.unsafe_set h.pool_next !prev s
-  end;
+  Array.unsafe_set h.pool_next s first;
+  Array.unsafe_set h.head prio s;
   if prio < h.cur then h.cur <- prio;
   h.size <- h.size + 1
 
 let dial_pop h =
-  Rtr_obs.Metrics.Counter.incr c_dial_pop;
   while Array.unsafe_get h.head h.cur = -1 do
     h.cur <- h.cur + 1
   done;
   let s = Array.unsafe_get h.head h.cur in
   Array.unsafe_set h.head h.cur (Array.unsafe_get h.pool_next s);
   h.size <- h.size - 1;
-  Some (h.cur, Array.unsafe_get h.pool_tag s)
+  Array.unsafe_get h.pool_tag s
 
 (* --- shared interface ----------------------------------------------- *)
 
 let push h ~prio ~tag =
-  Rtr_obs.Metrics.Counter.incr c_push;
   if h.dial then dial_push h ~prio ~tag else heap_push h ~prio ~tag
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    Rtr_obs.Metrics.Counter.incr c_pop;
-    if h.dial then dial_pop h else heap_pop h
+let pop h = if h.size = 0 then -1 else if h.dial then dial_pop h else heap_pop h
+
+let publish h ~pushes ~pops =
+  Rtr_obs.Metrics.Counter.add c_push pushes;
+  Rtr_obs.Metrics.Counter.add c_pop pops;
+  if h.dial then begin
+    Rtr_obs.Metrics.Counter.add c_dial_push pushes;
+    Rtr_obs.Metrics.Counter.add c_dial_pop pops
   end
 
 let clear h =

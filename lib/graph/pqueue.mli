@@ -1,5 +1,6 @@
-(** Minimal priority queue keyed by [(priority, tag)] pairs of ints,
-    with two interchangeable disciplines behind one interface.
+(** Minimal priority queue of non-negative int tags keyed by int
+    priorities, with two interchangeable disciplines behind one
+    interface.
 
     The default is a binary min-heap, valid for any priorities.  When
     the priorities are known to be bounded small integers — shortest
@@ -7,15 +8,17 @@
     at most [max edge cost * (n - 1)] — [configure] switches the queue
     to Dial's algorithm: one bucket per priority, pops scanning a
     monotone cursor, every operation O(1) plus a scan bounded by the
-    bucket width.  Buckets are kept sorted by tag, so both disciplines
-    pop in exactly the same lexicographic [(prio, tag)] order and the
-    routing tables (and every experiment) stay bit-identical whichever
-    is selected.
+    bucket width.  Both disciplines pop priorities in non-decreasing
+    order; among equal priorities the heap pops the smaller tag first
+    and a Dial bucket pops last-in first-out.  [Dijkstra] depends on
+    neither tie order: its canonical tree comes from its own tie rule.
 
     Decrease-key is handled by lazy deletion in either mode: re-insert
     with the better priority and have the caller skip stale pops (the
-    classic idiom for dense relaxation workloads; see [Dijkstra]).  The
-    [tag] breaks priority ties deterministically. *)
+    classic idiom for dense relaxation workloads; see [Dijkstra]).
+
+    [push] and [pop] count nothing and allocate nothing beyond amortised
+    growth; a run reports its work through [publish]. *)
 
 type t
 
@@ -47,13 +50,20 @@ val is_empty : t -> bool
 val length : t -> int
 
 val push : t -> prio:int -> tag:int -> unit
-(** In dial mode, raises [Invalid_argument] if [prio] lies outside
-    [0, bound] — the monotone-bound contract every Dijkstra-style
-    caller must respect. *)
+(** [tag] must be non-negative.  In dial mode, raises
+    [Invalid_argument] if [prio] lies outside [0, bound] — the
+    monotone-bound contract every Dijkstra-style caller must
+    respect. *)
 
-val pop : t -> (int * int) option
-(** Smallest [(prio, tag)] in lexicographic order, or [None] when
-    empty. *)
+val pop : t -> int
+(** The tag of an entry with the smallest priority, removed, or [-1]
+    when empty.  The priority itself is not returned: a Dijkstra caller
+    reads it from its own distance labels. *)
+
+val publish : t -> pushes:int -> pops:int -> unit
+(** Add one run's tallies to [pqueue.push] and [pqueue.pop], and in
+    dial mode also to [pqueue.dial_push] and [pqueue.dial_pop].  Called
+    once per run so the hot loop pays no counter update per entry. *)
 
 val clear : t -> unit
 (** Empty the queue; O(buckets touched since the last clear) in dial

@@ -27,6 +27,8 @@ let ones n =
   a
 
 let graph t = t.graph
+let node_mask t = t.node_words
+let link_mask t = t.link_words
 let node_ok t v = mem t.node_words v
 let link_ok t id = mem t.link_words id
 
@@ -67,7 +69,7 @@ let inter a b =
     link_words = Array.map2 ( land ) a.link_words b.link_words;
   }
 
-(* The masked relaxation loop walks the graph's CSR arrays directly:
+(* The masked neighbour loop walks the graph's CSR arrays directly:
    no per-neighbour tuple, two flat int reads per candidate. *)
 let iter_neighbors t u f =
   let g = t.graph in
@@ -80,20 +82,6 @@ let iter_neighbors t u f =
     let v = Array.unsafe_get ngb i and id = Array.unsafe_get lnk i in
     if mem link_words id && mem node_words v then f v id
   done
-
-let fold_neighbors t u ~init ~f =
-  let g = t.graph in
-  let off = Graph.adj_offsets g
-  and ngb = Graph.adj_targets g
-  and lnk = Graph.adj_links g in
-  let node_words = t.node_words and link_words = t.link_words in
-  let hi = Array.unsafe_get off (u + 1) in
-  let acc = ref init in
-  for i = off.(u) to hi - 1 do
-    let v = Array.unsafe_get ngb i and id = Array.unsafe_get lnk i in
-    if mem link_words id && mem node_words v then acc := f !acc v id
-  done;
-  !acc
 
 let popcount words n =
   let c = ref 0 in

@@ -52,14 +52,23 @@ val n_live_links : t -> int
 
 (** {1 Masked adjacency}
 
-    The neighbour iteration every traversal hot loop uses: only pairs
-    whose link {e and} endpoint are both live are yielded, in the same
-    (ascending neighbour id) order as [Graph.iter_neighbors]. *)
+    The neighbour iteration of the BFS-style traversals ([Bfs],
+    [Components]): only pairs whose link {e and} endpoint are both live
+    are yielded, in the same (ascending neighbour id) order as
+    [Graph.iter_neighbors].  [Dijkstra] reads the raw masks below
+    instead. *)
 
 val iter_neighbors : t -> Graph.node -> (Graph.node -> Graph.link_id -> unit) -> unit
 
-val fold_neighbors :
-  t -> Graph.node -> init:'a -> f:('a -> Graph.node -> Graph.link_id -> 'a) -> 'a
+(** {1 Raw masks}
+
+    The bitsets behind [node_ok] and [link_ok]: id [i] is live iff bit
+    [i land 31] of word [i lsr 5] is set.  Physically shared with the
+    view — callers must not mutate them.  Exposed so [Dijkstra]'s
+    relaxation loop can test liveness inline, without a call per arc. *)
+
+val node_mask : t -> int array
+val link_mask : t -> int array
 
 val equal : t -> t -> bool
 (** Same graph (physically) and identical masks. *)

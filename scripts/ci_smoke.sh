@@ -291,18 +291,20 @@ if [ -n "$counts_failed" ]; then
   exit 1
 fi
 
-# The gate must be live: one extra priority-queue pop in the all
-# snapshot has to trip it.
-pops=$(grep -o '"pqueue.pop":[0-9]*' "$tmp/all1.json" | cut -d: -f2)
-sed "s/\"pqueue.pop\":$pops/\"pqueue.pop\":$((pops + 1))/" "$tmp/all1.json" \
-  > "$tmp/all_bumped.json"
-if counts "$tmp/all_bumped.json" | diff scripts/counts/all.txt - > /dev/null
-then
-  echo "ci_smoke: FAIL — count gate missed pqueue.pop bumped by 1" >&2
-  exit 1
-fi
+# The gate must be live: one extra priority-queue pop, or one extra
+# FCP tree built, in the all snapshot has to trip it.
+for counter in pqueue.pop fcp.trees_built; do
+  value=$(grep -o "\"$counter\":[0-9]*" "$tmp/all1.json" | cut -d: -f2)
+  sed "s/\"$counter\":$value/\"$counter\":$((value + 1))/" "$tmp/all1.json" \
+    > "$tmp/all_bumped.json"
+  if counts "$tmp/all_bumped.json" | diff scripts/counts/all.txt - > /dev/null
+  then
+    echo "ci_smoke: FAIL — count gate missed $counter bumped by 1" >&2
+    exit 1
+  fi
+done
 
-echo "ci_smoke: count gate OK (all, flows, serve, resume, resume_footer, reduce counters exact; trips on pqueue.pop + 1)"
+echo "ci_smoke: count gate OK (all, flows, serve, resume, resume_footer, reduce counters exact; trips on pqueue.pop + 1 and fcp.trees_built + 1)"
 
 # --- hostile-input gate ----------------------------------------------
 # Bad input must end a subcommand with exit 1 and a one-line message,

@@ -14,7 +14,7 @@ let test_weighted_shortest () =
   let g = weighted_diamond () in
   Alcotest.(check (option int)) "distance" (Some 2)
     (Dijkstra.distance (View.full g) ~src:0 ~dst:3);
-  let p = Option.get (Dijkstra.shortest_path (View.full g) ~src:0 ~dst:3) in
+  let p = Option.get (Spt.path (Dijkstra.spt (View.full g) ~root:0 ()) 3) in
   Alcotest.(check (list int)) "path" [ 0; 1; 3 ] (Path.nodes p)
 
 let test_asymmetric () =

@@ -153,6 +153,30 @@ let test_recovered_cases_hit_phase2_cache () =
   Alcotest.(check bool) "at least one hit per recovered case" true
     (Rtr_obs.Metrics.Counter.value c - v0 >= recovered)
 
+(* FCP's work counters split every recomputation into a held-tree
+   miss (a Dijkstra ran) or hit, and are added once per route call, so
+   over a scenario they sum to the results' own calculation counts. *)
+let test_fcp_work_counters () =
+  let scenario, _ = small_run () in
+  let mrc =
+    Rtr_baselines.Mrc.build_auto (Rtr_topo.Topology.graph scenario.Scenario.topo)
+  in
+  let value name =
+    Rtr_obs.Metrics.Counter.value (Rtr_obs.Metrics.counter ("fcp." ^ name))
+  in
+  let r0 = value "recomputations" and b0 = value "trees_built"
+  and u0 = value "trees_reused" in
+  let results = Runner.run_scenario ~mrc scenario in
+  let recomputations = value "recomputations" - r0
+  and built = value "trees_built" - b0
+  and reused = value "trees_reused" - u0 in
+  Alcotest.(check int) "built + reused = recomputations" recomputations
+    (built + reused);
+  Alcotest.(check int) "recomputations = sum of fcp_calcs"
+    (List.fold_left (fun acc r -> acc + r.Runner.fcp_calcs) 0 results)
+    recomputations;
+  Alcotest.(check bool) "some tree was built" true (built >= 1)
+
 let suite =
   [
     Alcotest.test_case "one result per case" `Quick test_one_result_per_case;
@@ -162,5 +186,6 @@ let suite =
       test_sessions_keyed_by_initiator_and_trigger;
     Alcotest.test_case "rtr invariants" `Quick test_rtr_invariants;
     Alcotest.test_case "fcp invariants" `Quick test_fcp_invariants;
+    Alcotest.test_case "fcp work counters" `Quick test_fcp_work_counters;
     Alcotest.test_case "mrc invariants" `Quick test_mrc_invariants;
   ]
