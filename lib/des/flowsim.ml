@@ -86,6 +86,22 @@ type era = {
   conv_ms : int;  (* [e_conv, e_end) *)
 }
 
+(* A recovery route from its initiator on: the links in order, each
+   the [Graph.find_link] of consecutive nodes, and their cost. *)
+type route = { links : Graph.link_id array; cost : int }
+
+module Itbl = Hashtbl.Make (Int)
+
+(* The context's one mutable part: the recovery outcomes of the last
+   flow array it evaluated (matched by physical equality), keyed by
+   [outcome_key].  A table is filled once, under [lock], and never
+   written after it is published, so slices on any domain read it
+   without locking. *)
+type outcome_slot = {
+  lock : Mutex.t;
+  mutable resolved : (flow array * route option Itbl.t) option;
+}
+
 type context = {
   topo : Rtr_topo.Topology.t;
   g : Graph.t;
@@ -95,6 +111,7 @@ type context = {
   eras : era array;
   mrc : Mrc.t option;
   rr : Randroute.t option;
+  outcomes : outcome_slot;
 }
 
 (* Millisecond quantization of a window.  Boundaries are computed the
@@ -157,6 +174,7 @@ let context topo damage ?mrc config =
     eras = Array.of_list (build timeline);
     mrc;
     rr;
+    outcomes = { lock = Mutex.create (); resolved = None };
   }
 
 (* --- integer accumulators ------------------------------------------- *)
@@ -245,23 +263,22 @@ let charge next link loads rate ~src ~stop =
    (the router where the flow breaks; its next hop is the trigger).
    [src] must have a pre-failure route. *)
 let walk_live next link damage loads rate ~src ~dst =
-  let rec go u =
-    if u = dst then u
-    else
-      let v = next.(u) and l = link.(u) in
-      if Damage.neighbor_unreachable damage v l then u
+  let u = ref src and at = ref (-1) in
+  while !at < 0 do
+    let x = !u in
+    if x = dst then at := x
+    else begin
+      let v = next.(x) and l = link.(x) in
+      if Damage.neighbor_unreachable damage v l then at := x
       else begin
         loads.(l) <- loads.(l) + rate;
-        go v
+        u := v
       end
-  in
-  go src
+    end
+  done;
+  !at
 
 (* --- recovery schemes ------------------------------------------------ *)
-
-(* A recovery route from its initiator on: the links in order, each
-   the [Graph.find_link] of consecutive nodes, and their cost. *)
-type route = { links : Graph.link_id array; cost : int }
 
 let route_of_nodes g nodes =
   let links = Array.make (max 0 (List.length nodes - 1)) 0 in
@@ -276,55 +293,50 @@ let route_of_nodes g nodes =
   in
   go 0 0 nodes
 
-module Itbl = Hashtbl.Make (Int)
+(* A recovery outcome is a pure function of (era, initiator, trigger,
+   dst), and FCP's of (era, initiator, dst) since [Fcp.route] never
+   reads the trigger: its keys carry trigger [-1], so two triggers at
+   one router share one route.  Keys are packed into one int. *)
+let outcome_key ctx era_idx ~initiator ~trigger ~dst =
+  let n = Graph.n_nodes ctx.g in
+  let trigger = if ctx.config.scheme = Fcp_scheme then -1 else trigger in
+  (((((era_idx * (n + 1)) + trigger + 1) * n) + initiator) * n) + dst
 
-(* Per-slice mutable state: RTR sessions, one FCP session per era and
-   recovery outcomes, keyed by era so no state is consulted across a
-   transition.  Slices rebuild their own caches — recovery outcomes are
-   pure functions of (era, initiator, trigger, dst), and FCP's of
-   (era, initiator, dst) since [Fcp.route] never reads the trigger, so
-   this only costs repeated work, never divergent results.  Keys are
-   packed into one int (see [session_key], [outcome_key]). *)
-type slice_caches = {
-  sessions : Rtr.t Itbl.t;
-  fcp : Fcp.session option array;
-  outcomes : route option Itbl.t;
-}
+(* The sessions one resolve pass routes through, keyed by era so no
+   state is consulted across a transition: RTR sessions by (era,
+   initiator, trigger), packed by [session_key], and one FCP session
+   per era. *)
+type sessions = { rtr : Rtr.t Itbl.t; fcp : Fcp.session option array }
 
 let session_key ctx era_idx ~initiator ~trigger =
   let n = Graph.n_nodes ctx.g in
   (((era_idx * n) + trigger) * n) + initiator
 
-(* [trigger] is [-1] for outcomes that do not depend on it. *)
-let outcome_key ctx era_idx ~initiator ~trigger ~dst =
-  let n = Graph.n_nodes ctx.g in
-  (((((era_idx * (n + 1)) + trigger + 1) * n) + initiator) * n) + dst
-
-let rtr_session ctx caches era_idx era ~initiator ~trigger =
+let rtr_session ctx sessions era_idx era ~initiator ~trigger =
   let key = session_key ctx era_idx ~initiator ~trigger in
-  match Itbl.find caches.sessions key with
+  match Itbl.find sessions.rtr key with
   | s -> s
   | exception Not_found ->
       let s = Rtr.start ctx.topo era.e_damage ~initiator ~trigger () in
-      Itbl.replace caches.sessions key s;
+      Itbl.replace sessions.rtr key s;
       s
 
-let fcp_session ctx caches era_idx era =
-  match caches.fcp.(era_idx) with
+let fcp_session ctx sessions era_idx era =
+  match sessions.fcp.(era_idx) with
   | Some s -> s
   | None ->
       let s = Fcp.start ctx.topo era.e_damage in
-      caches.fcp.(era_idx) <- Some s;
+      sessions.fcp.(era_idx) <- Some s;
       s
 
 (* RTR with Sec. III-E chaining, as the packet engine plays it: when a
    source route hits a failure phase 1 missed, the router at the break
    starts its own recovery session for the remaining journey. *)
-let rtr_recover ctx caches era_idx era ~initiator ~trigger ~dst =
+let rtr_recover ctx sessions era_idx era ~initiator ~trigger ~dst =
   let rec go u trigger depth carried_rev =
     if depth > 8 then None
     else
-      let s = rtr_session ctx caches era_idx era ~initiator:u ~trigger in
+      let s = rtr_session ctx sessions era_idx era ~initiator:u ~trigger in
       match Rtr.recover s ~dst with
       | Rtr.Recovered p ->
           Some (List.rev_append carried_rev (Path.nodes p))
@@ -345,9 +357,93 @@ let rtr_recover ctx caches era_idx era ~initiator ~trigger ~dst =
   in
   go initiator trigger 0 []
 
-(* The recovery route from [initiator] (the router where the flow
-   broke) to [dst], starting at [initiator]. *)
-let recover ctx caches ~flow_idx era_idx era ~initiator ~trigger ~dst =
+(* Computes the recovery route from [initiator] (the router where the
+   flow broke) to [dst], starting at [initiator], for a scheme whose
+   outcomes are resolved ahead of evaluation. *)
+let resolve_outcome ctx sessions era_idx era ~initiator ~trigger ~dst =
+  let nodes =
+    match ctx.config.scheme with
+    | Rtr_scheme ->
+        rtr_recover ctx sessions era_idx era ~initiator ~trigger ~dst
+    | Fcp_scheme ->
+        let res =
+          Fcp.route (fcp_session ctx sessions era_idx era) ~initiator ~dst
+        in
+        if res.Fcp.delivered then Some (Path.nodes res.Fcp.journey) else None
+    | Mrc_scheme -> (
+        match ctx.mrc with
+        | None -> None
+        | Some mrc -> (
+            match Mrc.recover mrc era.e_damage ~initiator ~trigger ~dst with
+            | Mrc.Delivered p -> Some (Path.nodes p)
+            | Mrc.Dropped _ -> None))
+    | No_recovery | Randroute_scheme -> None
+  in
+  Option.map (route_of_nodes ctx.g) nodes
+
+(* --- resolve pass ----------------------------------------------------- *)
+
+let evaluated f = f.src <> f.dst && f.rate > 0
+
+(* Whether [src]'s flows take part in [era] at all. *)
+let in_era era src =
+  era.hold_ms + era.rec_ms + era.conv_ms > 0 && Damage.node_ok era.e_damage src
+
+(* Every outcome [eval_flow] will look up for [flows], each computed
+   once: the flows are walked in index order, each era's break router
+   found by the same liveness walk [eval_flow] charges with (here at
+   rate 0, on a scratch array), and each distinct key resolved through
+   one set of sessions, which are dropped on return.  The walk order is
+   fixed, so the work counters do not depend on which slice or domain
+   runs the pass. *)
+let resolve ctx flows =
+  let outcomes = Itbl.create 1024 in
+  let sessions =
+    { rtr = Itbl.create 64; fcp = Array.make (Array.length ctx.eras) None }
+  in
+  let scratch = Array.make (Graph.n_links ctx.g) 0 in
+  Array.iter
+    (fun f ->
+      let src = f.src and dst = f.dst in
+      let next = Route_table.next_row ctx.pre ~dst in
+      if evaluated f && next.(src) >= 0 then begin
+        let link = Route_table.link_row ctx.pre ~dst in
+        for era_idx = 0 to Array.length ctx.eras - 1 do
+          let era = ctx.eras.(era_idx) in
+          if era.rec_ms > 0 && in_era era src then begin
+            let at = walk_live next link era.e_damage scratch 0 ~src ~dst in
+            if at <> dst then begin
+              let trigger = next.(at) in
+              let key = outcome_key ctx era_idx ~initiator:at ~trigger ~dst in
+              if not (Itbl.mem outcomes key) then
+                Itbl.replace outcomes key
+                  (resolve_outcome ctx sessions era_idx era ~initiator:at
+                     ~trigger ~dst)
+            end
+          end
+        done
+      end)
+    flows;
+  outcomes
+
+(* The outcome table for [flows]: the slot's, or a fresh resolve that
+   replaces it.  Other slices wait on the lock meanwhile. *)
+let outcome_table ctx flows =
+  let slot = ctx.outcomes in
+  Mutex.protect slot.lock (fun () ->
+      match slot.resolved with
+      | Some (resolved_for, table) when resolved_for == flows -> table
+      | _ ->
+          let table = resolve ctx flows in
+          slot.resolved <- Some (flows, table);
+          table)
+
+(* The table of schemes that resolve nothing ahead; never written. *)
+let no_outcomes : route option Itbl.t = Itbl.create 1
+
+(* The recovery route from [initiator] to [dst]: Randroute's computed
+   per flow, every other scheme's read from [outcomes]. *)
+let recover ctx outcomes ~flow_idx era_idx era ~initiator ~trigger ~dst =
   match ctx.config.scheme with
   | No_recovery -> None
   | Randroute_scheme -> (
@@ -359,40 +455,19 @@ let recover ctx caches ~flow_idx era_idx era ~initiator ~trigger ~dst =
           match Randroute.reroute rr era.e_post ~flow:flow_idx ~initiator ~dst with
           | Randroute.Rerouted { nodes; _ } -> Some (route_of_nodes ctx.g nodes)
           | Randroute.No_route -> None))
-  | (Rtr_scheme | Fcp_scheme | Mrc_scheme) as scheme -> (
-      let key =
-        outcome_key ctx era_idx ~initiator ~dst
-          ~trigger:(if scheme = Fcp_scheme then -1 else trigger)
-      in
-      match Itbl.find caches.outcomes key with
-      | r -> r
-      | exception Not_found ->
-          let nodes =
-            match scheme with
-            | Rtr_scheme ->
-                rtr_recover ctx caches era_idx era ~initiator ~trigger ~dst
-            | Fcp_scheme ->
-                let res =
-                  Fcp.route (fcp_session ctx caches era_idx era) ~initiator ~dst
-                in
-                if res.Fcp.delivered then Some (Path.nodes res.Fcp.journey)
-                else None
-            | Mrc_scheme -> (
-                match ctx.mrc with
-                | None -> None
-                | Some mrc -> (
-                    match Mrc.recover mrc era.e_damage ~initiator ~trigger ~dst with
-                    | Mrc.Delivered p -> Some (Path.nodes p)
-                    | Mrc.Dropped _ -> None))
-            | No_recovery | Randroute_scheme -> None
-          in
-          let r = Option.map (route_of_nodes ctx.g) nodes in
-          Itbl.replace caches.outcomes key r;
-          r)
+  | Rtr_scheme | Fcp_scheme | Mrc_scheme -> (
+      match Itbl.find_opt outcomes (outcome_key ctx era_idx ~initiator ~trigger ~dst) with
+      | Some r -> r
+      | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Flowsim: outcome (era %d, initiator %d, trigger %d, dst %d) \
+                was not resolved"
+               era_idx initiator trigger dst))
 
 (* --- evaluation ------------------------------------------------------ *)
 
-let eval_flow ctx acc caches ~flow_idx f =
+let eval_flow ctx acc outcomes ~flow_idx f =
   acc.flows <- acc.flows + 1;
   let rate = f.rate and src = f.src and dst = f.dst in
   let next = Route_table.next_row ctx.pre ~dst
@@ -413,10 +488,7 @@ let eval_flow ctx acc caches ~flow_idx f =
     let hold = rate * era.hold_ms
     and recov = rate * era.rec_ms
     and conv = rate * era.conv_ms in
-    if
-      era.hold_ms + era.rec_ms + era.conv_ms > 0
-      && Damage.node_ok era.e_damage src
-    then begin
+    if in_era era src then begin
       acc.offered <- acc.offered + hold + recov + conv;
       (* converged tail: the era's post-failure FIB *)
       if era.conv_ms > 0 then begin
@@ -444,7 +516,7 @@ let eval_flow ctx acc caches ~flow_idx f =
           if era.rec_ms > 0 then begin
             acc.broken <- acc.broken + 1;
             match
-              recover ctx caches ~flow_idx era_idx era ~initiator:at
+              recover ctx outcomes ~flow_idx era_idx era ~initiator:at
                 ~trigger:next.(at) ~dst
             with
             | Some r ->
@@ -480,17 +552,14 @@ let eval_flow ctx acc caches ~flow_idx f =
 
 let eval_slice ctx flows ~lo ~hi =
   let acc = acc_create ctx in
-  let caches =
-    {
-      sessions = Itbl.create 32;
-      fcp = Array.make (Array.length ctx.eras) None;
-      outcomes = Itbl.create 256;
-    }
+  let outcomes =
+    match ctx.config.scheme with
+    | Rtr_scheme | Fcp_scheme | Mrc_scheme -> outcome_table ctx flows
+    | No_recovery | Randroute_scheme -> no_outcomes
   in
   for i = lo to hi - 1 do
     let f = flows.(i) in
-    if f.src <> f.dst && f.rate > 0 then
-      eval_flow ctx acc caches ~flow_idx:i f
+    if evaluated f then eval_flow ctx acc outcomes ~flow_idx:i f
   done;
   acc
 

@@ -71,12 +71,19 @@ type config = {
 val default_config : config
 
 type context
-(** Immutable per-run state: routing tables and window boundaries for
-    every era, shareable across evaluation shards.  The pre-failure
-    table and each era's post-failure table come from the topology's
-    shared cache ({!Rtr_routing.Topo_cache}), not per-context copies:
-    the five scheme contexts of one damage compute its post-failure
-    table once. *)
+(** Per-run state, shareable across evaluation shards: routing tables
+    and window boundaries for every era, immutable, plus one private
+    slot of resolved recovery outcomes.  The pre-failure table and each
+    era's post-failure table come from the topology's shared cache
+    ({!Rtr_routing.Topo_cache}), not per-context copies: the five
+    scheme contexts of one damage compute its post-failure table once.
+
+    The slot holds, for the last flow array evaluated (matched by
+    physical equality), the RTR, FCP or MRC route of every distinct
+    [(era, initiator, trigger, dst)] its flows break at.  It is filled
+    under a [Mutex] and never written again until another array
+    replaces it, so each distinct recovery is computed once per
+    (context, flow array), however the array is sliced. *)
 
 val context : Rtr_topo.Topology.t -> Damage.t -> ?mrc:Mrc.t -> config -> context
 (** [?mrc] supplies a prebuilt MRC structure (it is topology-only, so
@@ -89,7 +96,17 @@ type acc
 val eval_slice : context -> flow array -> lo:int -> hi:int -> acc
 (** Evaluates [flows.(lo) .. flows.(hi - 1)].  Slices of the same array
     may be evaluated concurrently; flow identity (the array index) is
-    what keeps randomized decisions shard-invariant. *)
+    what keeps randomized decisions shard-invariant.
+
+    Under [Rtr_scheme], [Fcp_scheme] and [Mrc_scheme], the first slice
+    of a context over an array first resolves the outcomes of the
+    {e whole} array into the context's slot, walking every flow in
+    index order through one set of RTR and FCP sessions; every slice
+    then only reads that table.  The resolve pass is the same whichever
+    slice or domain runs it, so work counters are identical at every
+    [--jobs].  It runs serially: at [--jobs > 1] the other domains wait
+    on the slot's mutex until it is done.  [No_recovery] and
+    [Randroute_scheme] (per-flow by design) resolve nothing ahead. *)
 
 val merge : acc -> acc -> acc
 (** Folds the right accumulator into the left {e in place} and returns

@@ -67,10 +67,6 @@ let create () =
     n_dirty = 0;
   }
 
-let is_empty h = h.size = 0
-let length h = h.size
-let uses_dial h = h.dial
-
 (* --- heap mode ------------------------------------------------------ *)
 
 let less h i j =

@@ -42,13 +42,6 @@ val dial_bound_for : max_cost:int -> n_nodes:int -> int
     [-1] (forcing heap mode) when that product would exceed
     [max_dial_bound]. *)
 
-val uses_dial : t -> bool
-(** Whether the queue is currently in dial mode. *)
-
-val is_empty : t -> bool
-
-val length : t -> int
-
 val push : t -> prio:int -> tag:int -> unit
 (** [tag] must be non-negative.  In dial mode, raises
     [Invalid_argument] if [prio] lies outside [0, bound] — the

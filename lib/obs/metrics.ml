@@ -301,11 +301,6 @@ module Snapshot = struct
     | Some (S_counter n) -> Some n
     | _ -> None
 
-  let gauge t name =
-    match List.assoc_opt name t with
-    | Some (S_gauge g) -> Some g
-    | _ -> None
-
   let quantile t name q =
     match List.assoc_opt name t with
     | Some (S_hist h) when h.count > 0 ->

@@ -73,7 +73,6 @@ module Snapshot : sig
       the same name has different kinds in the two snapshots. *)
 
   val counter : t -> string -> int option
-  val gauge : t -> string -> float option
 
   val quantile : t -> string -> float -> float option
   (** Quantile of a histogram entry; [None] if absent or empty. *)

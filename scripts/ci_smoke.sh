@@ -126,6 +126,15 @@ if ! diff "$tmp/fl1.txt" "$tmp/fl4.txt"; then
   echo "ci_smoke: FAIL — congestion report differs between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
+# Every work counter of the sweep, not just the two checked below, must
+# be jobs-invariant: each context resolves its recovery outcomes once,
+# in flow order, whichever worker gets there first.
+canon "$tmp/flm1.json" > "$tmp/cflm1.json"
+canon "$tmp/flm4.json" > "$tmp/cflm4.json"
+if ! diff "$tmp/cflm1.json" "$tmp/cflm4.json"; then
+  echo "ci_smoke: FAIL — flows metrics differ between --jobs 1 and --jobs 4" >&2
+  exit 1
+fi
 
 for j in 1 4; do
   post_misses=$(grep -o '"topo_cache.post_misses":[0-9]*' "$tmp/flm$j.json" | cut -d: -f2)
@@ -141,7 +150,7 @@ for j in 1 4; do
   fi
 done
 
-echo "ci_smoke: flow gate OK (congestion report jobs-invariant; post-failure tables 3 computed, 12 shared; $flows_n flows swept)"
+echo "ci_smoke: flow gate OK (congestion report and counters jobs-invariant; post-failure tables 3 computed, 12 shared; $flows_n flows swept)"
 
 # --- recovery-map gate -----------------------------------------------
 # The precompute/serve pipeline end to end on a small artifact: the

@@ -138,32 +138,224 @@ let test_all_schemes_run () =
     [ Flowsim.Rtr_scheme; Flowsim.Fcp_scheme; Flowsim.Mrc_scheme;
       Flowsim.Randroute_scheme ]
 
+let all_schemes =
+  [
+    Flowsim.No_recovery;
+    Flowsim.Rtr_scheme;
+    Flowsim.Fcp_scheme;
+    Flowsim.Mrc_scheme;
+    Flowsim.Randroute_scheme;
+  ]
+
+(* The schemes whose outcomes a context resolves once per flow array. *)
+let resolving_schemes =
+  [ Flowsim.Rtr_scheme; Flowsim.Fcp_scheme; Flowsim.Mrc_scheme ]
+
+let merge_all = function
+  | first :: rest -> List.fold_left Flowsim.merge first rest
+  | [] -> assert false
+
+let whole_stats topo damage config flows =
+  let ctx = Flowsim.context topo damage config in
+  Flowsim.finish ctx
+    (Flowsim.eval_slice ctx flows ~lo:0 ~hi:(Array.length flows))
+
 (* Sharding must be invisible: one slice vs. many slices merged in
-   order must agree exactly, including the per-link load arrays.  This
-   is the property the CI jobs-invariance gate checks end to end. *)
+   order must agree exactly, including the per-link load arrays, for
+   every scheme and whichever slice is evaluated first (the one that
+   resolves the context's outcomes).  This is the property the CI
+   jobs-invariance gate checks end to end. *)
 let test_shard_invariance () =
   let topo = paper_topo () in
   let g = Rtr_topo.Topology.graph topo in
   let damage = paper_damage g in
+  let flows = Flowsim.demand topo ~n:600 ~seed:13 in
+  let bounds = [| (0, 7); (7, 100); (100, 101); (101, 350); (350, 600) |] in
   List.iter
     (fun scheme ->
       let config = quick_config scheme in
-      let flows = Flowsim.demand topo ~n:600 ~seed:13 in
+      let whole = whole_stats topo damage config flows in
       let ctx = Flowsim.context topo damage config in
-      let whole =
-        Flowsim.finish ctx (Flowsim.eval_slice ctx flows ~lo:0 ~hi:600)
-      in
-      let shards =
-        [ (0, 7); (7, 100); (100, 101); (101, 350); (350, 600) ]
-        |> List.map (fun (lo, hi) -> Flowsim.eval_slice ctx flows ~lo ~hi)
-      in
-      let merged =
-        match shards with
-        | first :: rest -> List.fold_left Flowsim.merge first rest
-        | [] -> assert false
-      in
+      let accs = Array.make (Array.length bounds) None in
+      List.iter
+        (fun i ->
+          let lo, hi = bounds.(i) in
+          accs.(i) <- Some (Flowsim.eval_slice ctx flows ~lo ~hi))
+        [ 3; 0; 4; 2; 1 ];
+      let merged = merge_all (List.map Option.get (Array.to_list accs)) in
       stats_equal whole (Flowsim.finish ctx merged))
-    [ Flowsim.Rtr_scheme; Flowsim.Randroute_scheme ]
+    all_schemes
+
+(* A context that moves on to a second flow array replaces its
+   resolved outcomes: the second array's stats, and the first's again
+   after it, equal fresh contexts'. *)
+let test_second_flow_array () =
+  let topo = paper_topo () in
+  let g = Rtr_topo.Topology.graph topo in
+  let damage = paper_damage g in
+  let first = Flowsim.demand topo ~n:400 ~seed:13 in
+  let second = Flowsim.demand topo ~n:500 ~seed:31 in
+  List.iter
+    (fun scheme ->
+      let config = quick_config scheme in
+      let ctx = Flowsim.context topo damage config in
+      let eval flows =
+        Flowsim.finish ctx
+          (Flowsim.eval_slice ctx flows ~lo:0 ~hi:(Array.length flows))
+      in
+      let fresh_first = whole_stats topo damage config first in
+      stats_equal fresh_first (eval first);
+      stats_equal (whole_stats topo damage config second) (eval second);
+      stats_equal fresh_first (eval first))
+    resolving_schemes
+
+let work_counters = [ "fcp.recomputations"; "fcp.trees_built"; "pqueue.pop" ]
+
+(* How much [f] moves each of [work_counters] on the calling domain. *)
+let counter_deltas f =
+  let read () =
+    List.map (fun n -> Rtr_obs.Metrics.(Counter.value (counter n))) work_counters
+  in
+  let before = read () in
+  f ();
+  List.map2 (fun a b -> a - b) (read ()) before
+
+(* Outcomes are resolved once per (context, flow array): four slices of
+   an array cost the same recovery work as one whole-array slice. *)
+let test_resolve_once () =
+  let topo = paper_topo () in
+  let g = Rtr_topo.Topology.graph topo in
+  let damage = paper_damage g in
+  let flows = Flowsim.demand topo ~n:800 ~seed:19 in
+  let n = Array.length flows in
+  List.iter
+    (fun scheme ->
+      let config = quick_config scheme in
+      let whole_ctx = Flowsim.context topo damage config in
+      let sliced_ctx = Flowsim.context topo damage config in
+      let whole =
+        counter_deltas (fun () ->
+            ignore (Flowsim.eval_slice whole_ctx flows ~lo:0 ~hi:n))
+      in
+      let sliced =
+        counter_deltas (fun () ->
+            for i = 0 to 3 do
+              ignore
+                (Flowsim.eval_slice sliced_ctx flows ~lo:(i * n / 4)
+                   ~hi:((i + 1) * n / 4))
+            done)
+      in
+      let name = Flowsim.scheme_name scheme in
+      Alcotest.(check (list int)) (name ^ ": same work") whole sliced;
+      Alcotest.(check bool) (name ^ ": recovery ran Dijkstras") true
+        (List.nth whole 2 > 0);
+      if scheme = Flowsim.Fcp_scheme then
+        Alcotest.(check bool) "fcp recomputed" true (List.hd whole > 0))
+    [ Flowsim.Rtr_scheme; Flowsim.Fcp_scheme ]
+
+(* The counters of a snapshot (one entry per registered counter).  The
+   workspace alloc/reuse split depends on which domains ran Dijkstras,
+   so only their sum is compared. *)
+let counters_of snap =
+  match
+    Option.bind
+      (Rtr_obs.Json.member "counters" (Rtr_obs.Metrics.Snapshot.to_json snap))
+      (function Rtr_obs.Json.Obj kvs -> Some kvs | _ -> None)
+  with
+  | None -> Alcotest.fail "snapshot without counters"
+  | Some kvs ->
+      let ws = ref 0 in
+      let rest =
+        List.filter_map
+          (fun (name, v) ->
+            match v with
+            | Rtr_obs.Json.Int n
+              when String.starts_with ~prefix:"spt.ws_" name ->
+                ws := !ws + n;
+                None
+            | Rtr_obs.Json.Int n -> Some (name, n)
+            | _ -> None)
+          kvs
+      in
+      ("spt.ws_*", !ws) :: rest
+
+(* Two domains evaluating alternating slices of each context (racing
+   for the resolve) merge to the stats and the work counters of the
+   same slices evaluated on this domain alone. *)
+let test_two_domains () =
+  let topo = paper_topo () in
+  let g = Rtr_topo.Topology.graph topo in
+  let damage = paper_damage g in
+  let flows = Flowsim.demand topo ~n:800 ~seed:23 in
+  let n = Array.length flows in
+  let chunks = 8 in
+  let bounds = Array.init chunks (fun i -> (i * n / chunks, (i + 1) * n / chunks)) in
+  let contexts () =
+    List.map (fun s -> Flowsim.context topo damage (quick_config s)) all_schemes
+  in
+  (* Evaluates the slices [i] with [i mod stride = first] of every
+     context; returns them with their index, and the domain's counters
+     moved. *)
+  let eval_part ctxs ~first ~stride =
+    let before = Rtr_obs.Metrics.snapshot () in
+    let accs =
+      List.map
+        (fun ctx ->
+          List.filter_map
+            (fun i ->
+              if i mod stride <> first then None
+              else
+                let lo, hi = bounds.(i) in
+                Some (i, Flowsim.eval_slice ctx flows ~lo ~hi))
+            (List.init chunks Fun.id))
+        ctxs
+    in
+    let after = Rtr_obs.Metrics.snapshot () in
+    let moved =
+      let b = counters_of before in
+      List.map
+        (fun (name, v) ->
+          (name, v - Option.value (List.assoc_opt name b) ~default:0))
+        (counters_of after)
+    in
+    (accs, moved)
+  in
+  let finish ctxs parts =
+    List.mapi
+      (fun k ctx ->
+        let slices =
+          List.concat_map (fun part -> List.nth part k) parts
+          |> List.sort (fun (i, _) (j, _) -> compare i j)
+          |> List.map snd
+        in
+        Flowsim.finish ctx (merge_all slices))
+      ctxs
+  in
+  let seq_ctxs = contexts () in
+  let seq_accs, seq_moved = eval_part seq_ctxs ~first:0 ~stride:1 in
+  let seq = finish seq_ctxs [ seq_accs ] in
+  let par_ctxs = contexts () in
+  let domains =
+    List.map
+      (fun first -> Domain.spawn (fun () -> eval_part par_ctxs ~first ~stride:2))
+      [ 0; 1 ]
+  in
+  let results = List.map Domain.join domains in
+  let par = finish par_ctxs (List.map fst results) in
+  List.iter2 stats_equal seq par;
+  let par_moved =
+    List.fold_left
+      (fun acc (_, moved) ->
+        List.map
+          (fun (name, v) ->
+            (name, v + Option.value (List.assoc_opt name moved) ~default:0))
+          acc)
+      (List.map (fun (name, _) -> (name, 0)) seq_moved)
+      results
+  in
+  Alcotest.(check (list (pair string int))) "work counters" seq_moved par_moved;
+  Alcotest.(check bool) "some recovery work counted" true
+    (List.assoc "fcp.recomputations" seq_moved > 0)
 
 let test_demand_deterministic () =
   let topo = paper_topo () in
@@ -226,6 +418,9 @@ let suite =
     Alcotest.test_case "rtr beats no recovery" `Quick test_rtr_beats_no_recovery;
     Alcotest.test_case "all schemes run" `Quick test_all_schemes_run;
     Alcotest.test_case "shard invariance" `Quick test_shard_invariance;
+    Alcotest.test_case "second flow array" `Quick test_second_flow_array;
+    Alcotest.test_case "resolve once per array" `Quick test_resolve_once;
+    Alcotest.test_case "two domains" `Quick test_two_domains;
     Alcotest.test_case "demand deterministic" `Quick test_demand_deterministic;
     Alcotest.test_case "restore episode improves delivery" `Quick
       test_restore_episode_improves_delivery;

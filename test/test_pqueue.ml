@@ -15,9 +15,10 @@ let drain q =
 
 let test_empty () =
   let h = Pqueue.create () in
-  Alcotest.(check bool) "is_empty" true (Pqueue.is_empty h);
-  Alcotest.(check int) "length" 0 (Pqueue.length h);
-  Alcotest.(check int) "pop" (-1) (Pqueue.pop h)
+  Alcotest.(check int) "pop" (-1) (Pqueue.pop h);
+  Pqueue.push h ~prio:4 ~tag:2;
+  Alcotest.(check int) "pop the one entry" 2 (Pqueue.pop h);
+  Alcotest.(check int) "empty again" (-1) (Pqueue.pop h)
 
 let test_ordering () =
   let h = Pqueue.create () in
@@ -31,15 +32,16 @@ let test_clear () =
   let h = Pqueue.create () in
   Pqueue.push h ~prio:1 ~tag:1;
   Pqueue.clear h;
-  Alcotest.(check bool) "cleared" true (Pqueue.is_empty h)
+  Alcotest.(check int) "cleared" (-1) (Pqueue.pop h)
 
 let test_growth () =
   let h = Pqueue.create () in
   for i = 1000 downto 1 do
     Pqueue.push h ~prio:i ~tag:i
   done;
-  Alcotest.(check int) "length" 1000 (Pqueue.length h);
-  Alcotest.(check int) "min" 1 (Pqueue.pop h)
+  Alcotest.(check int) "min" 1 (Pqueue.pop h);
+  let rec count n = if Pqueue.pop h = -1 then n else count (n + 1) in
+  Alcotest.(check int) "every entry pops once" 1000 (count 1)
 
 let heap_sorts =
   QCheck.Test.make ~name:"pqueue drains in sorted order" ~count:100
@@ -58,15 +60,27 @@ let bounded ~bound =
   Pqueue.configure q ~bound;
   q
 
+(* The discipline [configure] picked, read from the counters it bumps. *)
+let selected ~bound =
+  let value n = Rtr_obs.Metrics.(Counter.value (counter n)) in
+  let dial = value "pqueue.dial_selected"
+  and heap = value "pqueue.heap_selected" in
+  ignore (bounded ~bound);
+  match
+    (value "pqueue.dial_selected" - dial, value "pqueue.heap_selected" - heap)
+  with
+  | 1, 0 -> `Dial
+  | 0, 1 -> `Heap
+  | d, h -> Alcotest.failf "configure counted %d dial and %d heap" d h
+
 let test_dial_selected () =
-  let d = bounded ~bound:100 in
-  Alcotest.(check bool) "bound 100 -> dial" true (Pqueue.uses_dial d);
-  let h = bounded ~bound:(-1) in
-  Alcotest.(check bool) "bound -1 -> heap" false (Pqueue.uses_dial h);
-  let big = bounded ~bound:(Pqueue.max_dial_bound + 1) in
-  Alcotest.(check bool) "bound over max -> heap" false (Pqueue.uses_dial big);
-  let edge = bounded ~bound:Pqueue.max_dial_bound in
-  Alcotest.(check bool) "bound at max -> dial" true (Pqueue.uses_dial edge)
+  let check what want bound =
+    Alcotest.(check bool) what true (selected ~bound = want)
+  in
+  check "bound 100 -> dial" `Dial 100;
+  check "bound -1 -> heap" `Heap (-1);
+  check "bound over max -> heap" `Heap (Pqueue.max_dial_bound + 1);
+  check "bound at max -> dial" `Dial Pqueue.max_dial_bound
 
 let test_dial_bound_for () =
   Alcotest.(check int) "unit costs" 9 (Pqueue.dial_bound_for ~max_cost:1 ~n_nodes:10);
@@ -156,12 +170,13 @@ let dial_matches_heap =
       feed batch1;
       let first = pop_both (List.length batch1 / 2) in
       feed batch2;
-      let rest = pop_both (Pqueue.length heap) in
+      let left = List.length batch1 - List.length first in
+      let rest = pop_both (left + List.length batch2) in
       let out = first @ rest in
       let dial_out = List.map fst out and heap_out = List.map snd out in
       List.map fst dial_out = List.map fst heap_out
       && List.sort compare dial_out = List.sort compare heap_out
-      && Pqueue.is_empty dial && Pqueue.is_empty heap)
+      && Pqueue.pop dial = -1 && Pqueue.pop heap = -1)
 
 let suite =
   [
