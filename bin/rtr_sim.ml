@@ -146,7 +146,7 @@ let jobs_term =
     $ Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc))
 
 let config_of ?cases ?mrc_k ?jobs ~seed ~topos () =
-  let base = Experiments.default_config () in
+  let base = Experiments.default_config in
   let presets =
     match topos with
     | None -> base.Experiments.presets
@@ -202,8 +202,10 @@ let emit_figure ?out (f : Experiments.figure) =
 
 let topologies_cmd =
   let run () =
-    let config = Experiments.default_config () in
-    let t = Experiments.table2 { config with Experiments.presets = Isp.all } in
+    let t =
+      Experiments.table2
+        { Experiments.default_config with Experiments.presets = Isp.all }
+    in
     print_string (Report.render_table t);
     print_newline ();
     List.iter
@@ -266,13 +268,13 @@ let table_cmd ?(cases = (500, "Recoverable cases per topology.")) name ~doc
     let default, doc = cases in
     Arg.(value & opt int default & info [ "cases" ] ~docv:"N" ~doc)
   in
-  let run () seed topos cases jobs out table =
-    emit_table ?out (table cases (config_of ~jobs ~seed ~topos ()))
+  let run () seed topos cases out table =
+    emit_table ?out (table cases (config_of ~seed ~topos ()))
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ obs_term $ seed_arg $ topos_arg $ cases_arg $ jobs_term
-      $ out_term $ table)
+      const run $ obs_term $ seed_arg $ topos_arg $ cases_arg $ out_term
+      $ table)
 
 let ablation_cmd =
   table_cmd "ablation"
@@ -949,8 +951,7 @@ let fuzz_cmd =
               ]
           | s -> (
               match Oracle.Episode.kind_of_string s with
-              | Some Oracle.Episode.Mixed | None ->
-                  usage ("unknown episode kind " ^ s)
+              | None -> usage ("unknown episode kind " ^ s)
               | Some k -> [ k ])
         in
         let outcome, rows = Campaign.run_episodes ~log:log_line config ~kinds in

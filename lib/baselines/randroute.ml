@@ -16,8 +16,6 @@ let create ?(seed = default_seed) ?(candidates = 3) g =
   in
   { perms }
 
-let n_candidates t = Array.length t.perms
-
 type outcome =
   | Rerouted of { via : Graph.node; nodes : Graph.node list; cost : int }
   | No_route

@@ -29,8 +29,6 @@ val create : ?seed:int -> ?candidates:int -> Graph.t -> t
     of the node set.  [seed] defaults to the scheme's fixed default;
     pass the experiment seed to vary instances reproducibly. *)
 
-val n_candidates : t -> int
-
 type outcome =
   | Rerouted of { via : Graph.node; nodes : Graph.node list; cost : int }
       (** The chosen route [initiator -> via -> dst] as the node walk

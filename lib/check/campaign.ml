@@ -219,7 +219,6 @@ let episode_spec ~seed ~kind ~index =
     | E.Cascading -> 1
     | E.Transient -> 2
     | E.Moving -> 3
-    | E.Mixed -> invalid_arg "Campaign.episode_spec: Mixed is not generatable"
   in
   let rng =
     Rtr_util.Rng.make (((((seed * 5) + salt) * 1_000_003) + index) lxor 0x5eed)
@@ -232,7 +231,6 @@ let episode_spec ~seed ~kind ~index =
   | E.Cascading -> Spec.generate_episodes rng ~kind:`Cascading ~name
   | E.Transient -> Spec.generate_episodes rng ~kind:`Transient ~name
   | E.Moving -> Spec.generate_episodes rng ~kind:`Moving ~name
-  | E.Mixed -> assert false
 
 let survival_json ~seed ~cases rows =
   let cell c =
@@ -332,8 +330,8 @@ let run_episodes ?(log = fun _ -> ()) config ~kinds =
   let failures = ref [] in
   (* Shrink a violation against the single named oracle and persist it,
      exactly like the static campaign does. *)
-  let shrink_and_save ~expect ~prefix (oracle : Oracle.t) kind index
-      (v : Oracle.violation) =
+  let shrink_and_save ~expect ~prefix name kind index v =
+    let oracle = Option.get (Oracle.find name) in
     let original = episode_spec ~seed:config.seed ~kind ~index in
     let shrunk, violation', evals =
       Shrink.run ~max_evals:config.max_shrink_evals
@@ -391,7 +389,7 @@ let run_episodes ?(log = fun _ -> ()) config ~kinds =
              (E.kind_to_string kind) index v.Oracle.oracle v.Oracle.detail);
         let cex, _ =
           shrink_and_save ~expect:`Violation ~prefix:"counterexample"
-            Oracle.episode_no_loop kind index v
+            "episode_no_loop" kind index v
         in
         failures := cex :: !failures);
     (match thm3_viol with
@@ -403,7 +401,7 @@ let run_episodes ?(log = fun _ -> ()) config ~kinds =
              (E.kind_to_string kind) index v.Oracle.oracle v.Oracle.detail);
         let cex, _ =
           shrink_and_save ~expect:`Violation ~prefix:"counterexample"
-            Oracle.episode_single_link kind index v
+            "episode_single_link" kind index v
         in
         failures := cex :: !failures);
     (* Theorem-2 relaxation violations are the measurement, not a bug:
@@ -420,7 +418,7 @@ let run_episodes ?(log = fun _ -> ()) config ~kinds =
              (E.kind_to_string kind) index v.Oracle.detail);
         let _, artifact =
           shrink_and_save ~expect:`Violation ~prefix:"episode"
-            Oracle.episode_optimal kind index v
+            "episode_optimal" kind index v
         in
         a.a_thm2_artifact <- artifact
     | _ -> ()

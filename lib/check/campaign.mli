@@ -93,12 +93,6 @@ type survival_row = {
       (** the kind's shrunk exemplar, when one was persisted *)
 }
 
-val episode_spec :
-  seed:int -> kind:Oracle.Episode.kind -> index:int -> Spec.t
-(** The campaign's spec for [(seed, kind, index)] — same regeneration
-    discipline as {!run}'s, salted by kind.  Raises [Invalid_argument]
-    for [Mixed], which is never generated. *)
-
 val run_episodes :
   ?log:(string -> unit) ->
   config ->

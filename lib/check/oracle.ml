@@ -243,32 +243,20 @@ let single_link_run ~inject:_ spec =
 (* --- episode timelines ---------------------------------------------- *)
 
 module Episode = struct
-  type kind = Static | Cascading | Transient | Moving | Mixed
+  type kind = Static | Cascading | Transient | Moving
 
   let kind_to_string = function
     | Static -> "static"
     | Cascading -> "cascading"
     | Transient -> "transient"
     | Moving -> "moving"
-    | Mixed -> "mixed"
 
   let kind_of_string = function
     | "static" -> Some Static
     | "cascading" -> Some Cascading
     | "transient" -> Some Transient
     | "moving" -> Some Moving
-    | "mixed" -> Some Mixed
     | _ -> None
-
-  let kind_of_spec spec =
-    match spec.Spec.episodes with
-    | [] -> Static
-    | eps ->
-        let all p = List.for_all p eps in
-        if all (function Spec.Cascade _ -> true | _ -> false) then Cascading
-        else if all (function Spec.Flap _ -> true | _ -> false) then Transient
-        else if all (function Spec.Move _ -> true | _ -> false) then Moving
-        else Mixed
 
   type stats = {
     transitions : int;
@@ -898,95 +886,6 @@ let rmap_run ~inject:_ spec =
                 ~true_cost:r.Service.true_cost ~path:r.Service.path)
         cases
 
-(* --- registry ------------------------------------------------------- *)
-
-let no_loop =
-  {
-    name = "no_loop";
-    doc = "Theorem 1: phase-1 walks terminate, within TTL, without loops";
-    run = no_loop_run;
-  }
-
-let optimal =
-  {
-    name = "optimal";
-    doc = "Theorem 2: recovery paths are shortest in the true failed graph";
-    run = optimal_run;
-  }
-
-let single_link =
-  {
-    name = "single_link";
-    doc = "Theorem 3: any non-bridge single link failure recovers optimally";
-    run = single_link_run;
-  }
-
-let fcp_vs_reference =
-  {
-    name = "fcp_vs_reference";
-    doc = "FCP routes from a shared-tree session equal the from-scratch reference";
-    run = fcp_vs_reference_run;
-  }
-
-let graph_vs_reference =
-  {
-    name = "graph_vs_reference";
-    doc =
-      "owned and workspace SPTs, routing tables and components equal the \
-       textbook reference";
-    run = graph_vs_reference_run;
-  }
-
-let dial_vs_heap =
-  {
-    name = "dial_vs_heap";
-    doc =
-      "bucket-queue (Dial) SPTs equal binary-heap SPTs on a cost-scaled \
-       copy";
-    run = dial_vs_heap_run;
-  }
-
-let parallel_vs_sequential =
-  {
-    name = "parallel_vs_sequential";
-    doc = "pool evaluation is bit-identical to the sequential run";
-    run = parallel_run;
-  }
-
-let rmap_vs_reactive =
-  {
-    name = "rmap_vs_reactive";
-    doc = "precompiled recovery-map lookups equal fresh reactive runs";
-    run = rmap_run;
-  }
-
-let episode_no_loop =
-  {
-    name = "episode_no_loop";
-    doc =
-      "Theorem 1 across episode transitions: stale-picture walks still \
-       terminate loop-free";
-    run = episode_no_loop_run;
-  }
-
-let episode_optimal =
-  {
-    name = "episode_optimal";
-    doc =
-      "Theorem 2 across episode transitions: expected to break under \
-       cascading/transient relaxations (measured, with stretch)";
-    run = episode_optimal_run;
-  }
-
-let episode_single_link =
-  {
-    name = "episode_single_link";
-    doc =
-      "Theorem 3 on the settled post-episode network with converged base \
-       knowledge";
-    run = episode_single_link_run;
-  }
-
 (* --- flow engine vs packet engine ----------------------------------- *)
 
 (* Differential check of the two DES backends: the flow-level engine
@@ -1061,29 +960,84 @@ let flow_vs_packet_run ~inject:_ spec =
                   flow_vs_packet_tolerance (Array.length flows))))
       [ (false, Flowsim.No_recovery); (true, Flowsim.Rtr_scheme) ]
 
-let flow_vs_packet =
-  {
-    name = "flow_vs_packet";
-    doc =
-      "flow-level delivery fractions match the per-packet engine within \
-       tolerance (static specs; RTR on and off)";
-    run = flow_vs_packet_run;
-  }
+
+(* --- registry ------------------------------------------------------- *)
 
 let all =
   [
-    no_loop;
-    optimal;
-    single_link;
-    fcp_vs_reference;
-    graph_vs_reference;
-    dial_vs_heap;
-    parallel_vs_sequential;
-    rmap_vs_reactive;
-    episode_no_loop;
-    episode_optimal;
-    episode_single_link;
-    flow_vs_packet;
+    {
+      name = "no_loop";
+      doc = "Theorem 1: phase-1 walks terminate, within TTL, without loops";
+      run = no_loop_run;
+    };
+    {
+      name = "optimal";
+      doc = "Theorem 2: recovery paths are shortest in the true failed graph";
+      run = optimal_run;
+    };
+    {
+      name = "single_link";
+      doc = "Theorem 3: any non-bridge single link failure recovers optimally";
+      run = single_link_run;
+    };
+    {
+      name = "fcp_vs_reference";
+      doc =
+        "FCP routes from a shared-tree session equal the from-scratch reference";
+      run = fcp_vs_reference_run;
+    };
+    {
+      name = "graph_vs_reference";
+      doc =
+        "owned and workspace SPTs, routing tables and components equal the \
+         textbook reference";
+      run = graph_vs_reference_run;
+    };
+    {
+      name = "dial_vs_heap";
+      doc =
+        "bucket-queue (Dial) SPTs equal binary-heap SPTs on a cost-scaled \
+         copy";
+      run = dial_vs_heap_run;
+    };
+    {
+      name = "parallel_vs_sequential";
+      doc = "pool evaluation is bit-identical to the sequential run";
+      run = parallel_run;
+    };
+    {
+      name = "rmap_vs_reactive";
+      doc = "precompiled recovery-map lookups equal fresh reactive runs";
+      run = rmap_run;
+    };
+    {
+      name = "episode_no_loop";
+      doc =
+        "Theorem 1 across episode transitions: stale-picture walks still \
+         terminate loop-free";
+      run = episode_no_loop_run;
+    };
+    {
+      name = "episode_optimal";
+      doc =
+        "Theorem 2 across episode transitions: expected to break under \
+         cascading/transient relaxations (measured, with stretch)";
+      run = episode_optimal_run;
+    };
+    {
+      name = "episode_single_link";
+      doc =
+        "Theorem 3 on the settled post-episode network with converged base \
+         knowledge";
+      run = episode_single_link_run;
+    };
+    {
+      name = "flow_vs_packet";
+      doc =
+        "flow-level delivery fractions match the per-packet engine within \
+         tolerance (static specs; RTR on and off)";
+      run = flow_vs_packet_run;
+    };
   ]
 
 let find name = List.find_opt (fun o -> o.name = name) all

@@ -5,7 +5,8 @@
     protocol's behaviour against ground truth (full Dijkstra over
     [Damage.view], exhaustive reachability) or against an independent
     implementation of the same computation — they never re-derive the
-    protocol's own answer.
+    protocol's own answer.  The registry {!all} holds one record per
+    oracle below; {!find} reaches one by name.
 
     - [no_loop] — Theorem 1: every phase-1 walk terminates by closing
       its cycle, within the 4|E|+4 TTL, never repeating a
@@ -46,7 +47,9 @@
       on a static spec.
     - [flow_vs_packet] — the flow-level engine's delivered fractions
       match the per-packet engine within tolerance on the same demand
-      matrix (static specs only). *)
+      matrix, RTR on and off (static specs only: it returns [None]
+      instantly on episode timelines, the mirror image of the episode
+      oracles' static short-circuit). *)
 
 type violation = { oracle : string; detail : string }
 
@@ -75,14 +78,10 @@ type t = {
     episode timeline — the machinery behind the theorem-survival
     matrix. *)
 module Episode : sig
-  type kind = Static | Cascading | Transient | Moving | Mixed
+  type kind = Static | Cascading | Transient | Moving
 
   val kind_to_string : kind -> string
   val kind_of_string : string -> kind option
-
-  val kind_of_spec : Spec.t -> kind
-  (** [Static] for an episode-free spec; the episode kind when the
-      timeline is homogeneous; [Mixed] otherwise. *)
 
   type stats = {
     transitions : int;  (** timeline transitions evaluated (≥ 1) *)
@@ -120,26 +119,9 @@ module Episode : sig
       Must hold exactly. *)
 end
 
-val no_loop : t
-val optimal : t
-val single_link : t
-val fcp_vs_reference : t
-val graph_vs_reference : t
-val dial_vs_heap : t
-val parallel_vs_sequential : t
-val rmap_vs_reactive : t
-val episode_no_loop : t
-val episode_optimal : t
-val episode_single_link : t
-
-val flow_vs_packet : t
-(** Differential check of the flow-level engine against the per-packet
-    engine: delivered fractions of the same demand matrix must agree
-    within a fixed tolerance (RTR on and off).  Static specs only —
-    returns [None] instantly on episode timelines, the mirror image of
-    the episode oracles' static short-circuit. *)
-
 val all : t list
-(** Every oracle, in the order the campaign runs them. *)
+(** Every oracle, in the order the campaign runs them and the header
+    above lists them. *)
 
 val find : string -> t option
+(** The oracle of [all] with this name. *)

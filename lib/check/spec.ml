@@ -265,21 +265,6 @@ let generate_episodes rng ~kind ~name =
   in
   search 0
 
-let of_topology topo ~name failure =
-  let g = Rtr_topo.Topology.graph topo in
-  let emb = Rtr_topo.Topology.embedding topo in
-  let coords =
-    Array.init (Graph.n_nodes g) (fun v ->
-        let p = Rtr_topo.Embedding.position emb v in
-        (grid p.Point.x, grid p.Point.y))
-  in
-  let edges =
-    Graph.fold_links g ~init:[] ~f:(fun acc id u v ->
-        (u, v, Graph.cost g id ~src:u, Graph.cost g id ~src:v) :: acc)
-    |> List.rev
-  in
-  { name; n = Graph.n_nodes g; coords; edges; failure; episodes = [] }
-
 (* --- shrinking moves ------------------------------------------------ *)
 
 let drop_link spec i =

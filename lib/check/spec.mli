@@ -73,11 +73,6 @@ val generate_episodes :
     (bounded) until at least one episode event changes the ground
     truth. *)
 
-val of_topology : Rtr_topo.Topology.t -> name:string -> failure -> t
-(** Snapshot an existing topology (e.g. a Rocketfuel parse) into a
-    spec.  Coordinates are rounded to the 0.01 grid, so crossings may
-    differ infinitesimally from the source topology's. *)
-
 (** {1 Shrinking moves}
 
     Each returns [None] when the move does not apply (too small, wrong

@@ -158,8 +158,3 @@ let run topo damage ?(constraints = true) ?hand ?hop_limit ~initiator ~trigger
       loop first_hop initiator [ first_hop; initiator ] [ first_step ] 1
 
 let duration_s r = Delay.of_hops r.hops
-
-let header_bytes_final r =
-  Header.rtr_phase1
-    ~n_failed:(List.length r.failed_links)
-    ~n_cross:(List.length r.cross_links)

@@ -92,6 +92,3 @@ val run :
 val duration_s : result -> float
 (** Wall-clock length of the walk under the paper's 1.8 ms/hop delay
     model. *)
-
-val header_bytes_final : result -> int
-(** Size of the phase-1 recovery header when the walk ends. *)

@@ -62,5 +62,3 @@ let pop t =
     end;
     Some (top.time, top.payload)
   end
-
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time

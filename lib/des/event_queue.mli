@@ -16,5 +16,3 @@ val add : 'a t -> time:float -> 'a -> unit
 
 val pop : 'a t -> (float * 'a) option
 (** Earliest event; among equal times, the one added first. *)
-
-val peek_time : 'a t -> float option

@@ -27,14 +27,6 @@ let scheme_name = function
   | Mrc_scheme -> "mrc"
   | Randroute_scheme -> "randroute"
 
-let scheme_of_name = function
-  | "none" -> Some No_recovery
-  | "rtr" -> Some Rtr_scheme
-  | "fcp" -> Some Fcp_scheme
-  | "mrc" -> Some Mrc_scheme
-  | "randroute" -> Some Randroute_scheme
-  | _ -> None
-
 type config = {
   igp : Rtr_igp.Igp_config.t;
   scheme : scheme;

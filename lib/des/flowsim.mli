@@ -52,7 +52,6 @@ type scheme =
   | Randroute_scheme  (** {!Rtr_baselines.Randroute} *)
 
 val scheme_name : scheme -> string
-val scheme_of_name : string -> scheme option
 
 type config = {
   igp : Rtr_igp.Igp_config.t;

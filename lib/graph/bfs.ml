@@ -23,10 +23,3 @@ let run view ~source =
 let reachable view s t =
   let r = run view ~source:s in
   r.dist.(t) < max_int
-
-let path_to r t =
-  if r.dist.(t) = max_int then None
-  else begin
-    let rec walk acc v = if v = -1 then acc else walk (v :: acc) r.parent.(v) in
-    Some (Path.of_nodes (walk [] t))
-  end

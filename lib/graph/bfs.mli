@@ -18,7 +18,3 @@ val run : View.t -> source:Graph.node -> result
     order of the parents decides). *)
 
 val reachable : View.t -> Graph.node -> Graph.node -> bool
-
-val path_to : result -> Graph.node -> Path.t option
-(** Reconstructs the shortest hop path from the BFS source, if the node
-    was reached. *)

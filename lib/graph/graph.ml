@@ -168,8 +168,6 @@ let find_link g u v =
   in
   loop lo
 
-let mem_edge g u v = Option.is_some (find_link g u v)
-
 let iter_neighbors g u f =
   let hi = g.adj_off.(u + 1) in
   for i = g.adj_off.(u) to hi - 1 do

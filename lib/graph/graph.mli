@@ -52,8 +52,6 @@ val max_cost : t -> int
 val find_link : t -> node -> node -> link_id option
 (** The link between two nodes, if any. *)
 
-val mem_edge : t -> node -> node -> bool
-
 (** {1 Adjacency} *)
 
 val degree : t -> node -> int

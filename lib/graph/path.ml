@@ -55,8 +55,6 @@ let is_valid view p =
   in
   loop p.rev
 
-let append_hop p v = { rev = v :: p.rev; len = p.len + 1 }
-
 let equal a b = a.len = b.len && a.rev = b.rev
 
 let pp ppf p =

@@ -33,9 +33,6 @@ val is_valid : View.t -> t -> bool
 (** Whether every consecutive pair is adjacent and every node/link is
     live in the view (the source must be live too). *)
 
-val append_hop : t -> Graph.node -> t
-(** Extends the path by one node at the destination end.  O(1). *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

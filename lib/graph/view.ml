@@ -54,21 +54,6 @@ let remove_links t ids =
   List.iter (fun id -> clear link_words id) ids;
   { t with link_words }
 
-let remove_nodes t vs =
-  Rtr_obs.Metrics.Counter.incr c_allocs;
-  let node_words = Array.copy t.node_words in
-  List.iter (fun v -> clear node_words v) vs;
-  { t with node_words }
-
-let inter a b =
-  if a.graph != b.graph then invalid_arg "View.inter: different graphs";
-  Rtr_obs.Metrics.Counter.incr c_allocs;
-  {
-    graph = a.graph;
-    node_words = Array.map2 ( land ) a.node_words b.node_words;
-    link_words = Array.map2 ( land ) a.link_words b.link_words;
-  }
-
 (* The masked neighbour loop walks the graph's CSR arrays directly:
    no per-neighbour tuple, two flat int reads per candidate. *)
 let iter_neighbors t u f =

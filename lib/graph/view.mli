@@ -7,8 +7,8 @@
     [Graph.t] plus bitset liveness masks over node and link ids.
 
     Masks are int-array bitsets (32 bits per word), so membership is a
-    shift-and-mask ([O(1)], no closure call) and the derivation
-    operations ([full], [remove_links], [inter], ...) cost O(words).
+    shift-and-mask ([O(1)], no closure call) and the three
+    constructors ([full], [of_failed], [remove_links]) cost O(words).
     Views never mutate; deriving one copies only the changed mask.
 
     Views are built from failed-element lists ([of_failed]) or derived
@@ -36,19 +36,10 @@ val remove_links : t -> Graph.link_id list -> t
 (** A view with the given links additionally masked out.  O(words +
     length). *)
 
-val remove_nodes : t -> Graph.node list -> t
-
-val inter : t -> t -> t
-(** Intersection of liveness (union of failures) — the multi-area
-    merge.  Raises [Invalid_argument] on different graphs.  O(words). *)
-
 (** {1 Membership} *)
 
 val node_ok : t -> Graph.node -> bool
 val link_ok : t -> Graph.link_id -> bool
-
-val n_live_nodes : t -> int
-val n_live_links : t -> int
 
 (** {1 Masked adjacency}
 
@@ -74,3 +65,4 @@ val equal : t -> t -> bool
 (** Same graph (physically) and identical masks. *)
 
 val pp : Format.formatter -> t -> unit
+(** [view(live/total nodes, live/total links live)]. *)

@@ -13,9 +13,6 @@ type t = {
   wall_s : float option;
 }
 
-val git_describe : unit -> string option
-(** [git describe --always --dirty], or [None] outside a work tree. *)
-
 val make :
   ?seed:int ->
   ?config:(string * string) list ->

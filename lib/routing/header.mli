@@ -12,26 +12,21 @@ val link_id_bytes : int
 val node_id_bytes : int
 (** 2 — node ids in source routes use the same width. *)
 
-val mode_bytes : int
-(** 1 — the RTR mode flag, byte-aligned. *)
-
-val rec_init_bytes : int
-(** 2 — the recovery-initiator id. *)
-
 val payload_bytes : int
 (** 1000 — the paper's assumed packet size when pricing wasted
     transmission (Sec. IV-D). *)
 
 val rtr_phase1 : n_failed:int -> n_cross:int -> int
-(** Bytes of recovery state carried by a phase-1 packet: mode +
-    rec_init + the two link-id lists. *)
+(** Bytes of recovery state carried by a phase-1 packet: the 1-byte
+    mode flag, the 2-byte recovery-initiator id and the two link-id
+    lists. *)
 
 val source_route : hops:int -> int
 (** Bytes of a source route crossing [hops] links: one node id per hop
     (the first hop's transmitting node needs no entry). *)
 
 val rtr_phase2 : hops:int -> int
-(** Phase-2 packets carry mode + the source route. *)
+(** Phase-2 packets carry the mode flag + the source route. *)
 
 val fcp : n_failed:int -> route_hops:int -> int
 (** FCP (source-routing variant) carries the accumulated failed-link

@@ -30,7 +30,6 @@ let create topo =
   }
 
 let topology t = t.topo
-let full_view t = t.full_view
 
 (* Process-wide registry, so every harness stage working on the same
    topology shares one cache (the BENCH_0003 bug: each stage [create]d

@@ -30,9 +30,6 @@ val shared : Rtr_topo.Topology.t -> t
 
 val topology : t -> Rtr_topo.Topology.t
 
-val full_view : t -> Rtr_graph.View.t
-(** The undamaged view of the topology's graph, allocated once. *)
-
 val table : t -> Route_table.t
 (** The pre-failure routing table, computed on first call. *)
 

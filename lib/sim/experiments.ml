@@ -17,14 +17,14 @@ type config = {
   jobs : int;
 }
 
-let default_config () =
+let default_config =
   {
     presets = Isp.table2;
     recoverable_per_topo = 2000;
     irrecoverable_per_topo = 2000;
     seed = 7;
     mrc_k = None;
-    jobs = Parallel.env_jobs ();
+    jobs = 1;
   }
 
 type topo_data = {

@@ -20,10 +20,10 @@ type config = {
           (see [Parallel.map]). *)
 }
 
-val default_config : unit -> config
+val default_config : config
 (** Table II presets, 2,000 cases of each kind per topology, seed 7,
-    automatic MRC k, jobs from [RTR_JOBS] (default: the recommended
-    domain count, see [Parallel.env_jobs]). *)
+    automatic MRC k, one job.  Reads no environment: [rtr_sim]'s
+    [--jobs] flag, defaulting to [Parallel.env_jobs], sets [jobs]. *)
 
 type topo_data = {
   preset : Rtr_topo.Isp.preset;

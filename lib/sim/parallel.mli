@@ -14,13 +14,8 @@ val env_jobs : unit -> int
     jobs-invariant throughout).  A set-but-malformed value falls back
     to the same recommended count, with a warning to stderr. *)
 
-val note_jobs : int -> unit
-(** Record a job count as used; [map] and [stream] call this on entry.
-    The maximum over the process lifetime is what [noted_jobs]
-    reports. *)
-
 val noted_jobs : unit -> int option
-(** The largest [jobs] any pool entry point of this process was called
+(** The largest [jobs] [map] or [stream] of this process was called
     with, or [None] when no sharded entry point ran — the effective
     parallelism a run manifest should record. *)
 

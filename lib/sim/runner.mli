@@ -21,7 +21,7 @@ type result = {
   rtr_stretch : float option;
       (** recovery-path cost / true shortest (recoverable and recovered
           only); Theorem 2 makes this 1.0 whenever present.  Always
-          [stretch_of_dist ~shortest_after] of [rtr_cost]. *)
+          [stretch_of_cost ~shortest_after rtr_cost]. *)
   rtr_route_bytes : int;
       (** phase-2 header (source route) size; 0 when the view had no
           path *)
@@ -60,12 +60,10 @@ val rtr_sp_calculations : result -> int
 (** [rtr_calcs] — the paper's accounting for RTR: at most one
     calculation per destination, cached thereafter. *)
 
-val stretch_of_dist : shortest_after:int option -> int -> float option
-(** The stretch ratio from an integer cost numerator: [None] when
-    [shortest_after] is [None], [Some 1.0] when it is [Some 0], else
-    [Some (cost / best)].  Exposed so the stream codec reconstructs
-    the exact float stretches from serialised integer costs. *)
-
 val stretch_of_cost : shortest_after:int option -> int option -> float option
-(** [stretch_of_dist] lifted over the optional cost: [None] cost means
-    not recovered/delivered, hence no stretch. *)
+(** The stretch ratio from an integer cost numerator: [None] when the
+    cost or [shortest_after] is [None] (not recovered/delivered, or no
+    true shortest path), [Some 1.0] when [shortest_after] is [Some 0],
+    else [Some (cost / best)].  Exposed so the stream codec
+    reconstructs the exact float stretches from serialised integer
+    costs. *)

@@ -44,9 +44,6 @@ type episode = {
   restore_links : int list;
 }
 
-val apply_episode :
-  Graph.t -> Rtr_failure.Damage.t -> episode -> Rtr_failure.Damage.t
-
 val timeline :
   Graph.t ->
   Rtr_failure.Damage.t ->

@@ -14,7 +14,6 @@ let name t = t.name
 let graph t = t.graph
 let embedding t = t.embedding
 let crossings t = t.crossings
-let is_planar_embedding t = Crossings.total t.crossings = 0
 
 let pp ppf t =
   Format.fprintf ppf "%s: %a, %d crossing pairs" t.name Rtr_graph.Graph.pp

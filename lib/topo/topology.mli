@@ -20,7 +20,4 @@ val graph : t -> Rtr_graph.Graph.t
 val embedding : t -> Embedding.t
 val crossings : t -> Crossings.t
 
-val is_planar_embedding : t -> bool
-(** No two links cross — the setting of Sec. III-B. *)
-
 val pp : Format.formatter -> t -> unit

@@ -8,7 +8,8 @@
 # in-process run, shard splits and crash-resume included), the count
 # gate (the work counters of the --jobs 1 snapshots above must equal
 # the committed scripts/counts/*.txt exactly), the hostile-input gate
-# (bad input or an unwritable output exits 1 with one line), the fuzz
+# (bad input or an unwritable output exits 1 with one line; a malformed
+# RTR_JOBS warns once, and never under --jobs), the fuzz
 # gate, the episode gate (theorem-survival matrix on
 # cascading/transient/moving timelines), and the benchmark-correctness
 # gate (every perfbench workload's own result checks).  Wall-clock is
@@ -361,7 +362,20 @@ expect_exit_1 "precompute --manifest under a regular file" precompute \
   --topo AS1239 --out "$streamdir/m.bin" \
   --manifest "$streamdir/regular/m.json"
 
-echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header/record/shard, unwritable outputs exit 1)"
+# A malformed RTR_JOBS warns exactly once when --jobs falls back to it,
+# and not at all when --jobs is given: only that flag's default reads
+# the variable.
+rtr_jobs_warnings() {
+  RTR_JOBS=abc dune exec bin/rtr_sim.exe -- table3 --cases 5 --topos AS209 \
+    "$@" 2>&1 > /dev/null | grep -c "warning: RTR_JOBS" || true
+}
+if [ "$(rtr_jobs_warnings --jobs 1)" -ne 0 ] || [ "$(rtr_jobs_warnings)" -ne 1 ]
+then
+  echo "ci_smoke: FAIL — a malformed RTR_JOBS must warn once without --jobs and never with it" >&2
+  exit 1
+fi
+
+echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header/record/shard, unwritable outputs exit 1, one RTR_JOBS warning)"
 
 # --- fuzz gate -------------------------------------------------------
 # Theorem-oracle fuzzing (lib/check): random topologies and failures

@@ -18,10 +18,7 @@ let test_unreachable () =
   let g = Graph.build ~n:4 ~edges:[ (0, 1); (2, 3) ] in
   let r = Bfs.run (View.full g) ~source:0 in
   Alcotest.(check bool) "far component" true (r.Bfs.dist.(2) = max_int);
-  Alcotest.(check int) "parent unset" (-1) (r.Bfs.parent.(3));
-  Alcotest.(check (option (list int)))
-    "no path" None
-    (Option.map Path.nodes (Bfs.path_to r 3))
+  Alcotest.(check int) "parent unset" (-1) (r.Bfs.parent.(3))
 
 let test_filters () =
   let g = ring 6 in
@@ -40,10 +37,13 @@ let test_dead_source () =
   Alcotest.(check bool) "nothing reached" true
     (Array.for_all (fun d -> d = max_int) r.Bfs.dist)
 
+(* Following [parent] from a reached node back to the source (parent
+   -1) spells a shortest hop path. *)
 let test_path_reconstruction () =
   let g = ring 6 in
   let r = Bfs.run (View.full g) ~source:0 in
-  let p = Option.get (Bfs.path_to r 3) in
+  let rec walk acc v = if v = -1 then acc else walk (v :: acc) r.Bfs.parent.(v) in
+  let p = Path.of_nodes (walk [] 3) in
   Alcotest.(check int) "shortest hops" 3 (Path.hops p);
   Alcotest.(check int) "starts at source" 0 (Path.source p);
   Alcotest.(check int) "ends at target" 3 (Path.destination p);

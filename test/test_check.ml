@@ -11,6 +11,8 @@ module Json = Rtr_obs.Json
 
 let spec_t = Alcotest.testable (fun fmt s -> Fmt.string fmt s.Spec.name) Spec.equal
 
+let oracle name = Option.get (Oracle.find name)
+
 let gen_spec seed =
   Spec.generate (Rtr_util.Rng.make seed) ~name:(Printf.sprintf "t-%d" seed)
 
@@ -140,11 +142,24 @@ let test_dial_vs_heap_runs_both_queues () =
   and heap = Rtr_obs.Metrics.counter "pqueue.heap_selected" in
   let value = Rtr_obs.Metrics.Counter.value in
   let d0 = value dial and h0 = value heap in
-  (match Oracle.dial_vs_heap.Oracle.run ~inject:None (gen_spec 3) with
+  (match (oracle "dial_vs_heap").Oracle.run ~inject:None (gen_spec 3) with
   | None -> ()
   | Some v -> Alcotest.failf "dial_vs_heap: %s" v.Oracle.detail);
   Alcotest.(check bool) "dial runs counted" true (value dial > d0);
   Alcotest.(check bool) "heap runs counted" true (value heap > h0)
+
+(* [find] is the only way to reach an oracle by name: each name of
+   [all] is unique and finds its own record, in [all]'s order. *)
+let test_oracle_registry () =
+  let names = List.map (fun o -> o.Oracle.name) Oracle.all in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (o : Oracle.t) ->
+      Alcotest.(check bool) ("find " ^ o.Oracle.name) true
+        (match Oracle.find o.Oracle.name with Some o' -> o' == o | None -> false))
+    Oracle.all;
+  Alcotest.(check bool) "unknown name" true (Oracle.find "nope" = None)
 
 let test_corpus_specs_pass_every_oracle () =
   (* Corpus artifacts name one oracle each.  An [expect=pass] spec must
@@ -197,7 +212,7 @@ let test_injected_bug_caught_and_shrunk () =
       Campaign.default with
       Campaign.cases = 25;
       seed = 42;
-      oracles = [ Oracle.optimal ];
+      oracles = [ oracle "optimal" ];
       inject = Some Oracle.Drop_failed_link;
     }
   in
@@ -212,7 +227,7 @@ let test_injected_bug_caught_and_shrunk () =
       (* The artifact reproduces: replay re-runs the oracle with the
          recorded injection and sees the violation again. *)
       let artifact =
-        Campaign.artifact_json ~oracle:Oracle.optimal
+        Campaign.artifact_json ~oracle:(oracle "optimal")
           ~inject:Oracle.Drop_failed_link ~violation:c.Campaign.violation
           ~expect:`Violation c.Campaign.shrunk
       in
@@ -221,7 +236,7 @@ let test_injected_bug_caught_and_shrunk () =
       | _ -> Alcotest.fail "artifact does not reproduce the violation");
       (* And the shrunk spec is clean without the injection: the bug is
          in the injected fault, not the protocol. *)
-      match Oracle.optimal.Oracle.run ~inject:None c.Campaign.shrunk with
+      match (oracle "optimal").Oracle.run ~inject:None c.Campaign.shrunk with
       | None -> ()
       | Some v -> Alcotest.failf "clean protocol flagged: %s" v.Oracle.detail)
     outcome.Campaign.failures
@@ -232,7 +247,7 @@ let test_campaign_jobs_invariant () =
       Campaign.default with
       Campaign.cases = 15;
       seed = 42;
-      oracles = [ Oracle.optimal ];
+      oracles = [ oracle "optimal" ];
       inject = Some Oracle.Drop_failed_link;
     }
   in
@@ -254,7 +269,7 @@ let test_shrink_is_greedy_fixpoint () =
   (* Shrinking an injected counterexample must reach a spec no single
      move can shrink further while still violating. *)
   let spec = gen_spec 42 in
-  let check s = Oracle.optimal.Oracle.run ~inject:(Some Oracle.Drop_failed_link) s in
+  let check s = (oracle "optimal").Oracle.run ~inject:(Some Oracle.Drop_failed_link) s in
   match check spec with
   | None -> () (* this seed's spec doesn't trip the injection: nothing to shrink *)
   | Some v ->
@@ -336,7 +351,8 @@ let test_episode_oracles_skip_static_specs () =
     (fun (o : Oracle.t) ->
       Alcotest.(check bool) (o.Oracle.name ^ " skips static") true
         (o.Oracle.run ~inject:None static = None))
-    [ Oracle.episode_no_loop; Oracle.episode_optimal; Oracle.episode_single_link ]
+    (List.map oracle
+       [ "episode_no_loop"; "episode_optimal"; "episode_single_link" ])
 
 let all_kinds =
   Oracle.Episode.[ Static; Cascading; Transient; Moving ]
@@ -398,7 +414,7 @@ let test_episode_shrink_fixpoint () =
   (* Shrinking must work on the episode axis too: find a spec whose
      timeline trips the theorem-2 relaxation, shrink it, and land on a
      violating spec that is no larger on any axis. *)
-  let check s = Oracle.episode_optimal.Oracle.run ~inject:None s in
+  let check s = (oracle "episode_optimal").Oracle.run ~inject:None s in
   let rec find seed =
     if seed > 40 then Alcotest.fail "no violating cascading spec found"
     else
@@ -427,6 +443,7 @@ let suite =
       test_oracles_pass_on_protocol;
     Alcotest.test_case "dial_vs_heap runs both queues" `Quick
       test_dial_vs_heap_runs_both_queues;
+    Alcotest.test_case "oracle registry" `Quick test_oracle_registry;
     Alcotest.test_case "corpus passes every oracle" `Quick
       test_corpus_specs_pass_every_oracle;
     Alcotest.test_case "injected bug caught, shrunk, reproduced" `Quick

@@ -314,7 +314,7 @@ let test_congestion_noop_damage_reported () =
       ~flows_per_topo:2000
       ~schemes:[ Rtr_des.Flowsim.No_recovery; Rtr_des.Flowsim.Rtr_scheme ]
       {
-        (Experiments.default_config ()) with
+        Experiments.default_config with
         Experiments.presets =
           [ Option.get (Isp.find "AS7018"); Option.get (Isp.find "AS1239") ];
         jobs = 1;

@@ -218,6 +218,16 @@ let golden =
       "5a6b84d3d0b3624a",
       fun () -> table (Experiments.ablation_constraints ~cases:40 (config ()))
     );
+    ( "ablation_mrc_k",
+      "cdfd8c73cbb669b3",
+      fun () ->
+        table (Experiments.ablation_mrc_k ~cases:40 ~ks:[ 4; 8 ] (config ()))
+    );
+    ( "instance_variance",
+      "a4e290b263852679",
+      fun () ->
+        table
+          (Experiments.instance_variance ~cases:30 ~instances:2 (config ())) );
     ("congestion_table", "0c282ba6c7460fdb", fun () -> table (congestion ()));
     ("netsim", "7acbff42cfa2fb68", fun () -> digest (netsim ()));
     ("rmap_artifact", "1e83753a44e7e3ea", fun () -> digest (rmap ()));

@@ -65,11 +65,12 @@ let test_iter_fold () =
   Alcotest.(check int) "fold_links endpoint sum" (0 + 1 + 1 + 2 + 0 + 2 + 2 + 3)
     total
 
-let test_mem_edge_and_name () =
+let test_find_link_and_name () =
   let g = diamond () in
-  Alcotest.(check bool) "mem" true (Graph.mem_edge g 3 2);
-  Alcotest.(check bool) "not mem" false (Graph.mem_edge g 0 3);
+  Alcotest.(check bool) "not adjacent" true (Graph.find_link g 0 3 = None);
   let id = Option.get (Graph.find_link g 3 2) in
+  Alcotest.(check bool) "either direction" true
+    (Graph.find_link g 2 3 = Some id);
   Alcotest.(check string) "name" "e2,3" (Graph.link_name g id)
 
 let adjacency_consistent =
@@ -101,6 +102,6 @@ let suite =
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "neighbors sorted" `Quick test_neighbors_sorted;
     Alcotest.test_case "iter/fold" `Quick test_iter_fold;
-    Alcotest.test_case "mem_edge and name" `Quick test_mem_edge_and_name;
+    Alcotest.test_case "find_link and name" `Quick test_find_link_and_name;
     QCheck_alcotest.to_alcotest adjacency_consistent;
   ]

@@ -25,10 +25,10 @@ let test_event_queue_validation () =
   let q = Event_queue.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Event_queue.add: bad time")
     (fun () -> Event_queue.add q ~time:(-1.0) ());
-  Alcotest.(check (option (float 1e-12))) "peek empty" None (Event_queue.peek_time q);
+  Alcotest.(check bool) "empty" true (Event_queue.pop q = None);
   Event_queue.add q ~time:5.0 ();
-  Alcotest.(check (option (float 1e-12))) "peek" (Some 5.0) (Event_queue.peek_time q);
-  Alcotest.(check int) "length" 1 (Event_queue.length q)
+  Alcotest.(check int) "length" 1 (Event_queue.length q);
+  Alcotest.(check bool) "pop" true (Event_queue.pop q = Some (5.0, ()))
 
 (* --- netsim --------------------------------------------------------- *)
 

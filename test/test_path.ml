@@ -50,12 +50,6 @@ let test_is_valid () =
     "broken adjacency" false
     (Path.is_valid (View.full g) (Path.of_nodes [ 0; 2 ]))
 
-let test_append_hop () =
-  let p = Path.of_nodes [ 0; 1 ] in
-  let q = Path.append_hop p 2 in
-  Alcotest.(check (list int)) "extended" [ 0; 1; 2 ] (Path.nodes q);
-  Alcotest.(check (list int)) "original untouched" [ 0; 1 ] (Path.nodes p)
-
 let test_mem_equal_pp () =
   let p = Path.of_nodes [ 3; 1; 4 ] in
   Alcotest.(check bool) "mem" true (Path.mem_node p 1);
@@ -72,6 +66,5 @@ let suite =
     Alcotest.test_case "links and cost" `Quick test_links_and_cost;
     Alcotest.test_case "weighted direction" `Quick test_weighted_cost_direction;
     Alcotest.test_case "is_valid" `Quick test_is_valid;
-    Alcotest.test_case "append_hop" `Quick test_append_hop;
     Alcotest.test_case "mem/equal/pp" `Quick test_mem_equal_pp;
   ]

@@ -109,7 +109,9 @@ let test_header_bytes_monotone () =
   in
   Alcotest.(check bool) "append-only header" true (monotone bytes);
   Alcotest.(check int) "final size matches fields"
-    (Phase1.header_bytes_final p1)
+    (Rtr_routing.Header.rtr_phase1
+       ~n_failed:(List.length p1.Phase1.failed_links)
+       ~n_cross:(List.length p1.Phase1.cross_links))
     (List.nth bytes (List.length bytes - 1))
 
 let test_duration_model () =

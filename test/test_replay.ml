@@ -66,7 +66,7 @@ let test_replay_detects_drift () =
     Rtr_check.Spec.generate (Rtr_util.Rng.make 7) ~name:"drift"
   in
   let artifact =
-    Campaign.artifact_json ~oracle:Oracle.optimal ~expect:`Violation spec
+    Campaign.artifact_json ~oracle:(Option.get (Oracle.find "optimal")) ~expect:`Violation spec
   in
   match Campaign.replay artifact with
   | Ok (Campaign.Mismatched { expected = "violation"; got = None }) -> ()

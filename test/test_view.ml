@@ -18,11 +18,12 @@ module Reference = Rtr_check.Reference
 
 let diamond () = Graph.build ~n:4 ~edges:[ (0, 1); (1, 3); (0, 2); (2, 3) ]
 
+let live v = Format.asprintf "%a" View.pp v
+
 let test_full () =
   let g = diamond () in
   let v = View.full g in
-  Alcotest.(check int) "all nodes live" 4 (View.n_live_nodes v);
-  Alcotest.(check int) "all links live" 4 (View.n_live_links v);
+  Alcotest.(check string) "all live" "view(4/4 nodes, 4/4 links live)" (live v);
   for u = 0 to 3 do
     Alcotest.(check bool) "node live" true (View.node_ok v u)
   done
@@ -33,27 +34,13 @@ let test_of_failed_and_remove () =
   let v = View.of_failed g ~nodes:[ 2 ] ~links:[ l01 ] in
   Alcotest.(check bool) "node 2 dead" false (View.node_ok v 2);
   Alcotest.(check bool) "link 0-1 dead" false (View.link_ok v l01);
-  Alcotest.(check int) "three nodes live" 3 (View.n_live_nodes v);
-  Alcotest.(check int) "three links live" 3 (View.n_live_links v);
-  let v2 = View.remove_nodes (View.full g) [ 2 ] in
-  let v2 = View.remove_links v2 [ l01 ] in
+  Alcotest.(check string) "three live" "view(3/4 nodes, 3/4 links live)"
+    (live v);
+  let parent = View.of_failed g ~nodes:[ 2 ] ~links:[] in
+  let v2 = View.remove_links parent [ l01 ] in
   Alcotest.(check bool) "derivation agrees" true (View.equal v v2);
   (* Deriving never mutates the parent. *)
-  Alcotest.(check bool) "parent untouched" true
-    (View.node_ok (View.full g) 2)
-
-let test_inter () =
-  let g = diamond () in
-  let a = View.of_failed g ~nodes:[ 1 ] ~links:[] in
-  let b = View.of_failed g ~nodes:[ 2 ] ~links:[] in
-  let i = View.inter a b in
-  Alcotest.(check bool) "1 dead in inter" false (View.node_ok i 1);
-  Alcotest.(check bool) "2 dead in inter" false (View.node_ok i 2);
-  Alcotest.(check int) "two nodes live" 2 (View.n_live_nodes i);
-  let h = Graph.build ~n:4 ~edges:[ (0, 1) ] in
-  Alcotest.check_raises "different graphs rejected"
-    (Invalid_argument "View.inter: different graphs") (fun () ->
-      ignore (View.inter a (View.full h)))
+  Alcotest.(check bool) "parent untouched" true (View.link_ok parent l01)
 
 let test_masked_adjacency () =
   let g = diamond () in
@@ -227,7 +214,6 @@ let suite =
     Alcotest.test_case "full" `Quick test_full;
     Alcotest.test_case "of_failed / remove / derive" `Quick
       test_of_failed_and_remove;
-    Alcotest.test_case "inter" `Quick test_inter;
     Alcotest.test_case "masked adjacency" `Quick test_masked_adjacency;
     QCheck_alcotest.to_alcotest (dijkstra_matches_reference Spt.From_root);
     QCheck_alcotest.to_alcotest (dijkstra_matches_reference Spt.To_root);
