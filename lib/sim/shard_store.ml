@@ -23,9 +23,9 @@ let header_line m =
        ])
 
 (* Every shard line this module decodes goes through here, once. *)
-let parse_line line =
+let counted decode line =
   Metrics.Counter.incr c_lines_parsed;
-  Json.parse line
+  decode line
 
 let as_int = function Json.Int i -> Some i | _ -> None
 
@@ -35,7 +35,7 @@ let member_int k j =
   | None -> Error ("bad " ^ k)
 
 let parse_header line =
-  let* j = parse_line line in
+  let* j = counted Json.parse line in
   let* () =
     match Json.member "format" j with
     | Some (Json.String f) when f = Stream.format_shard -> Ok ()
@@ -56,9 +56,9 @@ let footer_line ~records ~mrc =
          ("complete", Json.Bool true);
        ])
 
-(* A line is a footer iff its [format] member names the footer
-   format.  [None] when it is not (so the caller can try it as a result
-   record); [Error] when it is a malformed footer. *)
+(* A line is a footer iff its first [format] member names the footer
+   format.  [None] when it is not; [Error] when it is a malformed
+   footer. *)
 let footer_of_json j =
   match Json.member "format" j with
   | Some (Json.String f) when f = Stream.format_footer ->
@@ -86,8 +86,8 @@ let footer_of_json j =
       Some r
   | _ -> None
 
-let parse_footer line =
-  match parse_line line with Error _ -> None | Ok j -> footer_of_json j
+let footer_of_line line =
+  match Json.parse line with Error _ -> None | Ok j -> footer_of_json j
 
 (* Split file content into complete lines plus an optional torn tail
    (a final chunk not terminated by a newline — the mark of a killed
@@ -137,7 +137,8 @@ let open_writer ~path ~resume ~shard ~shards ~count =
         (* Keep the longest prefix of parseable result records; anything
            after the first bad line — and any unterminated tail — is a
            torn write from a killed run and is dropped.  Each line is
-           parsed once, then read as a footer or as a record. *)
+           read in place as a record; only a line that is not one (the
+           footer, or the torn line) is parsed again, as a footer. *)
         let done_seqs = Hashtbl.create 64 in
         let good = ref [] and n_good = ref 0 and footer = ref None in
         let bad = ref false in
@@ -145,22 +146,17 @@ let open_writer ~path ~resume ~shard ~shards ~count =
           (fun line ->
             if !bad || !footer <> None then bad := true
             else
-              match parse_line line with
-              | Error _ -> bad := true
-              | Ok j -> (
-                  match footer_of_json j with
-                  | Some (Ok (records, mrc, complete)) ->
-                      if complete && records = !n_good then
-                        footer := Some (records, mrc)
-                      else bad := true
-                  | Some (Error _) -> bad := true
-                  | None -> (
-                      match Stream.result_of_json j with
-                      | Ok r ->
-                          Hashtbl.replace done_seqs r.Stream.rseq ();
-                          good := line :: !good;
-                          incr n_good
-                      | Error _ -> bad := true)))
+              match counted Stream.parse_shard_record line with
+              | Ok r ->
+                  Hashtbl.replace done_seqs r.Stream.rseq ();
+                  good := line :: !good;
+                  incr n_good
+              | Error _ -> (
+                  match footer_of_line line with
+                  | Some (Ok (records, mrc, complete))
+                    when complete && records = !n_good ->
+                      footer := Some (records, mrc)
+                  | _ -> bad := true))
           rest;
         match !footer with
         | Some _ when not !bad -> Complete
@@ -228,7 +224,7 @@ let load path =
         | l :: rest -> split (l :: acc) rest
       in
       let records, fline = split [] rest in
-      match parse_footer fline with
+      match counted footer_of_line fline with
       | None | Some (Error _) ->
           failwith (path ^ ": no checkpoint footer; shard is incomplete")
       | Some (Ok (n, mrc, complete)) ->
@@ -241,7 +237,7 @@ let load path =
           let results =
             List.map
               (fun line ->
-                match Result.bind (parse_line line) Stream.result_of_json with
+                match counted Stream.parse_result line with
                 | Ok r -> r
                 | Error msg -> failwith (path ^ ": bad result record: " ^ msg))
               records

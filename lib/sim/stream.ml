@@ -301,67 +301,6 @@ let result_row_to_json (r : Runner.result) =
       opt_int r.Runner.mrc_cost;
     ]
 
-let result_row_of_json = function
-  | Json.Arr
-      [
-        case;
-        Json.Int rtr_p1_hops;
-        Json.Arr p1_bytes;
-        Json.Bool rtr_p1_completed;
-        Json.Bool rtr_recovered;
-        rtr_cost;
-        Json.Int rtr_route_bytes;
-        Json.Int rtr_wasted_tx;
-        Json.Int rtr_calcs;
-        Json.Bool fcp_delivered;
-        fcp_cost;
-        Json.Int fcp_calcs;
-        Json.Arr fcp_bytes;
-        Json.Int fcp_wasted_tx;
-        Json.Bool mrc_delivered;
-        mrc_cost;
-      ] -> (
-      match
-        ( case_of_json case,
-          all_opt as_int p1_bytes,
-          as_opt_int rtr_cost,
-          as_opt_int fcp_cost,
-          all_opt as_int fcp_bytes,
-          as_opt_int mrc_cost )
-      with
-      | ( Some case,
-          Some rtr_p1_bytes,
-          Some rtr_cost,
-          Some fcp_cost,
-          Some fcp_hop_bytes,
-          Some mrc_cost ) ->
-          let shortest_after = case.Scenario.shortest_after in
-          let stretch = Runner.stretch_of_cost ~shortest_after in
-          Some
-            {
-              Runner.case;
-              rtr_p1_hops;
-              rtr_p1_bytes;
-              rtr_p1_completed;
-              rtr_recovered;
-              rtr_cost;
-              rtr_stretch = stretch rtr_cost;
-              rtr_route_bytes;
-              rtr_wasted_tx;
-              rtr_calcs;
-              fcp_delivered;
-              fcp_cost;
-              fcp_stretch = stretch fcp_cost;
-              fcp_calcs;
-              fcp_hop_bytes;
-              fcp_wasted_tx;
-              mrc_delivered;
-              mrc_cost;
-              mrc_stretch = stretch mrc_cost;
-            }
-      | _ -> None)
-  | _ -> None
-
 let result_line r =
   Json.to_string
     (Json.Obj
@@ -371,20 +310,94 @@ let result_line r =
          ("r", Json.Arr (List.map result_row_to_json r.results));
        ])
 
-let result_of_json j =
-  let* rseq = member_int "seq" j in
-  let* rtopo = member_int "topo" j in
-  let* results =
-    req "r"
-      (match Json.member "r" j with
-      | Some (Json.Arr xs) -> all_opt result_row_of_json xs
-      | _ -> None)
-  in
-  Ok { rseq; rtopo; results }
+(* Result lines are read in place through [Json]'s cursor, never as a
+   tree: they are nearly all of a shard's bytes, and every one is
+   decoded by resume and again by reduce.  The reader takes what
+   [Json.parse] followed by [Json.member]/pattern matches would take. *)
+let case_of c =
+  Json.tuple c (fun c ->
+      let initiator = Json.int c in
+      let trigger = Json.next Json.int c in
+      let dst = Json.next Json.int c in
+      let kind =
+        match kind_of_int (Json.next Json.int c) with
+        | Some k -> k
+        | None -> Json.fail c "bad case kind"
+      in
+      let shortest_after = Json.next Json.int_or_null c in
+      { Scenario.initiator; trigger; dst; kind; shortest_after })
 
-let parse_result line =
-  let* j = Json.parse line in
-  result_of_json j
+let result_row_of c =
+  Json.tuple c (fun c ->
+      let case = case_of c in
+      let rtr_p1_hops = Json.next Json.int c in
+      let rtr_p1_bytes = Json.next Json.int_list c in
+      let rtr_p1_completed = Json.next Json.bool c in
+      let rtr_recovered = Json.next Json.bool c in
+      let rtr_cost = Json.next Json.int_or_null c in
+      let rtr_route_bytes = Json.next Json.int c in
+      let rtr_wasted_tx = Json.next Json.int c in
+      let rtr_calcs = Json.next Json.int c in
+      let fcp_delivered = Json.next Json.bool c in
+      let fcp_cost = Json.next Json.int_or_null c in
+      let fcp_calcs = Json.next Json.int c in
+      let fcp_hop_bytes = Json.next Json.int_list c in
+      let fcp_wasted_tx = Json.next Json.int c in
+      let mrc_delivered = Json.next Json.bool c in
+      let mrc_cost = Json.next Json.int_or_null c in
+      let stretch =
+        Runner.stretch_of_cost ~shortest_after:case.Scenario.shortest_after
+      in
+      {
+        Runner.case;
+        rtr_p1_hops;
+        rtr_p1_bytes;
+        rtr_p1_completed;
+        rtr_recovered;
+        rtr_cost;
+        rtr_stretch = stretch rtr_cost;
+        rtr_route_bytes;
+        rtr_wasted_tx;
+        rtr_calcs;
+        fcp_delivered;
+        fcp_cost;
+        fcp_stretch = stretch fcp_cost;
+        fcp_calcs;
+        fcp_hop_bytes;
+        fcp_wasted_tx;
+        mrc_delivered;
+        mrc_cost;
+        mrc_stretch = stretch mrc_cost;
+      })
+
+(* The first occurrence of each member counts, as with [Json.member];
+   repeats and unknown members are skipped.  [footer] is set when the
+   first [format] member is the string [format_footer]. *)
+let result_of ~footer c =
+  let seq = ref None and topo = ref None and rows = ref None in
+  let format_seen = ref false in
+  Json.members c (fun k c ->
+      match k with
+      | "seq" when !seq = None -> seq := Some (Json.int c)
+      | "topo" when !topo = None -> topo := Some (Json.int c)
+      | "r" when !rows = None -> rows := Some (Json.items c result_row_of)
+      | "format" when not !format_seen ->
+          format_seen := true;
+          footer := Json.value c = Json.String format_footer
+      | _ -> Json.skip c);
+  match (!seq, !topo, !rows) with
+  | Some rseq, Some rtopo, Some results -> { rseq; rtopo; results }
+  | None, _, _ -> Json.fail c "bad seq"
+  | _, None, _ -> Json.fail c "bad topo"
+  | _, _, None -> Json.fail c "bad r"
+
+let parse_result line = Json.read line (result_of ~footer:(ref false))
+
+let parse_shard_record line =
+  let footer = ref false in
+  match Json.read line (result_of ~footer) with
+  | Ok _ when !footer -> Error "a shard footer, not a result record"
+  | r -> r
 
 (* --- stream files ---------------------------------------------------- *)
 

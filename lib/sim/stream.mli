@@ -88,12 +88,25 @@ val parse_header : string -> (header, string) Stdlib.result
 val scenario_line : scenario -> string
 val parse_scenario : string -> (scenario, string) Stdlib.result
 val result_line : result -> string
-val parse_result : string -> (result, string) Stdlib.result
 
-val result_of_json : Rtr_obs.Json.t -> (result, string) Stdlib.result
-(** [parse_result] on an already-parsed line: a shard reader parses
-    each line once and decides from the tree whether it is a footer or
-    a result record. *)
+val parse_result : string -> (result, string) Stdlib.result
+(** Read a result line in place, building no JSON tree.  It takes
+    exactly the lines that [Json.parse] takes and whose value is an
+    object with integer members [seq] and [topo] and an array member
+    [r] of result rows.  Members may come in any order with whitespace
+    anywhere; the first occurrence of a repeated key counts, and
+    repeats and unknown members are skipped but must be valid JSON.
+    A row is a 16-item array in {!result_line}'s order, its case a
+    5-item array [[initiator, trigger, dst, kind, shortest_after]] with
+    kind 0 or 1; an integer slot takes only what [Json.parse] reads as
+    an [Int] ([1.0], [1e0] and out-of-range literals are errors), and
+    only the three cost slots and [shortest_after] take [null]. *)
+
+val parse_shard_record : string -> (result, string) Stdlib.result
+(** {!parse_result}, except that a line whose first [format] member is
+    the string {!format_footer} is an [Error] even when it would decode:
+    in a shard such a line is a footer, which {!Shard_store} reads as
+    one. *)
 
 val write : string -> header -> scenario list -> unit
 (** Write a scenario stream: header line then records.  Counts

@@ -319,8 +319,8 @@ echo "ci_smoke: count gate OK (all, flows, serve, resume, resume_footer, reduce 
 # --- hostile-input gate ----------------------------------------------
 # Bad input must end a subcommand with exit 1 and a one-line message,
 # never an uncaught exception (exit 125): an unknown topology name, a
-# stream whose header or whose record is corrupt, a torn or garbage
-# result shard, and an output path under a regular file.
+# stream whose header or whose record is corrupt, a torn, garbage or
+# mistyped result shard, and an output path under a regular file.
 expect_exit_1() {
   what=$1
   shift
@@ -353,6 +353,23 @@ printf 'garbage\n' > "$streamdir/garbage_shard.jsonl"
 
 expect_exit_1 "reduce on a torn shard" reduce \
   --stream "$streamdir/scenarios.jsonl" "$streamdir/torn_shard.jsonl"
+# A shard whose one record is valid JSON but mistyped (its first
+# `true` flag written as 1) fails in the in-place result reader, not
+# in the JSON syntax: reduce must say so in one line.
+head -n 1 "$streamdir/whole.jsonl" > "$streamdir/mistyped_shard.jsonl"
+sed -n 2p "$streamdir/whole.jsonl" | sed 's/true/1/' \
+  >> "$streamdir/mistyped_shard.jsonl"
+printf '{"format":"rtr-shard-footer/1","records":1,"mrc":{},"complete":true}\n' \
+  >> "$streamdir/mistyped_shard.jsonl"
+dune exec tools/json_check.exe -- "$streamdir/mistyped_shard.jsonl" > /dev/null
+expect_exit_1 "reduce on a mistyped shard record" reduce \
+  --stream "$streamdir/scenarios.jsonl" "$streamdir/mistyped_shard.jsonl"
+if [ "$(wc -l < "$tmp/hostile.err")" -ne 1 ] \
+  || ! grep -q "bad result record" "$tmp/hostile.err"; then
+  echo "ci_smoke: FAIL — a mistyped shard record must give one 'bad result record' line" >&2
+  cat "$tmp/hostile.err" >&2
+  exit 1
+fi
 expect_exit_1 "evaluate --resume on a garbage shard" evaluate \
   --stream "$streamdir/scenarios.jsonl" --out "$streamdir/garbage_shard.jsonl" \
   --resume
@@ -375,7 +392,7 @@ then
   exit 1
 fi
 
-echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header/record/shard, unwritable outputs exit 1, one RTR_JOBS warning)"
+echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header/record/shard, mistyped shard record, unwritable outputs exit 1, one RTR_JOBS warning)"
 
 # --- fuzz gate -------------------------------------------------------
 # Theorem-oracle fuzzing (lib/check): random topologies and failures

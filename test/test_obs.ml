@@ -165,6 +165,22 @@ let test_json_parse_outcomes_pinned () =
   Alcotest.(check string) "parse-outcome digest" "4dbd3b8c2d3670a4"
     (Rtr_rmap.Compile.fnv64_hex rendered)
 
+(* [to_buffer] writes integers digit by digit; the bytes must stay
+   [string_of_int]'s at every digit-count boundary and at both ends of
+   the range, where [min_int] has no positive counterpart. *)
+let test_json_int_printing () =
+  let rec boundaries k p acc =
+    if k > 18 then acc
+    else boundaries (k + 1) (p * 10) ((p - 1) :: p :: (p + 1) :: acc)
+  in
+  let magnitudes = [ 0; 1; 9; 10; 99; 100 ] @ boundaries 1 10 [] in
+  List.iter
+    (fun i ->
+      Alcotest.(check string) (string_of_int i) (string_of_int i)
+        (Json.to_string (Json.Int i)))
+    (List.concat_map (fun i -> [ i; -i ]) magnitudes
+    @ [ max_int; min_int; min_int + 1 ])
+
 (* --- histogram quantiles -------------------------------------------- *)
 
 let test_histogram_quantiles_uniform () =
@@ -532,6 +548,8 @@ let suite =
       test_json_rejects_malformed;
     Alcotest.test_case "json parse outcomes pinned" `Quick
       test_json_parse_outcomes_pinned;
+    Alcotest.test_case "json prints ints as string_of_int" `Quick
+      test_json_int_printing;
     Alcotest.test_case "histogram quantiles (uniform)" `Quick
       test_histogram_quantiles_uniform;
     Alcotest.test_case "histogram sub-second buckets" `Quick

@@ -159,6 +159,345 @@ let test_result_roundtrip () =
             true (d = r))
     results
 
+(* --- the in-place result reader against the tree decoder ------------ *)
+
+(* The tree decoder [Stream.parse_result] replaced, kept as the
+   reference: [Json.parse], then pattern matches over the tree. *)
+module Tree_reference = struct
+  module Json = Rtr_obs.Json
+  module Runner = Rtr_sim.Runner
+  module Scenario = Rtr_sim.Scenario
+
+  let ( let* ) = Result.bind
+  let req what = function Some x -> Ok x | None -> Error ("bad " ^ what)
+  let as_int = function Json.Int i -> Some i | _ -> None
+
+  let as_opt_int = function
+    | Json.Null -> Some None
+    | Json.Int i -> Some (Some i)
+    | _ -> None
+
+  let all_opt f xs =
+    List.fold_right
+      (fun x acc ->
+        match (f x, acc) with Some y, Some ys -> Some (y :: ys) | _ -> None)
+      xs (Some [])
+
+  let member_int k j = req k (Option.bind (Json.member k j) as_int)
+
+  let kind_of_int = function
+    | 0 -> Some Scenario.Recoverable
+    | 1 -> Some Scenario.Irrecoverable
+    | _ -> None
+
+  let case_of_json = function
+    | Json.Arr
+        [ Json.Int initiator; Json.Int trigger; Json.Int dst; Json.Int k; sa ]
+      -> (
+        match (kind_of_int k, as_opt_int sa) with
+        | Some kind, Some shortest_after ->
+            Some { Scenario.initiator; trigger; dst; kind; shortest_after }
+        | _ -> None)
+    | _ -> None
+
+  let result_row_of_json = function
+    | Json.Arr
+        [
+          case;
+          Json.Int rtr_p1_hops;
+          Json.Arr p1_bytes;
+          Json.Bool rtr_p1_completed;
+          Json.Bool rtr_recovered;
+          rtr_cost;
+          Json.Int rtr_route_bytes;
+          Json.Int rtr_wasted_tx;
+          Json.Int rtr_calcs;
+          Json.Bool fcp_delivered;
+          fcp_cost;
+          Json.Int fcp_calcs;
+          Json.Arr fcp_bytes;
+          Json.Int fcp_wasted_tx;
+          Json.Bool mrc_delivered;
+          mrc_cost;
+        ] -> (
+        match
+          ( case_of_json case,
+            all_opt as_int p1_bytes,
+            as_opt_int rtr_cost,
+            as_opt_int fcp_cost,
+            all_opt as_int fcp_bytes,
+            as_opt_int mrc_cost )
+        with
+        | ( Some case,
+            Some rtr_p1_bytes,
+            Some rtr_cost,
+            Some fcp_cost,
+            Some fcp_hop_bytes,
+            Some mrc_cost ) ->
+            let shortest_after = case.Scenario.shortest_after in
+            let stretch = Runner.stretch_of_cost ~shortest_after in
+            Some
+              {
+                Runner.case;
+                rtr_p1_hops;
+                rtr_p1_bytes;
+                rtr_p1_completed;
+                rtr_recovered;
+                rtr_cost;
+                rtr_stretch = stretch rtr_cost;
+                rtr_route_bytes;
+                rtr_wasted_tx;
+                rtr_calcs;
+                fcp_delivered;
+                fcp_cost;
+                fcp_stretch = stretch fcp_cost;
+                fcp_calcs;
+                fcp_hop_bytes;
+                fcp_wasted_tx;
+                mrc_delivered;
+                mrc_cost;
+                mrc_stretch = stretch mrc_cost;
+              }
+        | _ -> None)
+    | _ -> None
+
+  let result_of_json j =
+    let* rseq = member_int "seq" j in
+    let* rtopo = member_int "topo" j in
+    let* results =
+      req "r"
+        (match Json.member "r" j with
+        | Some (Json.Arr xs) -> all_opt result_row_of_json xs
+        | _ -> None)
+    in
+    Ok { Stream.rseq; rtopo; results }
+
+  let parse_result line = Result.bind (Json.parse line) result_of_json
+end
+
+(* Real result lines of at most 4 kB (short enough that a mutated line
+   still decodes often, so values get compared, not only errors; they
+   hold every slot kind, [null] costs included). *)
+let result_lines =
+  lazy
+    (Array.of_list
+       (List.filter
+          (fun l -> String.length l <= 4096)
+          (List.map Stream.result_line (Lazy.force evaluated))))
+
+(* Mutations of a result line: the byte-level damage of test_obs's
+   pinned corpus (flips, truncations, splices), member-level rewrites
+   of the tree (reordered, duplicated, extra members; rows one field
+   short or long; [null] in any slot), number and literal tokens
+   swapped for ones an integer slot must refuse or may take, and
+   whitespace wherever JSON allows it. *)
+module Mutate = struct
+  module Json = Rtr_obs.Json
+  open QCheck.Gen
+
+  let syntax = {|0123456789-+.eE"\{}[],: ntf|}
+
+  let flip s =
+    let* i = int_bound (String.length s - 1) in
+    let* c =
+      oneof
+        [
+          map Char.chr (int_bound 255);
+          map (String.get syntax) (int_bound (String.length syntax - 1));
+        ]
+    in
+    let b = Bytes.of_string s in
+    Bytes.set b i c;
+    return (Bytes.to_string b)
+
+  let truncate s =
+    let+ i = int_bound (String.length s - 1) in
+    String.sub s 0 i
+
+  let splice lines s =
+    let* other = oneofa lines in
+    let* i = int_bound (String.length s) in
+    let+ j = int_bound (String.length other) in
+    String.sub s 0 i ^ String.sub other j (String.length other - j)
+
+  (* Tokens a number or literal may be replaced by: floats and
+     out-of-range literals an integer slot refuses, 19-digit, zero-padded
+     and extreme integers it takes, and the other scalars. *)
+  let replacements =
+    [| "1.0"; "1e0"; "-0.0"; "1234567890123456789"; "9999999999999999999";
+       "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+       "-4611686018427387905"; "007"; "-0"; "0"; "1"; "2"; "-1"; "null";
+       "true"; "false"; "\"1\""; "[]"; "{}" |]
+
+  (* [(start, stop)] of every number and literal token. *)
+  let tokens s =
+    let n = String.length s in
+    let is_tok c =
+      match c with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 'a' .. 'z' -> true
+      | _ -> false
+    in
+    let rec go i acc =
+      if i >= n then List.rev acc
+      else if is_tok s.[i] && (i = 0 || not (is_tok s.[i - 1])) then (
+        let j = ref i in
+        while !j < n && is_tok s.[!j] do incr j done;
+        go !j ((i, !j) :: acc))
+      else go (i + 1) acc
+    in
+    Array.of_list (go 0 [])
+
+  let swap_token s =
+    let toks = tokens s in
+    if toks = [||] then return s
+    else
+      let* i, j = oneofa toks in
+      let+ r = oneofa replacements in
+      String.sub s 0 i ^ r ^ String.sub s j (String.length s - j)
+
+  (* Whitespace at the first place at or after a random offset where
+     JSON allows it. *)
+  let whitespace s =
+    let n = String.length s in
+    let rec spot i =
+      if i = 0 || i = n || String.contains "[{,:" s.[i - 1]
+         || String.contains "]},:" s.[i]
+      then i
+      else spot (i + 1)
+    in
+    let* i = map spot (int_bound n) in
+    let+ ws = oneofl [ " "; "\t"; "\n"; "\r"; "  \n " ] in
+    String.sub s 0 i ^ ws ^ String.sub s i (n - i)
+
+  let scalar =
+    oneofl
+      [ Json.Int 0; Json.Int 7; Json.Int (-3); Json.Float 1.5; Json.Null;
+        Json.Bool true; Json.String "x"; Json.String "rtr-shard-footer/1";
+        Json.Arr []; Json.Arr [ Json.Int 1; Json.Null ]; Json.Obj [];
+        Json.Obj [ ("seq", Json.Int 1) ] ]
+
+  (* [null] in place of one randomly chosen value of the tree. *)
+  let rec null_leaf j =
+    match j with
+    | Json.Arr xs when xs <> [] ->
+        let* i = int_bound (List.length xs - 1) in
+        let* deeper = bool in
+        let+ x =
+          if deeper then null_leaf (List.nth xs i) else return Json.Null
+        in
+        Json.Arr (List.mapi (fun k y -> if k = i then x else y) xs)
+    | Json.Obj kvs when kvs <> [] ->
+        let* i = int_bound (List.length kvs - 1) in
+        let+ v = null_leaf (snd (List.nth kvs i)) in
+        Json.Obj
+          (List.mapi (fun k (key, w) -> (key, if k = i then v else w)) kvs)
+    | _ -> return Json.Null
+
+  (* A row of the [r] array one field short or one field long. *)
+  let row_arity kvs =
+    match List.assoc_opt "r" kvs with
+    | Some (Json.Arr (_ :: _ as rows)) ->
+        let* i = int_bound (List.length rows - 1) in
+        let+ longer = bool in
+        let change = function
+          | Json.Arr fields when longer -> Json.Arr (fields @ [ Json.Int 0 ])
+          | Json.Arr fields ->
+              Json.Arr
+                (List.filteri (fun k _ -> k < List.length fields - 1) fields)
+          | row -> row
+        in
+        let rows =
+          List.mapi (fun k row -> if k = i then change row else row) rows
+        in
+        List.map
+          (fun (k, v) -> if k = "r" then (k, Json.Arr rows) else (k, v))
+          kvs
+    | _ -> return kvs
+
+  let members s =
+    match Json.parse s with
+    | Ok (Json.Obj kvs) ->
+        let* kvs =
+          oneof
+            [
+              shuffle_l kvs;
+              (let* key = oneofl [ "seq"; "topo"; "r" ] in
+               let* v =
+                 match List.assoc_opt key kvs with
+                 | Some v -> oneof [ scalar; return v ]
+                 | None -> scalar
+               in
+               let+ front = bool in
+               if front then (key, v) :: kvs else kvs @ [ (key, v) ]);
+              (let* key = oneofl [ "x"; "format"; "seqq"; ""; "r " ] in
+               let* v = scalar in
+               let+ front = bool in
+               if front then (key, v) :: kvs else kvs @ [ (key, v) ]);
+              row_arity kvs;
+              map
+                (function Json.Obj nulled -> nulled | _ -> kvs)
+                (null_leaf (Json.Obj kvs));
+            ]
+        in
+        return (Json.to_string (Json.Obj kvs))
+    | _ -> return s
+
+  let once lines s =
+    if s = "" then return s
+    else
+      frequency
+        [
+          (2, flip s); (1, truncate s); (1, splice lines s); (3, swap_token s);
+          (2, whitespace s); (4, members s);
+        ]
+
+  let line lines =
+    let* base = oneofa lines in
+    let* steps = int_range 1 3 in
+    let rec go k s = if k = 0 then return s else once lines s >>= go (k - 1) in
+    go steps base
+end
+
+let decoded_ok = ref 0
+
+let reader_matches_tree =
+  QCheck.Test.make ~name:"in-place result reader = tree decoder" ~count:3000
+    (QCheck.make ~print:String.escaped
+       (QCheck.Gen.delay (fun () -> Mutate.line (Lazy.force result_lines))))
+    (fun line ->
+      match (Stream.parse_result line, Tree_reference.parse_result line) with
+      | Ok a, Ok b ->
+          incr decoded_ok;
+          compare a b = 0
+      | Error _, Error _ -> true
+      | Ok _, Error e -> QCheck.Test.fail_reportf "reader accepts; tree: %s" e
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "tree accepts; reader: %s" e)
+
+let test_reader_matches_tree () =
+  decoded_ok := 0;
+  QCheck.Test.check_exn reader_matches_tree;
+  (* The property must compare values, not only agree on errors. *)
+  if !decoded_ok < 500 then
+    Alcotest.failf "only %d of 3000 mutated lines decoded" !decoded_ok;
+  (* Every unmutated line decodes the same both ways, and a line whose
+     first [format] member names the footer format is a shard footer,
+     not a shard record, even though it decodes as a result. *)
+  Array.iter
+    (fun line ->
+      Alcotest.(check bool) "unmutated line" true
+        (Stream.parse_result line = Tree_reference.parse_result line);
+      let tagged =
+        {|{"format":"rtr-shard-footer/1",|}
+        ^ String.sub line 1 (String.length line - 1)
+      in
+      Alcotest.(check bool) "footer-tagged line decodes" true
+        (Result.is_ok (Stream.parse_result tagged));
+      Alcotest.(check bool) "footer-tagged line is no shard record" true
+        (Result.is_error (Stream.parse_shard_record tagged));
+      Alcotest.(check bool) "untagged line is a shard record" true
+        (Stream.parse_shard_record line = Stream.parse_result line))
+    (Lazy.force result_lines)
+
 (* --- episode records and stream versioning --------------------------- *)
 
 (* Tiny synthetic fixtures: the codec is plain data, no topology
@@ -622,6 +961,8 @@ let suite =
     Alcotest.test_case "header round-trip" `Slow test_header_roundtrip;
     Alcotest.test_case "scenario round-trip" `Slow test_scenario_roundtrip;
     Alcotest.test_case "result round-trip" `Slow test_result_roundtrip;
+    Alcotest.test_case "result reader = tree decoder" `Slow
+      test_reader_matches_tree;
     Alcotest.test_case "file pipeline = collect" `Slow
       test_file_pipeline_matches_collect;
     Alcotest.test_case "crash, resume, identical report" `Slow
