@@ -142,7 +142,12 @@ let jobs_term =
      bit-identical for every value."
   in
   Term.(
-    const (function Some n -> n | None -> Rtr_sim.Parallel.env_jobs ())
+    const (function
+      | Some n -> (
+          match Rtr_sim.Parallel.check_jobs n with
+          | Ok n -> n
+          | Error msg -> usage msg)
+      | None -> Rtr_sim.Parallel.env_jobs ())
     $ Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc))
 
 let config_of ?cases ?mrc_k ?jobs ~seed ~topos () =

@@ -71,6 +71,36 @@ let artifact_json ~oracle ?inject ?seed ?index ?violation ~expect spec =
         violation
     @ [ ("spec", Spec.to_json spec) ])
 
+(* Shrink [violation] against the one oracle it names, so shrinking
+   chases one bug, not whichever oracle trips first on a smaller spec,
+   then persist it as [file oracle_name] under [out_dir].  Callers run
+   it from the (sequential, ordered) pool consumer, so artifacts are
+   identical at any [jobs]. *)
+let shrink_and_save config ~evals_h ~index ~original ~file
+    (violation : Oracle.violation) =
+  let oracle = Option.get (Oracle.find violation.Oracle.oracle) in
+  let shrunk, violation, evals =
+    Trace.with_ "check.shrink" ~attrs:[ ("case", string_of_int index) ]
+    @@ fun () ->
+    Shrink.run ~max_evals:config.max_shrink_evals
+      ~check:(oracle.Oracle.run ~inject:config.inject)
+      original violation
+  in
+  Metrics.Histogram.observe evals_h (float_of_int evals);
+  let artifact =
+    Option.map
+      (fun dir ->
+        let name = file oracle.Oracle.name in
+        let json =
+          artifact_json ~oracle ?inject:config.inject ~seed:config.seed ~index
+            ~violation ~expect:`Violation shrunk
+        in
+        Rtr_sim.Report.save ~dir ~name (Json.to_string json ^ "\n");
+        Filename.concat dir name)
+      config.out_dir
+  in
+  { index; original; shrunk; violation; shrink_evals = evals; artifact }
+
 let run ?(log = fun _ -> ()) config =
   Trace.with_ "check.campaign"
     ~attrs:
@@ -82,7 +112,7 @@ let run ?(log = fun _ -> ()) config =
   @@ fun () ->
   let cases_c = Metrics.counter "check.cases" in
   let violations_c = Metrics.counter "check.violations" in
-  let shrink_h = Metrics.histogram "check.shrink.evals" in
+  let evals_h = Metrics.histogram "check.shrink.evals" in
   (* Streaming over the bounded pool: indices are produced one at a
      time, each worker regenerates its spec from the (seed, index) key
      and checks it, and verdicts come back in index order — so at most
@@ -108,61 +138,24 @@ let run ?(log = fun _ -> ()) config =
     | None -> ()
     | Some (violation : Oracle.violation) ->
         Metrics.Counter.incr violations_c;
-        (* The original is one regeneration away — cheaper than
-           keeping every spec alive for the rare failure. *)
-        let original = generate_spec ~seed:config.seed ~index in
         log
           (Printf.sprintf "case %d: %s violated (%s); shrinking..." index
              violation.Oracle.oracle violation.Oracle.detail);
-        (* Re-check with only the violated oracle so shrinking chases
-           one bug, not whichever oracle trips first on the smaller
-           spec. *)
-        let oracle =
-          match Oracle.find violation.Oracle.oracle with
-          | Some o -> o
-          | None -> assert false
+        (* The original is one regeneration away — cheaper than
+           keeping every spec alive for the rare failure. *)
+        let c =
+          shrink_and_save config ~evals_h ~index
+            ~original:(generate_spec ~seed:config.seed ~index)
+            ~file:(fun o -> Printf.sprintf "counterexample_%s_%d.json" o index)
+            violation
         in
-        let shrunk, violation', evals =
-          Trace.with_ "check.shrink"
-            ~attrs:[ ("case", string_of_int index) ]
-          @@ fun () ->
-          Shrink.run ~max_evals:config.max_shrink_evals
-            ~check:(fun s -> oracle.Oracle.run ~inject:config.inject s)
-            original violation
-        in
-        Metrics.Histogram.observe shrink_h (float_of_int evals);
         log
           (Printf.sprintf
              "case %d: shrunk to %d routers / %d links in %d evaluations"
-             index shrunk.Spec.n
-             (List.length shrunk.Spec.edges)
-             evals);
-        let artifact =
-          match config.out_dir with
-          | None -> None
-          | Some dir ->
-              let name =
-                Printf.sprintf "counterexample_%s_%d.json"
-                  violation'.Oracle.oracle index
-              in
-              let json =
-                artifact_json ~oracle ?inject:config.inject
-                  ~seed:config.seed ~index ~violation:violation'
-                  ~expect:`Violation shrunk
-              in
-              Rtr_sim.Report.save ~dir ~name (Json.to_string json ^ "\n");
-              Some (Filename.concat dir name)
-        in
-        failures :=
-          {
-            index;
-            original;
-            shrunk;
-            violation = violation';
-            shrink_evals = evals;
-            artifact;
-          }
-          :: !failures
+             index c.shrunk.Spec.n
+             (List.length c.shrunk.Spec.edges)
+             c.shrink_evals);
+        failures := c :: !failures
   in
   let consumed =
     Rtr_sim.Parallel.stream ~jobs:config.jobs check ~producer ~consumer ()
@@ -188,25 +181,6 @@ type survival_row = {
   stretch_max : float;
   thm3 : thm_cell;
   thm2_artifact : string option;
-}
-
-(* Per-kind accumulator, mutated only from the (sequential, ordered)
-   consumer, so the matrix is identical at any [jobs]. *)
-type acc = {
-  mutable a_specs : int;
-  mutable a_transitions : int;
-  mutable a_sessions : int;
-  mutable a_checks : int;
-  mutable a_thm1_violations : int;
-  mutable a_thm2_violations : int;
-  mutable a_subopt : int;
-  mutable a_failed_rec : int;
-  mutable a_false_unreach : int;
-  mutable a_stretch_sum : float;
-  mutable a_stretch_max : float;
-  mutable a_thm3_checks : int;
-  mutable a_thm3_violations : int;
-  mutable a_thm2_artifact : string option;
 }
 
 let episode_spec ~seed ~kind ~index =
@@ -282,32 +256,7 @@ let run_episodes ?(log = fun _ -> ()) config ~kinds =
         ("jobs", string_of_int config.jobs);
       ]
   @@ fun () ->
-  let accs = Hashtbl.create 8 in
-  let acc_of kind =
-    match Hashtbl.find_opt accs kind with
-    | Some a -> a
-    | None ->
-        let a =
-          {
-            a_specs = 0;
-            a_transitions = 0;
-            a_sessions = 0;
-            a_checks = 0;
-            a_thm1_violations = 0;
-            a_thm2_violations = 0;
-            a_subopt = 0;
-            a_failed_rec = 0;
-            a_false_unreach = 0;
-            a_stretch_sum = 0.;
-            a_stretch_max = 0.;
-            a_thm3_checks = 0;
-            a_thm3_violations = 0;
-            a_thm2_artifact = None;
-          }
-        in
-        Hashtbl.replace accs kind a;
-        a
-  in
+  let evals_h = Metrics.histogram "check.shrink.evals" in
   let items =
     List.concat_map
       (fun k -> List.init config.cases (fun i -> (k, i)))
@@ -324,132 +273,96 @@ let run_episodes ?(log = fun _ -> ()) config ~kinds =
   let evaluate (kind, index) =
     let spec = episode_spec ~seed:config.seed ~kind ~index in
     let stats = E.measure ~inject:config.inject spec in
-    let thm3 = E.single_link_settled spec in
+    let topo, epochs = Spec.timeline spec in
+    let thm3 =
+      E.single_link ~oracle:"episode_single_link" topo
+        (snd (List.hd (List.rev epochs)))
+    in
     (kind, index, stats, thm3)
   in
-  let failures = ref [] in
-  (* Shrink a violation against the single named oracle and persist it,
-     exactly like the static campaign does. *)
-  let shrink_and_save ~expect ~prefix name kind index v =
-    let oracle = Option.get (Oracle.find name) in
-    let original = episode_spec ~seed:config.seed ~kind ~index in
-    let shrunk, violation', evals =
-      Shrink.run ~max_evals:config.max_shrink_evals
-        ~check:(fun s -> oracle.Oracle.run ~inject:config.inject s)
-        original v
-    in
-    let artifact =
-      match config.out_dir with
-      | None -> None
-      | Some dir ->
-          let name =
-            Printf.sprintf "%s_%s_%s_%d.json" prefix oracle.Oracle.name
-              (E.kind_to_string kind) index
-          in
-          let json =
-            artifact_json ~oracle ?inject:config.inject ~seed:config.seed
-              ~index ~violation:violation' ~expect shrunk
-          in
-          Rtr_sim.Report.save ~dir ~name (Json.to_string json ^ "\n");
-          Some (Filename.concat dir name)
-    in
-    ( {
-        index;
-        original;
-        shrunk;
-        violation = violation';
-        shrink_evals = evals;
-        artifact;
-      },
-      artifact )
+  let failures = ref [] and measured = ref [] in
+  (* Each kind's first Theorem-2 exemplar, when persisting. *)
+  let exemplars = Hashtbl.create 4 in
+  let shrink kind index prefix v =
+    shrink_and_save config ~evals_h ~index
+      ~original:(episode_spec ~seed:config.seed ~kind ~index)
+      ~file:(fun o ->
+        Printf.sprintf "%s_%s_%s_%d.json" prefix o (E.kind_to_string kind)
+          index)
+      v
   in
-  let consumer _ (kind, index, (stats : E.stats), (thm3_checks, thm3_viol)) =
-    let a = acc_of kind in
-    a.a_specs <- a.a_specs + 1;
-    a.a_transitions <- a.a_transitions + stats.E.transitions;
-    a.a_sessions <- a.a_sessions + stats.E.sessions;
-    a.a_checks <- a.a_checks + stats.E.checks;
-    a.a_thm2_violations <- a.a_thm2_violations + stats.E.thm2_violations;
-    a.a_subopt <- a.a_subopt + stats.E.delivered_suboptimal;
-    a.a_failed_rec <- a.a_failed_rec + stats.E.failed_recoverable;
-    a.a_false_unreach <- a.a_false_unreach + stats.E.false_unreachable;
-    a.a_stretch_sum <- a.a_stretch_sum +. stats.E.stretch_sum;
-    if stats.E.stretch_max > a.a_stretch_max then
-      a.a_stretch_max <- stats.E.stretch_max;
-    a.a_thm3_checks <- a.a_thm3_checks + thm3_checks;
+  let consumer _ (kind, index, (stats : E.stats), thm3) =
+    measured := (kind, stats, thm3) :: !measured;
     (* Theorems 1 and 3 must survive every relaxation: their violations
        are campaign failures, shrunk and persisted like any other
        counterexample. *)
-    (match stats.E.thm1 with
-    | None -> ()
-    | Some v ->
-        a.a_thm1_violations <- a.a_thm1_violations + 1;
+    List.iter
+      (fun (v : Oracle.violation) ->
         log
           (Printf.sprintf "%s case %d: %s (%s); shrinking..."
              (E.kind_to_string kind) index v.Oracle.oracle v.Oracle.detail);
-        let cex, _ =
-          shrink_and_save ~expect:`Violation ~prefix:"counterexample"
-            "episode_no_loop" kind index v
-        in
-        failures := cex :: !failures);
-    (match thm3_viol with
-    | None -> ()
-    | Some v ->
-        a.a_thm3_violations <- a.a_thm3_violations + 1;
-        log
-          (Printf.sprintf "%s case %d: %s (%s); shrinking..."
-             (E.kind_to_string kind) index v.Oracle.oracle v.Oracle.detail);
-        let cex, _ =
-          shrink_and_save ~expect:`Violation ~prefix:"counterexample"
-            "episode_single_link" kind index v
-        in
-        failures := cex :: !failures);
+        failures := shrink kind index "counterexample" v :: !failures)
+      (Option.to_list stats.E.thm1 @ Option.to_list (snd thm3));
     (* Theorem-2 relaxation violations are the measurement, not a bug:
        they fill the matrix, and the first one per kind is shrunk into
        an [expect = violation] exemplar artifact when persisting. *)
     match stats.E.first_thm2 with
     | Some v
       when kind <> E.Static && config.out_dir <> None
-           && a.a_thm2_artifact = None ->
+           && not (Hashtbl.mem exemplars kind) ->
         log
           (Printf.sprintf
              "%s case %d: thm2 relaxation violated as expected (%s); \
               shrinking the exemplar..."
              (E.kind_to_string kind) index v.Oracle.detail);
-        let _, artifact =
-          shrink_and_save ~expect:`Violation ~prefix:"episode"
-            "episode_optimal" kind index v
-        in
-        a.a_thm2_artifact <- artifact
+        Hashtbl.replace exemplars kind (shrink kind index "episode" v).artifact
     | _ -> ()
   in
   let consumed =
     Rtr_sim.Parallel.stream ~jobs:config.jobs evaluate ~producer ~consumer ()
   in
-  let rows =
-    List.map
-      (fun kind ->
-        let a = acc_of kind in
+  (* Rows fold the per-spec results in consumption order, so sums (the
+     float stretch sum included) are identical at any [jobs]. *)
+  let row kind =
+    let mine =
+      List.filter_map
+        (fun (k, stats, thm3) -> if k = kind then Some (stats, thm3) else None)
+        (List.rev !measured)
+    in
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 mine in
+    let fold f =
+      List.fold_left (fun acc ((s : E.stats), _) -> f acc s) 0. mine
+    in
+    let checks = sum (fun (s, _) -> s.E.checks) in
+    let subopt = sum (fun (s, _) -> s.E.delivered_suboptimal) in
+    {
+      row_kind = kind;
+      specs = List.length mine;
+      transitions = sum (fun (s, _) -> s.E.transitions);
+      sessions = sum (fun (s, _) -> s.E.sessions);
+      thm1 =
         {
-          row_kind = kind;
-          specs = a.a_specs;
-          transitions = a.a_transitions;
-          sessions = a.a_sessions;
-          thm1 = { checks = a.a_checks; violations = a.a_thm1_violations };
-          thm2 = { checks = a.a_checks; violations = a.a_thm2_violations };
-          delivered_suboptimal = a.a_subopt;
-          failed_recoverable = a.a_failed_rec;
-          false_unreachable = a.a_false_unreach;
-          stretch_mean =
-            (if a.a_subopt = 0 then 0.
-             else a.a_stretch_sum /. float_of_int a.a_subopt);
-          stretch_max = a.a_stretch_max;
-          thm3 =
-            { checks = a.a_thm3_checks; violations = a.a_thm3_violations };
-          thm2_artifact = a.a_thm2_artifact;
-        })
-      kinds
+          checks;
+          violations = sum (fun (s, _) -> Bool.to_int (s.E.thm1 <> None));
+        };
+      thm2 = { checks; violations = sum (fun (s, _) -> s.E.thm2_violations) };
+      delivered_suboptimal = subopt;
+      failed_recoverable = sum (fun (s, _) -> s.E.failed_recoverable);
+      false_unreachable = sum (fun (s, _) -> s.E.false_unreachable);
+      stretch_mean =
+        (if subopt = 0 then 0.
+         else
+           fold (fun acc s -> acc +. s.E.stretch_sum) /. float_of_int subopt);
+      stretch_max = fold (fun acc s -> Float.max acc s.E.stretch_max);
+      thm3 =
+        {
+          checks = sum (fun (_, (c, _)) -> c);
+          violations = sum (fun (_, (_, v)) -> Bool.to_int (v <> None));
+        };
+      thm2_artifact = Option.join (Hashtbl.find_opt exemplars kind);
+    }
   in
+  let rows = List.map row kinds in
   (match config.out_dir with
   | None -> ()
   | Some dir ->

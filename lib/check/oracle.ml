@@ -44,202 +44,6 @@ let first_violation f =
 
 let ttl g = (4 * Graph.n_links g) + 4
 
-(* --- Theorem 1 ------------------------------------------------------ *)
-
-let no_loop_run ~inject:_ spec =
-  let topo, damage = Spec.build spec in
-  let g = Rtr_topo.Topology.graph topo in
-  let name = "no_loop" in
-  first_violation @@ fun () ->
-  List.iter
-    (fun (initiator, trigger) ->
-      let p1 = Phase1.run topo damage ~initiator ~trigger () in
-      (match p1.Phase1.status with
-      | Phase1.Completed | Phase1.No_live_neighbor -> ()
-      | Phase1.Hop_limit ->
-          raise
-            (Found
-               (violation name "phase 1 hit the hop limit from (v%d, v%d)"
-                  initiator trigger))
-      | Phase1.Stuck u ->
-          raise
-            (Found
-               (violation name "phase 1 stuck at v%d from (v%d, v%d)" u
-                  initiator trigger)));
-      if p1.Phase1.hops > ttl g then
-        raise
-          (Found
-             (violation name "walk from (v%d, v%d) took %d hops > TTL %d"
-                initiator trigger p1.Phase1.hops (ttl g)));
-      (* A repeated (router, header-state) pair under the deterministic
-         sweep means the walk was in a permanent loop that only the TTL
-         could end.  Header fields are append-only, so the header size
-         carried by a step identifies the header state. *)
-      let seen = Hashtbl.create 64 in
-      List.iter
-        (fun (s : Phase1.step) ->
-          let key = (s.Phase1.at, s.Phase1.reference, s.Phase1.header_bytes) in
-          if Hashtbl.mem seen key then
-            raise
-              (Found
-                 (violation name
-                    "walk from (v%d, v%d) revisited v%d with an unchanged \
-                     header"
-                    initiator trigger s.Phase1.at));
-          Hashtbl.replace seen key ())
-        p1.Phase1.steps;
-      (* Phase-2 routes are shortest paths over positive costs: any
-         revisited router would be a loop in the source route. *)
-      let ph2 =
-        Phase2.create topo damage ~initiator ~removed:p1.Phase1.failed_links
-      in
-      for dst = 0 to Graph.n_nodes g - 1 do
-        if dst <> initiator then
-          match Phase2.recovery_path ph2 ~dst with
-          | None -> ()
-          | Some path ->
-              let nodes = Path.nodes path in
-              let distinct = Hashtbl.create 16 in
-              List.iter
-                (fun v ->
-                  if Hashtbl.mem distinct v then
-                    raise
-                      (Found
-                         (violation name
-                            "recovery path (v%d -> v%d) revisits v%d" initiator
-                            dst v));
-                  Hashtbl.replace distinct v ())
-                nodes
-      done)
-    (Gen.detectors topo damage)
-
-(* --- Theorem 2 ------------------------------------------------------ *)
-
-let optimal_run ~inject spec =
-  let topo, damage = Spec.build spec in
-  let g = Rtr_topo.Topology.graph topo in
-  let truth = Damage.view damage in
-  let name = "optimal" in
-  first_violation @@ fun () ->
-  List.iter
-    (fun (initiator, trigger) ->
-      let p1 = Phase1.run topo damage ~initiator ~trigger () in
-      (* What the initiator {e knows} failed: the phase-1 collection
-         plus its own locally-observed link failures.  Any emitted
-         source route crossing one of these is a protocol bug
-         regardless of what the injected fault did to the view. *)
-      let known_failed = Hashtbl.create 16 in
-      List.iter
-        (fun id -> Hashtbl.replace known_failed id ())
-        p1.Phase1.failed_links;
-      List.iter
-        (fun (_, id) -> Hashtbl.replace known_failed id ())
-        (Damage.unreachable_neighbors damage g initiator);
-      let phase1 =
-        match inject with
-        | Some Drop_failed_link -> (
-            match List.rev p1.Phase1.failed_links with
-            | [] -> p1
-            | _ :: rest ->
-                { p1 with Phase1.failed_links = List.rev rest })
-        | _ -> p1
-      in
-      let ph2 =
-        Phase2.create topo damage ~initiator
-          ~removed:phase1.Phase1.failed_links
-      in
-      let truth_spt = Dijkstra.spt truth ~root:initiator () in
-      for dst = 0 to Graph.n_nodes g - 1 do
-        if dst <> initiator then begin
-          let recoverable =
-            Damage.node_ok damage dst && Spt.reached truth_spt dst
-          in
-          match Phase2.recovery_path ph2 ~dst with
-          | None ->
-              (* The view only shrinks by true failures, so a reachable
-                 destination can never look unreachable. *)
-              if recoverable then
-                raise
-                  (Found
-                     (violation name
-                        "false unreachable verdict for v%d from (v%d, v%d)"
-                        dst initiator trigger))
-          | Some path -> (
-              List.iter
-                (fun id ->
-                  if Hashtbl.mem known_failed id then
-                    raise
-                      (Found
-                         (violation name
-                            "source route (v%d -> v%d) crosses %s, which the \
-                             initiator knew had failed"
-                            initiator dst (Graph.link_name g id))))
-                (Path.links g path);
-              match
-                Rtr_routing.Source_route.follow g damage path
-              with
-              | Rtr_routing.Source_route.Delivered ->
-                  let cost = Path.cost g path in
-                  let best = Spt.dist truth_spt dst in
-                  if cost <> best then
-                    raise
-                      (Found
-                         (violation name
-                            "recovered path (v%d -> v%d) costs %d, shortest \
-                             in the damaged topology is %d"
-                            initiator dst cost best))
-              | Rtr_routing.Source_route.Dropped _ ->
-                  (* Legitimate: phase 1 collects E1 ⊆ E2, so the first
-                     recovery attempt may hit an uncollected failure.
-                     Crossing a *collected* failure is caught above. *)
-                  ())
-        end
-      done)
-    (Gen.detectors topo damage)
-
-(* --- Theorem 3 ------------------------------------------------------ *)
-
-let single_link_run ~inject:_ spec =
-  let topo, _ = Spec.build spec in
-  let g = Rtr_topo.Topology.graph topo in
-  let name = "single_link" in
-  if not (Components.is_connected g) then None
-  else
-    first_violation @@ fun () ->
-    for l = 0 to Graph.n_links g - 1 do
-      let view = View.remove_links (View.full g) [ l ] in
-      (* Theorem 3 presumes the failed link is not a bridge. *)
-      if Components.count (Components.compute view) = 1 then begin
-        let damage = Damage.of_failed g ~nodes:[] ~links:[ l ] in
-        let u, v = Graph.endpoints g l in
-        List.iter
-          (fun (initiator, trigger) ->
-            let session = Rtr.start topo damage ~initiator ~trigger () in
-            let spt = Dijkstra.spt (Damage.view damage) ~root:initiator () in
-            for dst = 0 to Graph.n_nodes g - 1 do
-              if dst <> initiator then
-                match Rtr.recover session ~dst with
-                | Rtr.Recovered path ->
-                    let cost = Path.cost g path in
-                    let best = Spt.dist spt dst in
-                    if cost <> best then
-                      raise
-                        (Found
-                           (violation name
-                              "failing %s: path (v%d -> v%d) costs %d, \
-                               shortest is %d"
-                              (Graph.link_name g l) initiator dst cost best))
-                | Rtr.Unreachable_in_view | Rtr.False_path _ ->
-                    raise
-                      (Found
-                         (violation name
-                            "failing %s: v%d not recovered from (v%d, v%d)"
-                            (Graph.link_name g l) dst initiator trigger))
-            done)
-          [ (u, v); (v, u) ]
-      end
-    done
-
 (* --- episode timelines ---------------------------------------------- *)
 
 module Episode = struct
@@ -281,7 +85,9 @@ module Episode = struct
      local knowledge refreshes while its remote knowledge does not.
      Packets are then forwarded and scored against the new ground truth.
      A static spec degenerates to the single pair (base, base), which is
-     exactly Theorem 2's setting — the matrix's baseline row. *)
+     exactly the setting of Theorems 1 and 2 — the matrix's baseline row
+     and the static oracles [no_loop] and [optimal].  Violations carry
+     the name of the registry oracle that reproduces them on [spec]. *)
   let measure ~inject spec =
     let topo, epochs = Spec.timeline spec in
     let g = Rtr_topo.Topology.graph topo in
@@ -297,7 +103,10 @@ module Episode = struct
     let thm2 = ref 0 in
     let subopt = ref 0 and failed_rec = ref 0 and false_unreach = ref 0 in
     let stretch_sum = ref 0. and stretch_max = ref 0. in
-    let name1 = "episode_no_loop" and name2 = "episode_optimal" in
+    let name1, name2 =
+      if spec.Spec.episodes = [] then ("no_loop", "optimal")
+      else ("episode_no_loop", "episode_optimal")
+    in
     let thm1_hit v = if !thm1 = None then thm1 := Some v in
     let thm2_hit v =
       incr thm2;
@@ -307,7 +116,7 @@ module Episode = struct
       (fun ti (d_prev, d_next) ->
         List.iter
           (fun (initiator, trigger) ->
-            let p1 =
+            let walked =
               match inject with
               | Some Truncate_walk ->
                   (* the injected Theorem-1 bug: a TTL far below 4|E|+4
@@ -318,11 +127,11 @@ module Episode = struct
             let p1 =
               match inject with
               | Some Drop_failed_link -> (
-                  match List.rev p1.Phase1.failed_links with
-                  | [] -> p1
-                  | _ :: rest -> { p1 with Phase1.failed_links = List.rev rest }
-                  )
-              | _ -> p1
+                  match List.rev walked.Phase1.failed_links with
+                  | [] -> walked
+                  | _ :: rest ->
+                      { walked with Phase1.failed_links = List.rev rest })
+              | _ -> walked
             in
             (match p1.Phase1.status with
             | Phase1.Completed | Phase1.No_live_neighbor -> ()
@@ -359,6 +168,15 @@ module Episode = struct
                with it — nothing to score. *)
             if Damage.node_ok d_next initiator then begin
               incr sessions;
+              (* What the initiator {e knows} failed: its collection and
+                 its own dead links.  A source route crossing one of
+                 these is a protocol bug whatever the injected fault did
+                 to the view. *)
+              let known_failed = Hashtbl.create 16 in
+              List.iter
+                (fun id -> Hashtbl.replace known_failed id ())
+                (walked.Phase1.failed_links
+                @ List.map snd (Damage.unreachable_neighbors d_next g initiator));
               let ph2 =
                 Phase2.create topo d_next ~initiator
                   ~removed:p1.Phase1.failed_links
@@ -397,47 +215,57 @@ module Episode = struct
                                  ti initiator dst v);
                           Hashtbl.replace distinct v ())
                         (Path.nodes path);
-                      (match
-                         Rtr_routing.Source_route.follow g d_next path
-                       with
-                      | Rtr_routing.Source_route.Delivered ->
-                          let cost = Path.cost g path in
-                          let best = Spt.dist truth_spt dst in
-                          if cost > best then begin
-                            (* delivered, but over a detour: the stale
-                               view still excludes restored links *)
-                            incr subopt;
-                            let s =
-                              float_of_int cost /. float_of_int best
-                            in
-                            stretch_sum := !stretch_sum +. s;
-                            if s > !stretch_max then stretch_max := s;
-                            thm2_hit
-                              (violation name2
-                                 "transition %d: delivered (v%d -> v%d) at \
-                                  cost %d, optimal is %d (stretch %.3f)"
-                                 ti initiator dst cost best s)
-                          end
-                      | Rtr_routing.Source_route.Dropped _ ->
-                          (* Dropping at an {e old} uncollected failure
-                             is E1 ⊆ E2's legitimate first-attempt loss
-                             (the static oracle accepts it too); only a
-                             drop the episode itself caused — the same
-                             packet would have been delivered under the
-                             picture the walk saw — counts: the
-                             cascading signature. *)
-                          if
-                            recoverable
-                            && Rtr_routing.Source_route.follow g d_prev path
-                               = Rtr_routing.Source_route.Delivered
-                          then begin
-                            incr failed_rec;
-                            thm2_hit
-                              (violation name2
-                                 "transition %d: packet (v%d -> v%d) dropped \
-                                  though the destination is recoverable"
-                                 ti initiator dst)
-                          end)
+                      match
+                        List.find_opt (Hashtbl.mem known_failed)
+                          (Path.links g path)
+                      with
+                      | Some id ->
+                          thm2_hit
+                            (violation name2
+                               "transition %d: source route (v%d -> v%d) \
+                                crosses %s, which the initiator knew had \
+                                failed"
+                               ti initiator dst (Graph.link_name g id))
+                      | None -> (
+                        match Rtr_routing.Source_route.follow g d_next path with
+                        | Rtr_routing.Source_route.Delivered ->
+                            let cost = Path.cost g path in
+                            let best = Spt.dist truth_spt dst in
+                            if cost > best then begin
+                              (* delivered, but over a detour: the stale
+                                 view still excludes restored links *)
+                              incr subopt;
+                              let s =
+                                float_of_int cost /. float_of_int best
+                              in
+                              stretch_sum := !stretch_sum +. s;
+                              if s > !stretch_max then stretch_max := s;
+                              thm2_hit
+                                (violation name2
+                                   "transition %d: delivered (v%d -> v%d) at \
+                                    cost %d, optimal is %d (stretch %.3f)"
+                                   ti initiator dst cost best s)
+                            end
+                        | Rtr_routing.Source_route.Dropped _ ->
+                            (* Dropping at an {e old} uncollected failure
+                               is E1 ⊆ E2's legitimate first-attempt loss
+                               (a static pair never counts it); only a
+                               drop the episode itself caused — the same
+                               packet would have been delivered under the
+                               picture the walk saw — counts: the
+                               cascading signature. *)
+                            if
+                              recoverable
+                              && Rtr_routing.Source_route.follow g d_prev path
+                                 = Rtr_routing.Source_route.Delivered
+                            then begin
+                              incr failed_rec;
+                              thm2_hit
+                                (violation name2
+                                   "transition %d: packet (v%d -> v%d) dropped \
+                                    though the destination is recoverable"
+                                   ti initiator dst)
+                            end)
                 end
               done
             end)
@@ -457,22 +285,19 @@ module Episode = struct
       first_thm2 = !first_thm2;
     }
 
-  (* Theorem 3 on the settled network: after the last epoch the network
-     has converged — every router knows the surviving topology — and
-     then one more non-bridge link fails.  Converged base knowledge is
-     modelled by carrying all of the settled damage as [extra_removed]
-     (failure information "already in the header"), so optimality must
-     hold exactly, single-failure style, on whatever topology the
-     episodes left behind. *)
-  let single_link_settled spec =
-    let topo, epochs = Spec.timeline spec in
+  (* Theorem 3 over a settled base: the network has converged on
+     [d_end] — every router knows the surviving topology — and then one
+     more non-bridge link fails.  Converged base knowledge is modelled
+     by carrying all of [d_end] as removed links (failure information
+     "already in the header"), so optimality must hold exactly,
+     single-failure style.  [Damage.none] is the paper's own setting;
+     the post-episode damage is the settled network of a timeline. *)
+  let single_link ~oracle:name topo d_end =
     let g = Rtr_topo.Topology.graph topo in
-    let d_end = snd (List.hd (List.rev epochs)) in
     let view_end = Damage.view d_end in
     let base_count = Components.count (Components.compute view_end) in
     let known = Damage.failed_links d_end in
     let checks = ref 0 in
-    let name = "episode_single_link" in
     let viol =
       first_violation @@ fun () ->
       for l = 0 to Graph.n_links g - 1 do
@@ -542,21 +367,32 @@ module Episode = struct
     (!checks, viol)
 end
 
-(* Episode oracles return [None] instantly on a static spec, so the
+(* The three theorems, static and per episode, all through [Episode]:
+   a static oracle checks the (base, base) transition of the spec with
+   its timeline stripped, and Theorem 3 sweeps the intact topology.
+   Episode oracles return [None] instantly on a static spec, so the
    default campaigns (and every pre-episode corpus artifact) are
    untouched by their presence in [all]. *)
 
-let episode_no_loop_run ~inject spec =
-  if spec.Spec.episodes = [] then None
-  else (Episode.measure ~inject spec).Episode.thm1
+let static_run pick ~inject spec =
+  pick (Episode.measure ~inject { spec with Spec.episodes = [] })
 
-let episode_optimal_run ~inject spec =
-  if spec.Spec.episodes = [] then None
-  else (Episode.measure ~inject spec).Episode.first_thm2
+let episode_run pick ~inject spec =
+  if spec.Spec.episodes = [] then None else pick (Episode.measure ~inject spec)
+
+let single_link_run ~inject:_ spec =
+  let topo, _ = Spec.build spec in
+  snd
+    (Episode.single_link ~oracle:"single_link" topo
+       (Damage.none (Rtr_topo.Topology.graph topo)))
 
 let episode_single_link_run ~inject:_ spec =
   if spec.Spec.episodes = [] then None
-  else snd (Episode.single_link_settled spec)
+  else
+    let topo, epochs = Spec.timeline spec in
+    snd
+      (Episode.single_link ~oracle:"episode_single_link" topo
+         (snd (List.hd (List.rev epochs))))
 
 (* --- differential oracles ------------------------------------------- *)
 
@@ -968,12 +804,12 @@ let all =
     {
       name = "no_loop";
       doc = "Theorem 1: phase-1 walks terminate, within TTL, without loops";
-      run = no_loop_run;
+      run = static_run (fun s -> s.Episode.thm1);
     };
     {
       name = "optimal";
       doc = "Theorem 2: recovery paths are shortest in the true failed graph";
-      run = optimal_run;
+      run = static_run (fun s -> s.Episode.first_thm2);
     };
     {
       name = "single_link";
@@ -1015,14 +851,14 @@ let all =
       doc =
         "Theorem 1 across episode transitions: stale-picture walks still \
          terminate loop-free";
-      run = episode_no_loop_run;
+      run = episode_run (fun s -> s.Episode.thm1);
     };
     {
       name = "episode_optimal";
       doc =
         "Theorem 2 across episode transitions: expected to break under \
          cascading/transient relaxations (measured, with stretch)";
-      run = episode_optimal_run;
+      run = episode_run (fun s -> s.Episode.first_thm2);
     };
     {
       name = "episode_single_link";

@@ -8,17 +8,24 @@
     protocol's own answer.  The registry {!all} holds one record per
     oracle below; {!find} reaches one by name.
 
+    Each theorem has one checker, {!Episode}: the static theorem oracles
+    are its (base, base) transition and its single-link sweep over the
+    intact topology, the episode oracles the same code over a timeline.
+
     - [no_loop] — Theorem 1: every phase-1 walk terminates by closing
       its cycle, within the 4|E|+4 TTL, never repeating a
-      (router, header-state) pair; phase-2 paths are simple.
+      (router, header-state) pair; phase-2 paths are simple.  The
+      [thm1] of {!Episode.measure} on the spec without its timeline.
     - [optimal] — Theorem 2: a {e delivered} recovery path is shortest
       in the {e truly} damaged topology (phase 1 collects E1 ⊆ E2, so a
       first attempt may legitimately drop at an uncollected failure);
       emitted source routes never cross a link the initiator knew had
-      failed; "unreachable" verdicts are never false.
-    - [single_link] — Theorem 3: exhaustive single-link-failure sweep;
-      every destination recovers optimally whenever the graph stays
-      connected.
+      failed; "unreachable" verdicts are never false.  The
+      [first_thm2] of {!Episode.measure} on the spec without its
+      timeline.
+    - [single_link] — Theorem 3: {!Episode.single_link} over
+      [Damage.none]: every non-bridge link fails on its own and every
+      destination it leaves reachable recovers optimally.
     - [fcp_vs_reference] — every case of the damage, run twice in
       shuffled order through one FCP session, equals
       {!Reference.fcp} field for field; a session route that overruns
@@ -57,13 +64,15 @@ type injection =
   | Drop_failed_link
       (** Deliberately weaken phase 2 by dropping the last link phase 1
           collected before the view is built — the Theorem-2 bug the
-          fuzzer must be able to catch.  Honoured by [optimal] and the
-          episode oracles. *)
+          fuzzer must be able to catch.  Honoured by {!Episode.measure},
+          hence by [no_loop], [optimal], [episode_no_loop] and
+          [episode_optimal]. *)
   | Truncate_walk
       (** Cut phase-1 walks at 3 hops — far below the 4|E|+4 TTL of
           Theorem 1 — so terminating walks report [Hop_limit]: the
-          Theorem-1 bug the episode gate's self-check must catch.
-          Honoured by the episode oracles. *)
+          Theorem-1 bug the fuzz and episode gates' self-checks must
+          catch.  Honoured by {!Episode.measure}, hence by [no_loop],
+          [optimal], [episode_no_loop] and [episode_optimal]. *)
 
 val injection_to_string : injection -> string
 val injection_of_string : string -> injection option
@@ -109,14 +118,26 @@ module Episode : sig
   (** Score every timeline transition d_prev → d_next: phase 1 walks
       d_prev (the stale picture), phase 2 is built from that collection
       against d_next, packets are forwarded and judged under d_next.  A
-      static spec degenerates to the single pair (base, base) —
-      Theorem 2's own setting, the matrix's baseline row. *)
+      source route that crosses a link the initiator knew had failed
+      (its collection before any injected drop, plus its own dead links
+      under d_next) is a Theorem-2 violation.  A static spec
+      degenerates to the single pair (base, base) — the setting of
+      Theorems 1 and 2, the matrix's baseline row.  Violations are
+      named after the registry oracle that reproduces them: [no_loop]
+      and [optimal] on a static spec, [episode_no_loop] and
+      [episode_optimal] otherwise. *)
 
-  val single_link_settled : Spec.t -> int * violation option
-  (** Theorem 3 on the settled post-episode network: each alive
-      non-bridge link fails on its own, with the settled damage carried
-      as converged base knowledge; returns (checks, first violation).
-      Must hold exactly. *)
+  val single_link :
+    oracle:string ->
+    Rtr_topo.Topology.t ->
+    Rtr_failure.Damage.t ->
+    int * violation option
+  (** Theorem 3 over a settled base damage: each alive link that is no
+      bridge of the base network fails on its own, with the base damage
+      carried as converged knowledge; returns (checks, first violation,
+      named [oracle]).  Must hold exactly.  [single_link] runs it over
+      [Damage.none], [episode_single_link] over a timeline's last
+      epoch. *)
 end
 
 val all : t list

@@ -13,7 +13,6 @@ let c_cache_hits = Metrics.counter "phase2.cache_hits"
 type t = {
   initiator : Graph.node;
   view : View.t;
-  removed_list : Graph.link_id list;
   spt : Spt.t;
   cache : (Graph.node, Rtr_graph.Path.t option) Hashtbl.t;
   mutable sp_calcs : int;
@@ -28,10 +27,10 @@ let create topo damage ~initiator ~removed =
   List.iter
     (fun (_, id) -> dead.(id) <- true)
     (Damage.unreachable_neighbors damage g initiator);
-  let removed_list =
-    List.filter (fun id -> dead.(id)) (List.init (Graph.n_links g) Fun.id)
+  let view =
+    View.remove_links (View.full g)
+      (List.filter (fun id -> dead.(id)) (List.init (Graph.n_links g) Fun.id))
   in
-  let view = View.remove_links (View.full g) removed_list in
   (* One tree over the damaged view serves every destination.  It runs
      in the domain workspace and is copied out, so the session owns its
      labels and may overlap or outlive any other workspace run. *)
@@ -44,14 +43,12 @@ let create topo damage ~initiator ~removed =
   {
     initiator;
     view;
-    removed_list;
     spt;
     cache = Hashtbl.create 16;
     sp_calcs = 0;
   }
 
 let initiator t = t.initiator
-let removed_links t = t.removed_list
 let view t = t.view
 
 let recovery_path t ~dst =

@@ -31,10 +31,7 @@ val initiator : t -> Graph.node
 
 val view : t -> Rtr_graph.View.t
 (** The initiator's post-phase-1 failure view: the full graph minus
-    [removed_links]. *)
-
-val removed_links : t -> Graph.link_id list
-(** The links absent from the view, ascending and deduplicated. *)
+    the removed links. *)
 
 val recovery_path : t -> dst:Graph.node -> Rtr_graph.Path.t option
 (** The shortest path from the initiator to [dst] in the view; [None]

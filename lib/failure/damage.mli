@@ -49,7 +49,6 @@ val failed_links : t -> Graph.link_id list
 (** Ascending; [failed_links] includes links incident to failed
     routers. *)
 
-val n_failed_nodes : t -> int
 val n_failed_links : t -> int
 
 val neighbor_unreachable : t -> Graph.node -> Graph.link_id -> bool

@@ -32,5 +32,3 @@ let ccw_from ~reference v =
   ccw_from_angle ~reference:(of_vec reference) (of_vec v)
 
 let cw_from ~reference v = cw_from_angle ~reference:(of_vec reference) (of_vec v)
-
-let degrees a = a *. 180.0 /. pi

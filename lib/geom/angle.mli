@@ -10,7 +10,6 @@
     previous hop is the last resort. *)
 
 val pi : float
-val two_pi : float
 
 val of_vec : Point.t -> float
 (** Polar angle of a vector, in (-pi, pi], via [atan2]. *)
@@ -28,9 +27,6 @@ val ccw_from_angle : reference:float -> float -> float
 
 val cw_from_angle : reference:float -> float -> float
 
-val normalize : float -> float
-(** Maps any angle into the half-open interval [0, 2*pi). *)
-
 val ccw_from : reference:Point.t -> Point.t -> float
 (** [ccw_from ~reference v] is the counterclockwise rotation, in
     (0, 2*pi], that carries the direction of [reference] onto the
@@ -42,6 +38,3 @@ val cw_from : reference:Point.t -> Point.t -> float
 (** Clockwise counterpart of [ccw_from], in (0, 2*pi], zero again
     reported as a full turn — the mirror sweep used by the
     bidirectional-walk extension. *)
-
-val degrees : float -> float
-(** Radians to degrees, for display. *)

@@ -8,7 +8,6 @@ let scale k v = { x = k *. v.x; y = k *. v.y }
 let dot a b = (a.x *. b.x) +. (a.y *. b.y)
 let cross a b = (a.x *. b.y) -. (a.y *. b.x)
 let norm2 v = dot v v
-let norm v = sqrt (norm2 v)
 let dist2 a b = norm2 (sub a b)
 let dist a b = sqrt (dist2 a b)
 let midpoint a b = { x = (a.x +. b.x) /. 2.0; y = (a.y +. b.y) /. 2.0 }

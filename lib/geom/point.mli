@@ -30,17 +30,11 @@ val cross : t -> t -> float
 (** 2-D cross product (z-component of the 3-D cross product).  Positive
     when the second vector lies counterclockwise of the first. *)
 
-val norm : t -> float
-(** Euclidean length. *)
-
 val norm2 : t -> float
 (** Squared Euclidean length (avoids the square root). *)
 
 val dist : t -> t -> float
 (** Euclidean distance between two points. *)
-
-val dist2 : t -> t -> float
-(** Squared Euclidean distance. *)
 
 val midpoint : t -> t -> t
 (** The point halfway between the arguments. *)

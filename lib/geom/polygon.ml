@@ -53,14 +53,6 @@ let bounding_box { pts } =
   let max_of = Array.fold_left Float.max neg_infinity in
   (Point.make (min_of xs) (min_of ys), Point.make (max_of xs) (max_of ys))
 
-let regular ~center ~radius ~sides =
-  if sides < 3 then invalid_arg "Polygon.regular: need >= 3 sides";
-  let pt i =
-    let a = 2.0 *. Angle.pi *. float_of_int i /. float_of_int sides in
-    Point.add center (Point.make (radius *. cos a) (radius *. sin a))
-  in
-  make (List.init sides pt)
-
 let pp ppf { pts } =
   Format.fprintf ppf "polygon[%a]"
     (Format.pp_print_list

@@ -29,8 +29,4 @@ val intersects_segment : t -> Segment.t -> bool
 val bounding_box : t -> Point.t * Point.t
 (** [(lo, hi)] corners of the axis-aligned bounding box. *)
 
-val regular : center:Point.t -> radius:float -> sides:int -> t
-(** A regular polygon inscribed in the given circle; handy for building
-    "almost a disc" failure areas with corners. *)
-
 val pp : Format.formatter -> t -> unit

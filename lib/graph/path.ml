@@ -39,8 +39,6 @@ let cost g p =
   in
   loop 0 p.rev
 
-let mem_node p v = List.mem v p.rev
-
 let is_valid view p =
   let g = View.graph view in
   let rec loop = function

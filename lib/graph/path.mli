@@ -27,8 +27,6 @@ val links : Graph.t -> t -> Graph.link_id list
 val cost : Graph.t -> t -> int
 (** Sum of directional link costs along the path. *)
 
-val mem_node : t -> Graph.node -> bool
-
 val is_valid : View.t -> t -> bool
 (** Whether every consecutive pair is adjacent and every node/link is
     live in the view (the source must be live too). *)

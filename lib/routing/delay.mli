@@ -3,12 +3,6 @@
     One hop costs 100 microseconds of router processing plus 1.7 ms of
     propagation (500 km links at ~2/3 c), i.e. 1.8 ms per hop. *)
 
-val router_s : float
-(** 100e-6. *)
-
-val propagation_s : float
-(** 1.7e-3. *)
-
 val per_hop_s : float
 (** 1.8e-3. *)
 

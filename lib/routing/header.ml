@@ -10,19 +10,3 @@ let rtr_phase1 ~n_failed ~n_cross =
 let source_route ~hops = node_id_bytes * hops
 let rtr_phase2 ~hops = mode_bytes + source_route ~hops
 let fcp ~n_failed ~route_hops = (link_id_bytes * n_failed) + source_route ~hops:route_hops
-
-let varint_bytes n =
-  if n < 0 then invalid_arg "Header.varint_bytes: negative";
-  let rec go n acc = if n < 128 then acc else go (n lsr 7) (acc + 1) in
-  go n 1
-
-let compressed_link_list ids =
-  match List.sort_uniq compare ids with
-  | [] -> 1 (* just the zero count *)
-  | first :: rest ->
-      let deltas, _ =
-        List.fold_left
-          (fun (acc, prev) id -> (varint_bytes (id - prev) + acc, id))
-          (0, first) rest
-      in
-      varint_bytes (List.length ids) + varint_bytes first + deltas

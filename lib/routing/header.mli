@@ -31,20 +31,3 @@ val rtr_phase2 : hops:int -> int
 val fcp : n_failed:int -> route_hops:int -> int
 (** FCP (source-routing variant) carries the accumulated failed-link
     list and the current source route. *)
-
-(** {1 Compressed link lists}
-
-    Sec. III-E notes the header can borrow FCP's mapping technique to
-    shrink the failed-link field.  Every router shares the topology, so
-    a link-id {e set} can be sent as sorted deltas in LEB128 varints
-    instead of fixed 16-bit ids; these helpers price that encoding. *)
-
-val varint_bytes : int -> int
-(** Bytes LEB128 needs for a non-negative int (7 payload bits per
-    byte).  Raises [Invalid_argument] on negatives. *)
-
-val compressed_link_list : int list -> int
-(** Bytes for a link-id list encoded as count + sorted first id +
-    successive deltas, each as a varint.  Always at most
-    [2 + link_id_bytes * length] and usually far less once the ids
-    cluster around one failure area. *)

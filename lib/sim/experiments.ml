@@ -351,14 +351,15 @@ let fig8 data =
 
 (* ------------------------------------------------------------------ *)
 
-let fig9 data =
-  let xs = range 1.0 11.0 1.0 in
+(* Figs. 9 and 12: per-case shortest-path calculations, RTR pooled
+   over every topology and FCP per topology, on one case list. *)
+let calc_cdf ~id ~title ~xs cases_of data =
   let rtr =
     (* measured, not asserted: ≤ 1 calculation per case (0 when the
        session's per-destination cache already held the path) *)
     match
       List.concat_map
-        (fun d -> List.map Runner.rtr_sp_calculations d.recoverable)
+        (fun d -> List.map Runner.rtr_sp_calculations (cases_of d))
         data
     with
     | [] -> { label = "RTR"; points = List.map (fun x -> (x, 1.0)) xs }
@@ -368,18 +369,24 @@ let fig9 data =
     List.map
       (fun d ->
         let cdf =
-          Cdf.of_ints (List.map (fun r -> r.Runner.fcp_calcs) d.recoverable)
+          Cdf.of_ints (List.map (fun r -> r.Runner.fcp_calcs) (cases_of d))
         in
         { label = "FCP " ^ d.preset.Isp.as_name; points = Cdf.sample cdf ~xs })
       data
   in
   {
-    id = "fig9";
-    title = "Fig. 9: CDF of computational overhead in recoverable test cases";
+    id;
+    title;
     x_label = "number of shortest path calculations";
     y_label = "cumulative distribution";
     series = rtr :: fcp;
   }
+
+let fig9 =
+  calc_cdf ~id:"fig9"
+    ~title:"Fig. 9: CDF of computational overhead in recoverable test cases"
+    ~xs:(range 1.0 11.0 1.0)
+    (fun d -> d.recoverable)
 
 (* ------------------------------------------------------------------ *)
 
@@ -493,33 +500,11 @@ let fig11 ?(log = fun _ -> ()) ?(areas_per_radius = 200) ?radii config =
 
 (* ------------------------------------------------------------------ *)
 
-let fig12 data =
-  let xs = range 1.0 45.0 2.0 in
-  let rtr =
-    match
-      List.concat_map
-        (fun d -> List.map Runner.rtr_sp_calculations d.irrecoverable)
-        data
-    with
-    | [] -> { label = "RTR"; points = List.map (fun x -> (x, 1.0)) xs }
-    | calcs -> { label = "RTR"; points = Cdf.sample (Cdf.of_ints calcs) ~xs }
-  in
-  let fcp =
-    List.map
-      (fun d ->
-        let cdf =
-          Cdf.of_ints (List.map (fun r -> r.Runner.fcp_calcs) d.irrecoverable)
-        in
-        { label = "FCP " ^ d.preset.Isp.as_name; points = Cdf.sample cdf ~xs })
-      data
-  in
-  {
-    id = "fig12";
-    title = "Fig. 12: CDF of wasted computation in irrecoverable test cases";
-    x_label = "number of shortest path calculations";
-    y_label = "cumulative distribution";
-    series = rtr :: fcp;
-  }
+let fig12 =
+  calc_cdf ~id:"fig12"
+    ~title:"Fig. 12: CDF of wasted computation in irrecoverable test cases"
+    ~xs:(range 1.0 45.0 2.0)
+    (fun d -> d.irrecoverable)
 
 (* ------------------------------------------------------------------ *)
 
@@ -554,59 +539,38 @@ let fig13 data =
 (* ------------------------------------------------------------------ *)
 
 let table4 data =
-  let row d =
-    let irr = d.irrecoverable in
-    let rtr_calcs = List.map Runner.rtr_sp_calculations irr in
-    let fcp_calcs = List.map (fun r -> r.Runner.fcp_calcs) irr in
-    let rtr_tx = List.map (fun r -> r.Runner.rtr_wasted_tx) irr in
-    let fcp_tx = List.map (fun r -> r.Runner.fcp_wasted_tx) irr in
+  (* Computation, then transmission: the (RTR, FCP) per-case values of
+     one case list. *)
+  let measures irr =
     [
-      d.preset.Isp.as_name;
-      f2 (Stats.mean_int rtr_calcs);
-      f2 (Stats.mean_int fcp_calcs);
-      string_of_int (Stats.max_int_list rtr_calcs);
-      string_of_int (Stats.max_int_list fcp_calcs);
-      f2 (Stats.mean_int rtr_tx);
-      f2 (Stats.mean_int fcp_tx);
-      string_of_int (Stats.max_int_list rtr_tx);
-      string_of_int (Stats.max_int_list fcp_tx);
+      ( List.map Runner.rtr_sp_calculations irr,
+        List.map (fun r -> r.Runner.fcp_calcs) irr );
+      ( List.map (fun r -> r.Runner.rtr_wasted_tx) irr,
+        List.map (fun r -> r.Runner.fcp_wasted_tx) irr );
     ]
   in
-  let all_irr = List.concat_map (fun d -> d.irrecoverable) data in
-  let overall =
-    let rtr_calcs = List.map Runner.rtr_sp_calculations all_irr in
-    let fcp_calcs = List.map (fun r -> r.Runner.fcp_calcs) all_irr in
-    let rtr_tx = List.map (fun r -> r.Runner.rtr_wasted_tx) all_irr in
-    let fcp_tx = List.map (fun r -> r.Runner.fcp_wasted_tx) all_irr in
-    [
-      "Overall";
-      f2 (Stats.mean_int rtr_calcs);
-      f2 (Stats.mean_int fcp_calcs);
-      string_of_int (Stats.max_int_list rtr_calcs);
-      string_of_int (Stats.max_int_list fcp_calcs);
-      f2 (Stats.mean_int rtr_tx);
-      f2 (Stats.mean_int fcp_tx);
-      string_of_int (Stats.max_int_list rtr_tx);
-      string_of_int (Stats.max_int_list fcp_tx);
-    ]
+  let row name measured =
+    name
+    :: List.concat_map
+         (fun (rtr, fcp) ->
+           [
+             f2 (Stats.mean_int rtr);
+             f2 (Stats.mean_int fcp);
+             string_of_int (Stats.max_int_list rtr);
+             string_of_int (Stats.max_int_list fcp);
+           ])
+         measured
   in
+  let overall = measures (List.concat_map (fun d -> d.irrecoverable) data) in
   let savings =
-    let rtr_calcs = Stats.mean_int (List.map Runner.rtr_sp_calculations all_irr) in
-    let fcp_calcs = Stats.mean_int (List.map (fun r -> r.Runner.fcp_calcs) all_irr) in
-    let rtr_tx = Stats.mean_int (List.map (fun r -> r.Runner.rtr_wasted_tx) all_irr) in
-    let fcp_tx = Stats.mean_int (List.map (fun r -> r.Runner.fcp_wasted_tx) all_irr) in
-    let save a b = if b > 0.0 then 100.0 *. (1.0 -. (a /. b)) else 0.0 in
-    [
-      "RTR saves";
-      Printf.sprintf "%.1f%% computation" (save rtr_calcs fcp_calcs);
-      "";
-      "";
-      "";
-      Printf.sprintf "%.1f%% transmission" (save rtr_tx fcp_tx);
-      "";
-      "";
-      "";
-    ]
+    let save (rtr, fcp) what =
+      let a = Stats.mean_int rtr and b = Stats.mean_int fcp in
+      let pct = if b > 0.0 then 100.0 *. (1.0 -. (a /. b)) else 0.0 in
+      [ Printf.sprintf "%.1f%% %s" pct what; ""; ""; "" ]
+    in
+    "RTR saves"
+    :: List.concat
+         (List.map2 save overall [ "computation"; "transmission" ])
   in
   {
     id = "table4";
@@ -625,7 +589,11 @@ let table4 data =
         "MaxTx RTR";
         "MaxTx FCP";
       ];
-    rows = List.map row data @ [ overall; savings ];
+    rows =
+      List.map
+        (fun d -> row d.preset.Isp.as_name (measures d.irrecoverable))
+        data
+      @ [ row "Overall" overall; savings ];
   }
 
 (* ------------------------------------------------------------------ *)

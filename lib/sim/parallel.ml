@@ -2,19 +2,24 @@ module Metrics = Rtr_obs.Metrics
 module Trace = Rtr_obs.Trace
 module Pool = Rtr_util.Pool
 
+let check_jobs n =
+  if n >= 1 && n <= Pool.max_jobs then Ok n
+  else Error (Printf.sprintf "--jobs must be in 1..%d, got %d" Pool.max_jobs n)
+
 let env_jobs () =
+  let recommended = min (Domain.recommended_domain_count ()) Pool.max_jobs in
   match Sys.getenv_opt "RTR_JOBS" with
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | Some _ | None ->
+      match Option.map check_jobs (int_of_string_opt (String.trim s)) with
+      | Some (Ok n) -> n
+      | Some (Error _) | None ->
           Printf.eprintf
-            "warning: RTR_JOBS=%S is not a positive integer; using the \
+            "warning: RTR_JOBS=%S is not an integer in 1..%d; using the \
              recommended domain count\n\
              %!"
-            s;
-          Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+            s Pool.max_jobs;
+          recommended)
+  | None -> recommended
 
 (* The largest job count any pool run of this process actually used —
    what a run manifest should record as the effective parallelism.

@@ -7,12 +7,17 @@
     coordinator with [Metrics.absorb], and [pool.*] scheduling metrics
     — so callers shard with one function call. *)
 
+val check_jobs : int -> (int, string) result
+(** [Ok n] when [n] is in [1..Rtr_util.Pool.max_jobs], else the
+    one-line error [--jobs] reports. *)
+
 val env_jobs : unit -> int
-(** [RTR_JOBS] parsed as a positive integer;
-    [Domain.recommended_domain_count ()] when the variable is unset, so
-    multi-core runners parallelise by default (results are
-    jobs-invariant throughout).  A set-but-malformed value falls back
-    to the same recommended count, with a warning to stderr. *)
+(** [RTR_JOBS] parsed as an integer in [1..Rtr_util.Pool.max_jobs];
+    [Domain.recommended_domain_count ()] (at most [max_jobs]) when the
+    variable is unset, so multi-core runners parallelise by default
+    (results are jobs-invariant throughout).  A set value that is
+    malformed or out of range falls back to the same recommended count,
+    with a warning to stderr. *)
 
 val noted_jobs : unit -> int option
 (** The largest [jobs] [map] or [stream] of this process was called

@@ -62,54 +62,3 @@ let generate rng ~name ~n ~m ?(style = default_style)
   done;
   let graph = Rtr_graph.Graph.build ~n ~edges:(List.rev !edges) in
   Topology.create ~name graph emb
-
-let random_geometric rng ~name ~n ~radius ?(width = Embedding.default_width)
-    ?(height = Embedding.default_height) () =
-  if n < 2 then invalid_arg "Generator.random_geometric: need >= 2 nodes";
-  let emb = Embedding.random rng ~n ~width ~height () in
-  let pos v = Embedding.position emb v in
-  let edges = ref [] in
-  let linked = Hashtbl.create 64 in
-  let add u v =
-    if not (Hashtbl.mem linked (min u v, max u v)) then begin
-      Hashtbl.replace linked (min u v, max u v) ();
-      edges := (u, v) :: !edges
-    end
-  in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Point.dist (pos u) (pos v) <= radius then add u v
-    done
-  done;
-  (* Spanning fallback: link each non-first component to its nearest
-     node in the first, until connected. *)
-  let connected () =
-    let g = Rtr_graph.Graph.build ~n ~edges:!edges in
-    let comps = Rtr_graph.Components.compute (Rtr_graph.View.full g) in
-    if Rtr_graph.Components.count comps <= 1 then None else Some comps
-  in
-  let rec patch () =
-    match connected () with
-    | None -> ()
-    | Some comps ->
-        let best = ref None in
-        for u = 0 to n - 1 do
-          for v = u + 1 to n - 1 do
-            if Rtr_graph.Components.id_of comps u
-               <> Rtr_graph.Components.id_of comps v
-            then begin
-              let d = Point.dist (pos u) (pos v) in
-              match !best with
-              | Some (bd, _, _) when bd <= d -> ()
-              | _ -> best := Some (d, u, v)
-            end
-          done
-        done;
-        (match !best with
-        | Some (_, u, v) -> add u v
-        | None -> ());
-        patch ()
-  in
-  patch ();
-  let graph = Rtr_graph.Graph.build ~n ~edges:(List.rev !edges) in
-  Topology.create ~name graph emb

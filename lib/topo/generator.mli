@@ -46,16 +46,3 @@ val generate :
 (** A connected topology with exactly [n] routers and [m] links, unit
     link costs.  Raises [Invalid_argument] when [m < n - 1] or [m]
     exceeds the number of node pairs. *)
-
-val random_geometric :
-  Rtr_util.Rng.t ->
-  name:string ->
-  n:int ->
-  radius:float ->
-  ?width:float ->
-  ?height:float ->
-  unit ->
-  Topology.t
-(** Classic random geometric graph (every pair within [radius] is
-    linked) plus a spanning fallback so the result is connected;
-    used by property tests for a different structural family. *)

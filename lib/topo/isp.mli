@@ -23,10 +23,8 @@ type preset = {
 val table2 : preset list
 (** The eight ASes of Table II, in the paper's order. *)
 
-val extras : preset list
-(** AS2914 and AS3356. *)
-
 val all : preset list
+(** [table2] followed by the approximate extras AS2914 and AS3356. *)
 
 val find : string -> preset option
 (** Lookup by name, e.g. ["AS1239"]. *)

@@ -5,6 +5,10 @@ type worker_stats = {
   idle_s : float;
 }
 
+(* The OCaml 5.1 runtime's [Max_domains] (128), less the calling
+   domain. *)
+let max_jobs = 127
+
 (* The one scheduler, behind both [stream] and [map]: the coordinator
    pulls tasks from [producer] and hands finished results to [consumer]
    in strict submission order; at most [capacity] tasks are in flight,
@@ -166,6 +170,7 @@ let stream ?wrap_worker ?on_stats ?capacity ~jobs f ~producer ~consumer () =
     go 0
   end
   else
+    let jobs = min jobs max_jobs in
     let capacity =
       max jobs (match capacity with Some c -> c | None -> 4 * jobs)
     in

@@ -15,6 +15,11 @@
     The pool is hand-rolled on stdlib [Domain]/[Mutex]/[Condition]
     only — no external dependencies. *)
 
+val max_jobs : int
+(** 127: the OCaml 5.1 runtime runs at most 128 domains, the calling
+    domain and 127 workers.  [map] and [stream] never spawn more
+    workers than this, whatever [jobs] asks for. *)
+
 type worker_stats = {
   worker : int;  (** 0-based worker index *)
   tasks : int;  (** tasks this worker evaluated *)

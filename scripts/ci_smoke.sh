@@ -418,6 +418,15 @@ fi
 dune exec tools/json_check.exe -- "$fuzzdir"/counterexample_*.json
 dune exec bin/rtr_sim.exe -- replay "$fuzzdir"/counterexample_*.json > /dev/null
 
+# The static Theorem-1 oracle must see an injected Theorem-1 fault (a
+# phase-1 walk cut far below its TTL) as well.
+if dune exec bin/rtr_sim.exe -- fuzz --cases 20 --seed 42 \
+     --oracle no_loop --inject truncate-walk > /dev/null
+then
+  echo "ci_smoke: FAIL — injected truncate-walk bug missed by no_loop" >&2
+  exit 1
+fi
+
 # Campaigns must not depend on the worker count: same seed, same
 # artifacts, byte for byte.
 rm -rf "$fuzzdir"/j1 "$fuzzdir"/j4
@@ -432,7 +441,7 @@ if ! diff -r "$fuzzdir/j1" "$fuzzdir/j4"; then
   exit 1
 fi
 
-echo "ci_smoke: fuzz gate OK ($FUZZ_CASES clean cases; injected bug caught, replayed, jobs-invariant)"
+echo "ci_smoke: fuzz gate OK ($FUZZ_CASES clean cases; injected bugs caught, replayed, jobs-invariant)"
 
 # --- episode gate ----------------------------------------------------
 # The theorem-survival matrix on episode timelines (cascading /

@@ -1,13 +1,17 @@
 open Rtr_geom
 
 let feq = Alcotest.float 1e-9
+let two_pi = 2.0 *. Angle.pi
 
+(* Rotations from a zero reference are the normalised angle, a zero
+   rotation reported as a full turn. *)
 let test_normalize () =
-  Alcotest.check feq "zero" 0.0 (Angle.normalize 0.0);
-  Alcotest.check feq "two pi wraps" 0.0 (Angle.normalize Angle.two_pi);
+  let ccw = Angle.ccw_from_angle ~reference:0.0 in
+  Alcotest.check feq "zero is a full turn" two_pi (ccw 0.0);
+  Alcotest.check feq "two pi wraps" two_pi (ccw two_pi);
   Alcotest.check feq "negative wraps" (Angle.pi /. 2.0)
-    (Angle.normalize (-3.0 *. Angle.pi /. 2.0));
-  Alcotest.check feq "large" Angle.pi (Angle.normalize (5.0 *. Angle.pi))
+    (ccw (-3.0 *. Angle.pi /. 2.0));
+  Alcotest.check feq "large" Angle.pi (ccw (5.0 *. Angle.pi))
 
 let test_of_vec () =
   Alcotest.check feq "east" 0.0 (Angle.of_vec (Point.make 1.0 0.0));
@@ -28,11 +32,8 @@ let test_ccw_quarter () =
 
 let test_ccw_same_direction_full_turn () =
   let d = Point.make 2.0 3.0 in
-  Alcotest.check feq "same direction counts as full turn" Angle.two_pi
+  Alcotest.check feq "same direction counts as full turn" two_pi
     (Angle.ccw_from ~reference:d (Point.scale 5.0 d))
-
-let test_degrees () =
-  Alcotest.check feq "pi is 180" 180.0 (Angle.degrees Angle.pi)
 
 let ccw_positive =
   QCheck.Test.make ~name:"ccw_from is in (0, 2pi]" ~count:500
@@ -44,7 +45,7 @@ let ccw_positive =
       QCheck.assume (Float.abs ax +. Float.abs ay > 1e-6);
       QCheck.assume (Float.abs bx +. Float.abs by > 1e-6);
       let a = Angle.ccw_from ~reference:(Point.make ax ay) (Point.make bx by) in
-      a > 0.0 && a <= Angle.two_pi)
+      a > 0.0 && a <= two_pi)
 
 let ccw_sums_to_full_turn =
   QCheck.Test.make ~name:"ccw(a,b) + ccw(b,a) is a full turn (generic case)"
@@ -59,8 +60,8 @@ let ccw_sums_to_full_turn =
       let r = Point.make ax ay and v = Point.make bx by in
       let sum = Angle.ccw_from ~reference:r v +. Angle.ccw_from ~reference:v r in
       (* collinear pairs both report a full turn, so allow 2 or 4 pi *)
-      Float.abs (sum -. Angle.two_pi) < 1e-6
-      || Float.abs (sum -. (2.0 *. Angle.two_pi)) < 1e-6)
+      Float.abs (sum -. two_pi) < 1e-6
+      || Float.abs (sum -. (2.0 *. two_pi)) < 1e-6)
 
 let suite =
   [
@@ -68,7 +69,6 @@ let suite =
     Alcotest.test_case "of_vec" `Quick test_of_vec;
     Alcotest.test_case "ccw quarter turns" `Quick test_ccw_quarter;
     Alcotest.test_case "ccw full turn" `Quick test_ccw_same_direction_full_turn;
-    Alcotest.test_case "degrees" `Quick test_degrees;
     QCheck_alcotest.to_alcotest ccw_positive;
     QCheck_alcotest.to_alcotest ccw_sums_to_full_turn;
   ]

@@ -241,6 +241,30 @@ let test_injected_bug_caught_and_shrunk () =
       | Some v -> Alcotest.failf "clean protocol flagged: %s" v.Oracle.detail)
     outcome.Campaign.failures
 
+(* The static theorem oracles are the (base, base) transition of
+   [Episode.measure], so both injections reach them; the Theorem-3
+   sweep over the intact topology reads neither. *)
+let test_static_oracles_honour_injections () =
+  let spec = gen_spec 42 in
+  let run name inject = (oracle name).Oracle.run ~inject spec in
+  let named name got =
+    Alcotest.(check (option string))
+      (name ^ " flags its own name") (Some name)
+      (Option.map (fun v -> v.Oracle.oracle) got)
+  in
+  named "no_loop" (run "no_loop" (Some Oracle.Truncate_walk));
+  named "optimal" (run "optimal" (Some Oracle.Drop_failed_link));
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " clean without injection") true
+        (run name None = None))
+    [ "no_loop"; "optimal"; "single_link" ];
+  List.iter
+    (fun inject ->
+      Alcotest.(check bool) "single_link ignores the injection" true
+        (run "single_link" (Some inject) = None))
+    [ Oracle.Truncate_walk; Oracle.Drop_failed_link ]
+
 let test_campaign_jobs_invariant () =
   let config =
     {
@@ -448,6 +472,8 @@ let suite =
       test_corpus_specs_pass_every_oracle;
     Alcotest.test_case "injected bug caught, shrunk, reproduced" `Quick
       test_injected_bug_caught_and_shrunk;
+    Alcotest.test_case "static theorem oracles honour both injections" `Quick
+      test_static_oracles_honour_injections;
     Alcotest.test_case "campaign independent of jobs" `Quick
       test_campaign_jobs_invariant;
     Alcotest.test_case "shrink reaches a violating fixpoint" `Quick

@@ -29,7 +29,7 @@ let test_apply_link_only_failure () =
   (* Disc between nodes 0 and 1, touching neither. *)
   let area = Area.disc ~center:(Point.make 50.0 0.0) ~radius:10.0 in
   let d = Damage.apply topo area in
-  Alcotest.(check int) "no node failed" 0 (Damage.n_failed_nodes d);
+  Alcotest.(check (list int)) "no node failed" [] (Damage.failed_nodes d);
   Alcotest.(check int) "one link cut" 1 (Damage.n_failed_links d)
 
 let test_of_failed_seals_incident_links () =
@@ -69,7 +69,7 @@ let test_merge () =
 let test_none () =
   let g = Graph.build ~n:2 ~edges:[ (0, 1) ] in
   let d = Damage.none g in
-  Alcotest.(check int) "no nodes" 0 (Damage.n_failed_nodes d);
+  Alcotest.(check (list int)) "no nodes" [] (Damage.failed_nodes d);
   Alcotest.(check int) "no links" 0 (Damage.n_failed_links d)
 
 let area_failure_consistent =

@@ -27,7 +27,7 @@ let theorem2_polygon_areas =
         Point.make (Rtr_util.Rng.float rng 2000.0) (Rtr_util.Rng.float rng 2000.0)
       in
       let radius = Rtr_util.Rng.float_range rng 100.0 300.0 in
-      let area = Rtr_failure.Area.poly (Polygon.regular ~center ~radius ~sides) in
+      let area = Rtr_failure.Area.poly (Test_polygon.regular ~center ~radius ~sides) in
       let damage = Damage.apply topo area in
       let truth = Damage.view damage in
       List.for_all
@@ -64,7 +64,7 @@ let border_area_harmless_when_missing =
           ~radius:100.0
       in
       let damage = Damage.apply topo area in
-      Damage.n_failed_nodes damage = 0 && Damage.n_failed_links damage = 0)
+      Damage.failed_nodes damage = [] && Damage.n_failed_links damage = 0)
 
 (* Weighted, asymmetric link costs through the full recovery stack:
    the recovery path must be optimal with respect to the cost metric,
@@ -172,7 +172,8 @@ let test_total_destruction () =
     Rtr_failure.Area.disc ~center:(Point.make 1000.0 1000.0) ~radius:5000.0
   in
   let damage = Damage.apply topo area in
-  Alcotest.(check int) "everyone dead" 12 (Damage.n_failed_nodes damage);
+  Alcotest.(check int) "everyone dead" 12
+    (List.length (Damage.failed_nodes damage));
   Alcotest.(check (list (pair int int))) "no detectors" []
     (Rtr_check.Gen.detectors topo damage)
 

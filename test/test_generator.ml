@@ -68,23 +68,6 @@ let test_locality_shortens_links () =
     "stronger locality gives shorter links" true
     (mean_length 0.03 < mean_length 0.5)
 
-let test_random_geometric () =
-  let rng = Rtr_util.Rng.make 8 in
-  let t =
-    Generator.random_geometric rng ~name:"rgg" ~n:50 ~radius:400.0 ()
-  in
-  let g = Topology.graph t and emb = Topology.embedding t in
-  Alcotest.(check bool) "connected" true (Rtr_graph.Components.is_connected g);
-  (* All but the patch links respect the radius; verify most do. *)
-  let within =
-    Graph.fold_links g ~init:0 ~f:(fun acc id _ _ ->
-        if Rtr_geom.Segment.length (Rtr_topo.Embedding.segment emb g id) <= 400.0
-        then acc + 1
-        else acc)
-  in
-  Alcotest.(check bool) "mostly radius-bounded" true
-    (float_of_int within /. float_of_int (Graph.n_links g) > 0.9)
-
 let suite =
   [
     Alcotest.test_case "exact counts" `Quick test_exact_counts;
@@ -94,5 +77,4 @@ let suite =
     Alcotest.test_case "tree possible" `Quick test_tree_possible;
     Alcotest.test_case "dense possible" `Quick test_dense_possible;
     Alcotest.test_case "locality shortens links" `Quick test_locality_shortens_links;
-    Alcotest.test_case "random geometric" `Quick test_random_geometric;
   ]

@@ -77,7 +77,7 @@ let flowsim_two_era () =
   let rng = Rtr_util.Rng.make 11 in
   let rec draw () =
     let d = (Rtr_sim.Scenario.generate topo table rng ()).Rtr_sim.Scenario.damage in
-    if Damage.n_failed_nodes d >= 1 && Damage.n_failed_links d >= 6 then d
+    if Damage.failed_nodes d <> [] && Damage.n_failed_links d >= 6 then d
     else draw ()
   in
   let damage = draw () in

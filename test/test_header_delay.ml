@@ -20,38 +20,9 @@ let test_phase2_and_fcp () =
 
 let test_delay_model () =
   let feq = Alcotest.float 1e-12 in
-  Alcotest.check feq "router" 100e-6 Delay.router_s;
-  Alcotest.check feq "propagation" 1.7e-3 Delay.propagation_s;
   Alcotest.check feq "per hop is 1.8 ms" 1.8e-3 Delay.per_hop_s;
   Alcotest.check feq "ten hops" 18e-3 (Delay.of_hops 10);
   Alcotest.check feq "ms conversion" 18.0 (Delay.ms (Delay.of_hops 10))
-
-let test_varint () =
-  Alcotest.(check int) "small" 1 (Header.varint_bytes 0);
-  Alcotest.(check int) "edge 127" 1 (Header.varint_bytes 127);
-  Alcotest.(check int) "edge 128" 2 (Header.varint_bytes 128);
-  Alcotest.(check int) "16 bit" 3 (Header.varint_bytes 70000);
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Header.varint_bytes: negative") (fun () ->
-      ignore (Header.varint_bytes (-1)))
-
-let test_compressed_link_list () =
-  Alcotest.(check int) "empty" 1 (Header.compressed_link_list []);
-  (* clustered ids: 1 count + 1 first + 4 deltas of 1 byte *)
-  Alcotest.(check int) "cluster" 6
-    (Header.compressed_link_list [ 40; 41; 42; 43; 45 ]);
-  (* order independent, duplicates collapse *)
-  Alcotest.(check int) "unordered dup" 6
-    (Header.compressed_link_list [ 45; 41; 40; 42; 43; 41 ])
-
-let compression_never_loses =
-  QCheck.Test.make
-    ~name:"compressed list never beats 2B/id by losing" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 600))
-    (fun ids ->
-      let uniq = List.sort_uniq compare ids in
-      Header.compressed_link_list ids
-      <= 2 + (Header.link_id_bytes * List.length uniq))
 
 let suite =
   [
@@ -59,7 +30,4 @@ let suite =
     Alcotest.test_case "phase1 layout" `Quick test_phase1_layout;
     Alcotest.test_case "phase2/fcp layout" `Quick test_phase2_and_fcp;
     Alcotest.test_case "delay model" `Quick test_delay_model;
-    Alcotest.test_case "varint" `Quick test_varint;
-    Alcotest.test_case "compressed link list" `Quick test_compressed_link_list;
-    QCheck_alcotest.to_alcotest compression_never_loses;
   ]

@@ -20,7 +20,6 @@ let () =
       ("topo.crossings", Test_crossings.suite);
       ("topo.generator", Test_generator.suite);
       ("topo.isp", Test_isp.suite);
-      ("topo.io", Test_topo_io.suite);
       ("topo.rocketfuel", Test_rocketfuel.suite);
       ("paper.fig6", Test_paper_example.suite);
       ("failure.area", Test_area.suite);

@@ -141,6 +141,35 @@ let test_exception_after_join () =
         0 (Atomic.get running))
     sizes
 
+(* The runtime's domain limit, checked without starting a domain:
+   [--jobs] refuses a count outside 1..127 and RTR_JOBS falls back. *)
+let test_jobs_range () =
+  Alcotest.(check int) "127 workers beside the caller" 127
+    Rtr_util.Pool.max_jobs;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "%d accepted" n) true
+        (Parallel.check_jobs n = Ok n))
+    [ 1; 2; 127 ];
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "%d refused" n) true
+        (Result.is_error (Parallel.check_jobs n)))
+    [ min_int; -1; 0; 128; 200; max_int ];
+  let saved = Sys.getenv_opt "RTR_JOBS" in
+  let env s =
+    Unix.putenv "RTR_JOBS" s;
+    Parallel.env_jobs ()
+  in
+  let fallback = env "abc" in
+  Alcotest.(check bool) "fallback within range" true
+    (Parallel.check_jobs fallback = Ok fallback);
+  Alcotest.(check int) "127 read as is" 127 (env "127");
+  List.iter
+    (fun s -> Alcotest.(check int) (s ^ " falls back") fallback (env s))
+    [ "0"; "128"; "200"; "-3" ];
+  Unix.putenv "RTR_JOBS" (Option.value saved ~default:"")
+
 let suite =
   [
     Alcotest.test_case "map and stream keep submission order" `Quick
@@ -153,4 +182,6 @@ let suite =
       test_short_stream_spawns_per_task;
     Alcotest.test_case "exception re-raised after every join" `Quick
       test_exception_after_join;
+    Alcotest.test_case "jobs bounded by the domain limit" `Quick
+      test_jobs_range;
   ]

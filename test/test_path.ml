@@ -52,8 +52,7 @@ let test_is_valid () =
 
 let test_mem_equal_pp () =
   let p = Path.of_nodes [ 3; 1; 4 ] in
-  Alcotest.(check bool) "mem" true (Path.mem_node p 1);
-  Alcotest.(check bool) "not mem" false (Path.mem_node p 9);
+  Alcotest.(check (list int)) "members in order" [ 3; 1; 4 ] (Path.nodes p);
   Alcotest.(check bool) "equal" true (Path.equal p (Path.of_nodes [ 3; 1; 4 ]));
   Alcotest.(check bool) "not equal" false (Path.equal p (Path.of_nodes [ 3; 1 ]));
   Alcotest.(check string) "pp" "v3 -> v1 -> v4" (Path.to_string p)

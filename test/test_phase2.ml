@@ -15,6 +15,13 @@ let setup () =
   let p1 = Phase1.run topo damage ~initiator:PE.initiator ~trigger:PE.trigger () in
   (topo, g, damage, p1)
 
+(* The links absent from the session's view, ascending. *)
+let removed_links p2 =
+  let view = Phase2.view p2 in
+  List.filter
+    (fun id -> not (View.link_ok view id))
+    (List.init (Graph.n_links (View.graph view)) Fun.id)
+
 let of_phase1 topo damage p1 =
   Phase2.create topo damage ~initiator:p1.Phase1.initiator
     ~removed:p1.Phase1.failed_links
@@ -22,7 +29,7 @@ let of_phase1 topo damage p1 =
 let test_view_removes_collected_and_local () =
   let topo, _, damage, p1 = setup () in
   let p2 = of_phase1 topo damage p1 in
-  let removed = Phase2.removed_links p2 in
+  let removed = removed_links p2 in
   (* Everything phase 1 collected is removed... *)
   List.iter
     (fun id ->
@@ -38,7 +45,7 @@ let test_path_avoids_view () =
   match Phase2.recovery_path p2 ~dst:PE.destination with
   | None -> Alcotest.fail "path expected"
   | Some path ->
-      let removed = Phase2.removed_links p2 in
+      let removed = removed_links p2 in
       List.iter
         (fun id ->
           Alcotest.(check bool) "route avoids removed links" false
@@ -142,7 +149,7 @@ let distances_equal_scratch =
         (fun (initiator, trigger) ->
           let p1 = Rtr_core.Phase1.run topo damage ~initiator ~trigger () in
           let p2 = of_phase1 topo damage p1 in
-          let removed = Phase2.removed_links p2 in
+          let removed = removed_links p2 in
           List.for_all
             (fun dst ->
               let expected =

@@ -52,8 +52,18 @@ let test_bounding_box () =
   Alcotest.(check bool) "lo" true (Point.equal lo (Point.make 0.0 0.0));
   Alcotest.(check bool) "hi" true (Point.equal hi (Point.make 6.0 4.0))
 
+(* A regular polygon inscribed in a circle: "almost a disc" failure
+   areas with corners, for this suite, the edge cases and the SVG
+   tests. *)
+let regular ~center ~radius ~sides =
+  let pt i =
+    let a = 2.0 *. Angle.pi *. float_of_int i /. float_of_int sides in
+    Point.add center (Point.make (radius *. cos a) (radius *. sin a))
+  in
+  Polygon.make (List.init sides pt)
+
 let test_regular () =
-  let hex = Polygon.regular ~center:(Point.make 0.0 0.0) ~radius:2.0 ~sides:6 in
+  let hex = regular ~center:(Point.make 0.0 0.0) ~radius:2.0 ~sides:6 in
   Alcotest.(check int) "six vertices" 6 (List.length (Polygon.vertices hex));
   Alcotest.(check bool) "center inside" true (Polygon.contains hex Point.origin);
   Alcotest.(check bool)
@@ -66,7 +76,7 @@ let regular_contains_scaled =
     QCheck.(pair (int_range 3 12) (float_range 0.1 0.9))
     (fun (sides, k) ->
       let center = Point.make 5.0 5.0 in
-      let poly = Polygon.regular ~center ~radius:3.0 ~sides in
+      let poly = regular ~center ~radius:3.0 ~sides in
       List.for_all
         (fun v ->
           Polygon.contains poly (Point.lerp center v k))

@@ -67,7 +67,7 @@ let test_area_rendered () =
     (count_sub ~affix:"fill-opacity=\"0.12\"" doc = 1);
   let poly_area =
     Rtr_failure.Area.poly
-      (Rtr_geom.Polygon.regular
+      (Test_polygon.regular
          ~center:(Rtr_geom.Point.make 310.0 300.0)
          ~radius:60.0 ~sides:5)
   in
