@@ -42,8 +42,6 @@ exception Found of violation
 let first_violation f =
   match f () with () -> None | exception Found v -> Some v
 
-let ttl g = (4 * Graph.n_links g) + 4
-
 (* --- episode timelines ---------------------------------------------- *)
 
 module Episode = struct
@@ -145,11 +143,12 @@ module Episode = struct
                   (violation name1
                      "transition %d: walk from (v%d, v%d) stuck at v%d" ti
                      initiator trigger u));
-            if p1.Phase1.hops > ttl g then
+            let ttl = Phase1.hop_limit g in
+            if p1.Phase1.hops > ttl then
               thm1_hit
                 (violation name1
                    "transition %d: walk from (v%d, v%d) took %d hops > TTL %d"
-                   ti initiator trigger p1.Phase1.hops (ttl g));
+                   ti initiator trigger p1.Phase1.hops ttl);
             let seen = Hashtbl.create 64 in
             List.iter
               (fun (s : Phase1.step) ->

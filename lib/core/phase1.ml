@@ -52,17 +52,63 @@ module Field = struct
   let exists t f = List.exists f t.rev
 end
 
-let run topo damage ?(constraints = true) ?hand ?hop_limit ~initiator ~trigger
-    () =
+let hop_limit g = (4 * Graph.n_links g) + 4
+
+(* The packet header while it walks: the paper's rec_init, failed_link
+   and cross_link fields, plus the position and hop count that every
+   router reads off the packet itself. *)
+type walker = {
+  topo : Rtr_topo.Topology.t;
+  g : Graph.t;
+  crossings : Crossings.t;
+  constraints : bool;
+  hand : Sweep.hand option;
+  limit : int;
+  initiator : Graph.node;
+  failed : Field.t;
+  cross : Field.t;
+  excluded : Graph.link_id -> bool;
+  mutable first_hop : Graph.node;
+  mutable at : Graph.node;
+  mutable reference : Graph.node;
+  mutable hops : int;
+}
+
+type move = Hop of step | Stop of status
+
+let failed_links w = Field.to_list w.failed
+
+let header w =
+  Header.rtr_phase1 ~n_failed:(Field.size w.failed)
+    ~n_cross:(Field.size w.cross)
+
+(* Constraint 2 update: a selected link with a crosser that nothing in
+   cross_link excludes yet must itself be excluded from now on; then
+   the packet crosses it. *)
+let take w next link =
+  if w.constraints then begin
+    let unexcluded x = not (w.excluded x) in
+    if List.exists unexcluded (Crossings.crossing w.crossings link) then
+      Field.add w.cross link
+  end;
+  let s =
+    {
+      at = w.at;
+      reference = w.reference;
+      chosen = next;
+      via = link;
+      header_bytes = header w;
+    }
+  in
+  w.reference <- w.at;
+  w.at <- next;
+  w.hops <- w.hops + 1;
+  Hop s
+
+let init topo damage ~constraints ~hand ~limit ~initiator ~trigger =
   let g = Rtr_topo.Topology.graph topo in
   let crossings = Rtr_topo.Topology.crossings topo in
-  (match Graph.find_link g initiator trigger with
-  | Some id when Damage.neighbor_unreachable damage trigger id -> ()
-  | Some _ -> invalid_arg "Phase1.run: trigger is reachable"
-  | None -> invalid_arg "Phase1.run: trigger not a neighbour");
-  if not (Damage.node_ok damage initiator) then
-    invalid_arg "Phase1.run: initiator failed";
-  let failed = Field.create () and cross = Field.create () in
+  let cross = Field.create () in
   (* Constraint 1 seed: every initiator link to an unreachable
      neighbour that crosses other links enters cross_link. *)
   if constraints then
@@ -74,87 +120,89 @@ let run topo damage ?(constraints = true) ?hand ?hop_limit ~initiator ~trigger
     constraints
     && Field.exists cross (fun c -> Crossings.crosses crossings id c)
   in
-  let record_failures u =
-    if u <> initiator then
-      List.iter
-        (fun (v, id) -> if v <> initiator then Field.add failed id)
-        (Damage.unreachable_neighbors damage g u)
-  in
-  (* Constraint 2 update: a selected link with a crosser that nothing
-     in cross_link excludes yet must itself be excluded from now on. *)
-  let update_cross chosen_link =
-    if constraints then begin
-      let unexcluded x =
-        not (Field.exists cross (fun c -> Crossings.crosses crossings x c))
-      in
-      if List.exists unexcluded (Crossings.crossing crossings chosen_link) then
-        Field.add cross chosen_link
-    end
-  in
-  let header () =
-    Header.rtr_phase1 ~n_failed:(Field.size failed) ~n_cross:(Field.size cross)
-  in
-  let finish status walk_rev steps_rev =
-    let hops = List.length steps_rev in
-    Metrics.Counter.incr c_runs;
-    Metrics.Counter.add c_hops hops;
-    Metrics.Counter.add c_cross (Field.size cross);
-    Metrics.Histogram.observe h_header_bytes (float_of_int (header ()));
+  let w =
     {
+      topo;
+      g;
+      crossings;
+      constraints;
+      hand;
+      limit;
       initiator;
-      trigger;
-      status;
-      walk = List.rev walk_rev;
-      hops;
-      failed_links = Field.to_list failed;
-      cross_links = Field.to_list cross;
-      steps = List.rev steps_rev;
+      failed = Field.create ();
+      cross;
+      excluded;
+      first_hop = initiator (* until the sweep picks it *);
+      at = initiator;
+      reference = trigger;
+      hops = 0;
     }
   in
-  match Sweep.select topo damage ?hand ~at:initiator ~reference:trigger ~excluded () with
-  | None -> finish No_live_neighbor [ initiator ] []
-  | Some (first_hop, first_link) ->
-      update_cross first_link;
-      let first_step =
-        {
-          at = initiator;
-          reference = trigger;
-          chosen = first_hop;
-          via = first_link;
-          header_bytes = header ();
-        }
-      in
-      let hop_limit =
-        match hop_limit with
-        | Some l -> l
-        | None -> (4 * Graph.n_links g) + 4
-      in
-      let rec loop u reference walk_rev steps_rev hops =
-        (* [u] just received the packet from [reference]; [hops] steps
-           have been taken so far. *)
-        record_failures u;
-        match Sweep.select topo damage ?hand ~at:u ~reference ~excluded () with
-        | None -> finish (Stuck u) walk_rev steps_rev
-        | Some (next, link) ->
-            if u = initiator && next = first_hop then
-              (* Closing the cycle consumes no hop, so completion is
-                 still possible with the TTL fully spent. *)
-              finish Completed walk_rev steps_rev
-            else if hops >= hop_limit then finish Hop_limit walk_rev steps_rev
-            else begin
-              update_cross link;
-              let step =
-                {
-                  at = u;
-                  reference;
-                  chosen = next;
-                  via = link;
-                  header_bytes = header ();
-                }
-              in
-              loop next u (next :: walk_rev) (step :: steps_rev) (hops + 1)
-            end
-      in
-      loop first_hop initiator [ first_hop; initiator ] [ first_step ] 1
+  match
+    Sweep.select topo damage ?hand ~at:initiator ~reference:trigger ~excluded
+      ()
+  with
+  | None -> (w, Stop No_live_neighbor)
+  | Some (first_hop, link) ->
+      w.first_hop <- first_hop;
+      (w, take w first_hop link)
 
-let duration_s r = Delay.of_hops r.hops
+let start topo damage ~initiator ~trigger =
+  init topo damage ~constraints:true ~hand:None
+    ~limit:(hop_limit (Rtr_topo.Topology.graph topo))
+    ~initiator ~trigger
+
+let step w damage =
+  let u = w.at in
+  if u <> w.initiator then
+    List.iter
+      (fun (v, id) -> if v <> w.initiator then Field.add w.failed id)
+      (Damage.unreachable_neighbors damage w.g u);
+  match
+    Sweep.select w.topo damage ?hand:w.hand ~at:u ~reference:w.reference
+      ~excluded:w.excluded ()
+  with
+  | None -> Stop (Stuck u)
+  | Some (next, link) ->
+      if u = w.initiator && next = w.first_hop then
+        (* Closing the cycle consumes no hop, so completion is still
+           possible with the TTL fully spent. *)
+        Stop Completed
+      else if w.hops >= w.limit then Stop Hop_limit
+      else take w next link
+
+let run topo damage ?(constraints = true) ?hand ?hop_limit:limit ~initiator
+    ~trigger () =
+  let g = Rtr_topo.Topology.graph topo in
+  (match Graph.find_link g initiator trigger with
+  | Some id when Damage.neighbor_unreachable damage trigger id -> ()
+  | Some _ -> invalid_arg "Phase1.run: trigger is reachable"
+  | None -> invalid_arg "Phase1.run: trigger not a neighbour");
+  if not (Damage.node_ok damage initiator) then
+    invalid_arg "Phase1.run: initiator failed";
+  let limit = match limit with Some l -> l | None -> hop_limit g in
+  let w, first =
+    init topo damage ~constraints ~hand ~limit ~initiator ~trigger
+  in
+  let rec loop steps_rev = function
+    | Hop s -> loop (s :: steps_rev) (step w damage)
+    | Stop status ->
+        let steps = List.rev steps_rev in
+        Metrics.Counter.incr c_runs;
+        Metrics.Counter.add c_hops w.hops;
+        Metrics.Counter.add c_cross (Field.size w.cross);
+        Metrics.Histogram.observe h_header_bytes (float_of_int (header w));
+        {
+          initiator;
+          trigger;
+          status;
+          walk = initiator :: List.map (fun s -> s.chosen) steps;
+          hops = w.hops;
+          failed_links = failed_links w;
+          cross_links = Field.to_list w.cross;
+          steps;
+        }
+  in
+  loop [] first
+
+let duration_s (r : result) = Delay.of_hops r.hops

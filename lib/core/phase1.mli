@@ -27,7 +27,7 @@ type status =
           initiator still "completes" with an empty collection *)
   | Hop_limit
       (** simulator safety net: the walk is cut the moment taking one
-          more hop would exceed the TTL (4|E| + 4 hops by default), so
+          more hop would exceed the TTL ({!hop_limit} by default), so
           [hops] never exceeds it.  Theorem 1 says this is unreachable,
           and the property tests assert so *)
   | Stuck of Graph.node
@@ -60,6 +60,49 @@ type result = {
   steps : step list;  (** one per hop, in order *)
 }
 
+val hop_limit : Graph.t -> int
+(** [4 * n_links + 4], Theorem 1's bound on a walk and the default TTL
+    of every walk.  A walker that has taken that many hops and is not
+    closing its cycle stops with [Hop_limit]; the completion check runs
+    first, so a walk that closes with exactly the limit spent still
+    reports [Completed]. *)
+
+(** {2 The walker}
+
+    The header of one walking packet, stepped router by router.  {!run}
+    steps it under one damage; the packet simulator steps it with the
+    damage of whichever era is active when the packet arrives, so a
+    walk may straddle an episode boundary. *)
+
+type walker
+
+type move =
+  | Hop of step  (** the packet crosses [via] to [chosen] *)
+  | Stop of status  (** the walk is over; step the walker no further *)
+
+val start :
+  Rtr_topo.Topology.t ->
+  Rtr_failure.Damage.t ->
+  initiator:Graph.node ->
+  trigger:Graph.node ->
+  walker * move
+(** The initiator's part of the protocol's walk (constraints on, the
+    right hand, the default {!hop_limit}): seed [cross_link]
+    (Constraint 1), select the first hop by sweeping from [trigger],
+    and apply Constraint 2 to its link.  [Stop No_live_neighbor] when
+    nothing is eligible.  Assumes, without checking, the preconditions
+    {!run} checks. *)
+
+val step : walker -> Rtr_failure.Damage.t -> move
+(** The packet has arrived at the router the last [Hop] chose, which
+    sees [damage]: record its failed links (none at the initiator, and
+    never a link to it), sweep from the previous hop, then close the
+    cycle ([Stop Completed] when the initiator re-selects the first
+    hop), hit the hop limit, get [Stuck], or take the hop. *)
+
+val failed_links : walker -> Graph.link_id list
+(** The collection so far, in collection order. *)
+
 val run :
   Rtr_topo.Topology.t ->
   Rtr_failure.Damage.t ->
@@ -83,11 +126,11 @@ val run :
     [hand] (default [Sweep.Right]) selects the rotation direction; the
     bidirectional extension ([Bidir]) runs one walk per hand.
 
-    [hop_limit] (default [4 * n_links + 4], Theorem 1's bound)
-    overrides the TTL; exposed so tests can probe the boundary.  The
-    completion check runs before the TTL check, so a walk that closes
-    its cycle with exactly [hop_limit] hops still reports
-    [Completed]. *)
+    [hop_limit] (default {!hop_limit}) overrides the TTL; exposed so
+    tests can probe the boundary.
+
+    A loop of {!step} over one damage; with the defaults, its walker is
+    the one {!start} makes. *)
 
 val duration_s : result -> float
 (** Wall-clock length of the walk under the paper's 1.8 ms/hop delay

@@ -11,7 +11,6 @@ let c_sp_calcs = Metrics.counter "phase2.sp_calcs"
 let c_cache_hits = Metrics.counter "phase2.cache_hits"
 
 type t = {
-  initiator : Graph.node;
   view : View.t;
   spt : Spt.t;
   cache : (Graph.node, Rtr_graph.Path.t option) Hashtbl.t;
@@ -41,14 +40,12 @@ let create topo damage ~initiator ~removed =
   in
   Metrics.Counter.incr c_creates;
   {
-    initiator;
     view;
     spt;
     cache = Hashtbl.create 16;
     sp_calcs = 0;
   }
 
-let initiator t = t.initiator
 let view t = t.view
 
 let recovery_path t ~dst =

@@ -27,8 +27,6 @@ val create :
     The session owns its shortest-path tree, so any number of sessions
     may be live on one domain at once. *)
 
-val initiator : t -> Graph.node
-
 val view : t -> Rtr_graph.View.t
 (** The initiator's post-phase-1 failure view: the full graph minus
     the removed links. *)

@@ -17,24 +17,14 @@ type t = {
   phase2 : Phase2.t;
 }
 
-let phase2_of topo damage phase1 =
-  Phase2.create topo damage ~initiator:phase1.Phase1.initiator
-    ~removed:phase1.Phase1.failed_links
-
 let start topo damage ?batched:_ ~initiator ~trigger () =
   let phase1 = Phase1.run topo damage ~initiator ~trigger () in
-  { topo; damage; phase1; phase2 = phase2_of topo damage phase1 }
+  let phase2 =
+    Phase2.create topo damage ~initiator ~removed:phase1.Phase1.failed_links
+  in
+  { topo; damage; phase1; phase2 }
 
 let phase1 t = t.phase1
-let phase2 t = t.phase2
-
-(* An episode changed the ground truth mid-convergence: rebuild phase 2
-   from the SAME phase-1 collection (now stale — re-walking is a new
-   recovery, not a resumption) against the new damage.  Local knowledge
-   refreshes for free: [Phase2] re-reads the initiator's unreachable
-   neighbours from the damage it is given. *)
-let resume t damage =
-  { t with damage; phase2 = phase2_of t.topo damage t.phase1 }
 
 let recover t ~dst =
   match Phase2.recovery_path t.phase2 ~dst with

@@ -40,16 +40,6 @@ val start :
     [~batched:true], keeps compiling; new callers must not pass it. *)
 
 val phase1 : t -> Phase1.result
-val phase2 : t -> Phase2.t
-
-val resume : t -> Rtr_failure.Damage.t -> t
-(** The ground truth changed mid-convergence (a cascading, transient or
-    moving episode): rebuild phase 2 against the new damage from the
-    {e same, now stale} phase-1 collection — the initiator has no way to
-    know remote repairs or remote cascades without walking again.  Its
-    local knowledge refreshes (phase 2 re-reads the initiator's
-    unreachable neighbours).  The old session is untouched and keeps
-    answering for the old damage. *)
 
 val recover : t -> dst:Graph.node -> outcome
 

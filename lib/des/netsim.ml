@@ -4,9 +4,8 @@ module Route_table = Rtr_routing.Route_table
 module Topo_cache = Rtr_routing.Topo_cache
 module Delay = Rtr_routing.Delay
 module Convergence = Rtr_igp.Convergence
-module Sweep = Rtr_core.Sweep
+module Phase1 = Rtr_core.Phase1
 module Phase2 = Rtr_core.Phase2
-module Crossings = Rtr_topo.Crossings
 
 module Metrics = Rtr_obs.Metrics
 module Trace = Rtr_obs.Trace
@@ -73,19 +72,9 @@ let pp_drop_reason ppf r =
     | Recovery_impossible -> "recovery-impossible"
     | Ttl_expired -> "ttl-expired")
 
-(* The phase-1 header a walking packet carries: exactly the paper's
-   mode/rec_init/failed_link/cross_link fields. *)
-type p1_header = {
-  rec_init : Graph.node;
-  first_hop : Graph.node;
-  mutable failed : Graph.link_id list;
-  mutable cross : Graph.link_id list;
-  mutable walk_hops : int;
-}
-
 type mode =
   | Default
-  | Phase1 of p1_header
+  | Phase1 of Phase1.walker  (** the phase-1 header *)
   | Sourced of Graph.node list  (** nodes still to visit *)
 
 type packet = {
@@ -99,12 +88,14 @@ type packet = {
 }
 
 (* The recovery state a router keeps per the protocol: nothing global,
-   only what headers brought home. *)
+   only what headers brought home.  A collecting session remembers the
+   dead next hop its walk swept from, so every packet that joins it
+   walks the same cycle. *)
 type session =
-  | Collecting of { first_hop : Graph.node }
+  | Collecting of { trigger : Graph.node }
   | Ready of Phase2.t
 
-type event = Arrival of { packet : packet; at : Graph.node; from : Graph.node option }
+type event = Arrival of { packet : packet; at : Graph.node }
 
 (* One ground-truth era.  Epoch 0 is the base failure at [t_fail]; each
    episode opens another.  A router's world is always the epoch active
@@ -209,68 +200,26 @@ let converged sim t u =
 
 let ttl_initial = 255
 
-let forward sim t packet ~from_ ~to_ =
+let forward sim t packet ~to_ =
   packet.ttl <- packet.ttl - 1;
   if packet.ttl <= 0 then drop sim t Ttl_expired
   else
     Event_queue.add sim.queue
       ~time:(t +. Delay.per_hop_s)
-      (Arrival { packet; at = to_; from = Some from_ })
-
-(* --- RTR phase 1, distributed ------------------------------------- *)
-
-let crossings sim = Rtr_topo.Topology.crossings sim.topo
-
-let excluded_by hdr sim id =
-  List.exists (fun c -> Crossings.crosses (crossings sim) id c) hdr.cross
-
-(* Constraint 2: a chosen link with an unexcluded crosser joins the
-   header's cross_link. *)
-let update_cross sim hdr chosen =
-  let unexcluded x = not (excluded_by hdr sim x) in
-  if
-    List.exists unexcluded (Crossings.crossing (crossings sim) chosen)
-    && not (List.mem chosen hdr.cross)
-  then hdr.cross <- chosen :: hdr.cross
-
-(* Constraint 1 seed at the initiator. *)
-let initial_cross sim initiator =
-  List.filter_map
-    (fun (_, id) ->
-      if Crossings.has_crossing (crossings sim) id then Some id else None)
-    (Damage.unreachable_neighbors (cur_damage sim) sim.g initiator)
-
-let record_failures sim hdr w =
-  if w <> hdr.rec_init then
-    List.iter
-      (fun (v, id) ->
-        if v <> hdr.rec_init && not (List.mem id hdr.failed) then
-          hdr.failed <- id :: hdr.failed)
-      (Damage.unreachable_neighbors (cur_damage sim) sim.g w)
-
-let sweep_next sim hdr ~at ~reference =
-  Sweep.select sim.topo (cur_damage sim) ~at ~reference
-    ~excluded:(excluded_by hdr sim) ()
+      (Arrival { packet; at = to_ })
 
 (* Phase 2, from header contents plus the initiator's own adjacencies
    only. *)
 let install_ready sim initiator collected =
-  let ready =
-    Ready
-      (Phase2.create sim.topo (cur_damage sim) ~initiator ~removed:collected)
+  let phase2 =
+    Phase2.create sim.topo (cur_damage sim) ~initiator ~removed:collected
   in
-  Hashtbl.replace sim.sessions initiator (sim.cur, ready);
-  ready
-
-let recovery_route ready dst =
-  match ready with
-  | Collecting _ -> assert false
-  | Ready phase2 ->
-      Option.map Rtr_graph.Path.nodes (Phase2.recovery_path phase2 ~dst)
+  Hashtbl.replace sim.sessions initiator (sim.cur, Ready phase2);
+  phase2
 
 (* --- per-arrival dispatch ----------------------------------------- *)
 
-let rec handle sim t packet ~at ~from =
+let rec handle sim t packet ~at =
   if failure_active sim t && Damage.node_failed (cur_damage sim) at then
     (* the router died while the packet was in flight *)
     drop sim t Blackhole
@@ -278,7 +227,7 @@ let rec handle sim t packet ~at ~from =
   else
     match packet.mode with
     | Default -> handle_default sim t packet ~at
-    | Phase1 hdr -> handle_phase1 sim t packet hdr ~at ~from
+    | Phase1 walker -> handle_phase1 sim t packet walker ~at
     | Sourced remaining -> handle_sourced sim t packet remaining ~at
 
 and handle_default sim t packet ~at =
@@ -288,7 +237,7 @@ and handle_default sim t packet ~at =
       Route_table.next_hop (cur_epoch sim).e_post ~src:at ~dst:packet.dst
     with
     | None -> drop sim t No_route
-    | Some v -> forward sim t packet ~from_:at ~to_:v
+    | Some v -> forward sim t packet ~to_:v
   else
     match
       ( Route_table.next_hop sim.pre ~src:at ~dst:packet.dst,
@@ -301,96 +250,59 @@ and handle_default sim t packet ~at =
             drop sim t Blackhole
           else if not sim.config.rtr_enabled then drop sim t Blackhole
           else start_or_join_recovery sim t packet ~at ~trigger:v
-        else forward sim t packet ~from_:at ~to_:v
+        else forward sim t packet ~to_:v
     | _ -> drop sim t No_route
 
 and start_or_join_recovery sim t packet ~at ~trigger =
   (* A session built under an earlier epoch describes a world that no
      longer exists: discard it and recover afresh. *)
   match Hashtbl.find_opt sim.sessions at with
-  | Some (ep, (Ready _ as ready)) when ep = sim.cur ->
-      dispatch_recovered sim t packet ~at ~ready
-  | Some (ep, Collecting { first_hop }) when ep = sim.cur ->
-      launch_walk sim t packet ~at ~first_hop
-  | Some _ | None -> (
-      (* become a recovery initiator *)
-      let hdr_probe =
-        {
-          rec_init = at;
-          first_hop = at;
-          failed = [];
-          cross = initial_cross sim at;
-          walk_hops = 0;
-        }
+  | Some (ep, Ready phase2) when ep = sim.cur ->
+      dispatch_recovered sim t packet phase2
+  | session -> (
+      let trigger =
+        match session with
+        | Some (ep, Collecting c) when ep = sim.cur -> c.trigger
+        | _ -> trigger (* become a recovery initiator *)
       in
-      match sweep_next sim hdr_probe ~at ~reference:trigger with
-      | None ->
+      match Phase1.start sim.topo (cur_damage sim) ~initiator:at ~trigger with
+      | walker, Phase1.Hop s ->
+          Hashtbl.replace sim.sessions at (sim.cur, Collecting { trigger });
+          packet.mode <- Phase1 walker;
+          if not packet.walked then begin
+            packet.walked <- true;
+            sim.phase1_packets <- sim.phase1_packets + 1;
+            Metrics.Counter.incr c_phase1_packets
+          end;
+          forward sim t packet ~to_:s.Phase1.chosen
+      | _, Phase1.Stop _ ->
           (* completely cut off: the local view is all there is *)
-          let ready = install_ready sim at [] in
-          dispatch_recovered sim t packet ~at ~ready
-      | Some (first_hop, _) ->
-          Hashtbl.replace sim.sessions at (sim.cur, Collecting { first_hop });
-          launch_walk sim t packet ~at ~first_hop)
+          dispatch_recovered sim t packet (install_ready sim at []))
 
-and launch_walk sim t packet ~at ~first_hop =
-  let hdr =
-    {
-      rec_init = at;
-      first_hop;
-      failed = [];
-      cross = initial_cross sim at;
-      walk_hops = 1;
-    }
-  in
-  (match Graph.find_link sim.g at first_hop with
-  | Some link -> update_cross sim hdr link
-  | None -> assert false);
-  packet.mode <- Phase1 hdr;
-  if not packet.walked then begin
-    packet.walked <- true;
-    sim.phase1_packets <- sim.phase1_packets + 1;
-    Metrics.Counter.incr c_phase1_packets
-  end;
-  forward sim t packet ~from_:at ~to_:first_hop
+and handle_phase1 sim t packet walker ~at =
+  match Phase1.step walker (cur_damage sim) with
+  | Phase1.Hop s -> forward sim t packet ~to_:s.Phase1.chosen
+  | Phase1.Stop Phase1.Completed ->
+      (* cycle closed: install the view if this is the first packet
+         home, then source-route *)
+      let phase2 =
+        match Hashtbl.find_opt sim.sessions at with
+        | Some (ep, Ready p) when ep = sim.cur -> p
+        | _ -> install_ready sim at (Phase1.failed_links walker)
+      in
+      packet.mode <- Default;
+      dispatch_recovered sim t packet phase2
+  | Phase1.Stop _ -> drop sim t Recovery_impossible
 
-and handle_phase1 sim t packet hdr ~at ~from =
-  let reference =
-    match from with Some f -> f | None -> assert false
-  in
-  record_failures sim hdr at;
-  if hdr.walk_hops > (4 * Graph.n_links sim.g) + 4 then
-    drop sim t Recovery_impossible
-  else
-    match sweep_next sim hdr ~at ~reference with
-    | None -> drop sim t Recovery_impossible
-    | Some (next, link) ->
-        if at = hdr.rec_init && next = hdr.first_hop then begin
-          (* cycle closed: install the view if this is the first packet
-             home, then source-route *)
-          let ready =
-            match Hashtbl.find_opt sim.sessions at with
-            | Some (ep, (Ready _ as r)) when ep = sim.cur -> r
-            | _ -> install_ready sim at hdr.failed
-          in
-          packet.mode <- Default;
-          dispatch_recovered sim t packet ~at ~ready
-        end
-        else begin
-          update_cross sim hdr link;
-          hdr.walk_hops <- hdr.walk_hops + 1;
-          forward sim t packet ~from_:at ~to_:next
-        end
-
-and dispatch_recovered sim t packet ~at ~ready =
-  match recovery_route ready packet.dst with
+and dispatch_recovered sim t packet phase2 =
+  match Phase2.recovery_path phase2 ~dst:packet.dst with
   | None -> drop sim t Unreachable_in_view
-  | Some route -> (
-      (* route = at :: rest *)
-      match route with
+  | Some path -> (
+      match Rtr_graph.Path.nodes path with
       | _ :: next :: rest ->
           (* the arriving router consumes its own entry *)
           packet.mode <- Sourced rest;
-          forward sim t packet ~from_:at ~to_:next
+          forward sim t packet ~to_:next
       | _ -> deliver sim t packet)
 
 and handle_sourced sim t packet remaining ~at =
@@ -411,7 +323,7 @@ and handle_sourced sim t packet remaining ~at =
             else drop sim t Missed_failure
           else begin
             packet.mode <- Sourced rest;
-            forward sim t packet ~from_:at ~to_:next
+            forward sim t packet ~to_:next
           end)
 
 (* --- driver -------------------------------------------------------- *)
@@ -505,7 +417,7 @@ let run topo damage config =
             sim.generated <- sim.generated + 1;
             Metrics.Counter.incr c_generated;
             Event_queue.add sim.queue ~time:!t
-              (Arrival { packet; at = flow.src; from = None })
+              (Arrival { packet; at = flow.src })
           end;
           t := !t +. period
         done
@@ -516,12 +428,12 @@ let run topo damage config =
   let rec loop () =
     match Event_queue.pop sim.queue with
     | None -> ()
-    | Some (t, Arrival { packet; at; from }) ->
+    | Some (t, Arrival { packet; at }) ->
         (* t_end bounds generation; packets already in flight drain
            fully so every packet ends up delivered or dropped *)
         Metrics.Counter.incr c_events;
         set_now sim t;
-        handle sim t packet ~at ~from;
+        handle sim t packet ~at;
         Metrics.Gauge.set_max g_queue_depth
           (float_of_int (Event_queue.length sim.queue));
         loop ()

@@ -11,12 +11,16 @@
     - between the failure and its detection (the IGP hold-down),
       packets forwarded onto dead elements are silently black-holed;
     - after detection, a router whose next hop is gone either drops the
-      packet (baseline) or runs RTR: the packet is tagged phase-1 and
-      forwarded around the area by the right-hand rule, each router
-      adding its local failures to the header, until it returns to the
-      initiator, which computes the recovery path and source-routes it
-      (and every later packet for an affected destination) — the
-      recovery path computed from nothing but the header contents;
+      packet (baseline) or runs RTR: the packet carries a
+      {!Rtr_core.Phase1.walker} as its phase-1 header, and each router
+      it reaches steps that walker under the damage active at that
+      instant (so a walk may straddle an episode boundary), adding its
+      local failures, until the walk closes at the initiator, which
+      computes the recovery path and source-routes it (and every later
+      packet for an affected destination) — the recovery path computed
+      from nothing but the header contents.  A walk that gets stuck or
+      spends {!Rtr_core.Phase1.hop_limit} hops without closing drops
+      the packet as [Recovery_impossible];
     - once a router's IGP convergence completes (per
       [Rtr_igp.Convergence]), it forwards on the post-failure FIB and
       RTR steps aside, as Sec. II-B prescribes.

@@ -9,7 +9,6 @@ type t = {
   parent_link : int array;
 }
 
-let root t = t.root
 let direction t = t.direction
 let dist t v = t.dist.(v)
 let reached t v = t.dist.(v) < max_int

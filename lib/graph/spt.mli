@@ -29,7 +29,6 @@ type t = {
       (** link to [parent_node]; [-1] where [parent_node] is [-1] *)
 }
 
-val root : t -> Graph.node
 val direction : t -> direction
 
 val dist : t -> Graph.node -> int

@@ -27,8 +27,6 @@ let create ?topo store =
              (Store.n_links store))
       else Ok { store; topo = Some topo }
 
-let store t = t.store
-
 type reply = {
   from_artifact : bool;
   kind : Store.kind;

@@ -22,8 +22,6 @@ val create : ?topo:Rtr_topo.Topology.t -> Store.t -> (t, string) result
     the artifact's node/link counts ([Error] otherwise).  Without it,
     signature misses return an [Error] instead of recomputing. *)
 
-val store : t -> Store.t
-
 type reply = {
   from_artifact : bool;  (** false: computed by the reactive fallback *)
   kind : Store.kind;

@@ -32,8 +32,6 @@ let compute view =
   done;
   { graph; next; next_lnk; dist_to }
 
-let graph t = t.graph
-
 let next_hop t ~src ~dst =
   let v = t.next.(dst).(src) in
   if v = -1 then None else Some v

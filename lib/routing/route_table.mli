@@ -19,8 +19,6 @@ val compute : View.t -> t
     this is the pre-failure routing state; over a damage view it is the
     table the IGP converges to after the failed elements are removed. *)
 
-val graph : t -> Graph.t
-
 val next_hop : t -> src:Graph.node -> dst:Graph.node -> Graph.node option
 (** The default next hop, [None] when [src = dst] or [dst] is
     unreachable in the pre-failure topology. *)

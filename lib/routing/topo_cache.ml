@@ -29,8 +29,6 @@ let create topo =
     post = None;
   }
 
-let topology t = t.topo
-
 (* Process-wide registry, so every harness stage working on the same
    topology shares one cache (the BENCH_0003 bug: each stage [create]d
    its own cache, queried the table exactly once, and recorded a miss —

@@ -28,8 +28,6 @@ val shared : Rtr_topo.Topology.t -> t
     e.g. the fig. 11 sweep reuses the routing table the main collection
     already computed. *)
 
-val topology : t -> Rtr_topo.Topology.t
-
 val table : t -> Route_table.t
 (** The pre-failure routing table, computed on first call. *)
 

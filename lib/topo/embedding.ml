@@ -32,4 +32,3 @@ let segment t g id =
   Segment.make t.(u) t.(v)
 
 let direction t ~from_ ~to_ = Point.sub t.(to_) t.(from_)
-let to_array t = Array.copy t

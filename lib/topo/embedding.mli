@@ -32,6 +32,3 @@ val segment : t -> Rtr_graph.Graph.t -> Rtr_graph.Graph.link_id -> Segment.t
 val direction :
   t -> from_:Rtr_graph.Graph.node -> to_:Rtr_graph.Graph.node -> Point.t
 (** Unit-free direction vector between two routers. *)
-
-val to_array : t -> Point.t array
-(** Copy of the coordinates. *)

@@ -2,4 +2,3 @@ type 'a t = 'a Domain.DLS.key
 
 let make init = Domain.DLS.new_key init
 let get k = Domain.DLS.get k
-let set k v = Domain.DLS.set k v

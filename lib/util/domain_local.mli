@@ -18,4 +18,3 @@ val make : (unit -> 'a) -> 'a t
     domain's first [get]. *)
 
 val get : 'a t -> 'a
-val set : 'a t -> 'a -> unit

@@ -2,7 +2,8 @@
 # CI smoke: build, run the test suites, then exercise the observability
 # path end to end (an rtr_sim run emitting a trace and a metrics
 # snapshot) and fail if any emitted artifact is not valid JSON / JSONL.
-# Then the gates: the determinism gate (RTR_JOBS / --jobs must not
+# Then the gates: the examples gate (every examples/ executable runs
+# once and exits 0), the determinism gate (RTR_JOBS / --jobs must not
 # change a byte), the flow-engine gate, the recovery-map gate, the
 # streaming-pipeline gate (generate | evaluate | reduce must equal the
 # in-process run, shard splits and crash-resume included), the count
@@ -40,6 +41,19 @@ dune exec tools/json_check.exe -- "$trace" "$metrics"
 
 # The committed bench series must stay valid JSON too.
 dune exec tools/json_check.exe -- BENCH_*.json
+
+# --- examples gate ---------------------------------------------------
+# Each example runs once from the build tree (about 0.2 s for all six)
+# and must exit 0.  live_recovery is the only caller of the packet
+# simulator outside the tests.
+for ex in quickstart disaster partition multi_area igp_window live_recovery; do
+  if ! "./_build/default/examples/$ex.exe" > /dev/null; then
+    echo "ci_smoke: FAIL — examples/$ex.exe exited non-zero" >&2
+    exit 1
+  fi
+done
+
+echo "ci_smoke: examples gate OK (6 examples ran, exit 0)"
 
 # --- determinism gate ------------------------------------------------
 # Parallel evaluation must not change a single byte of the science.

@@ -3,6 +3,7 @@ module Graph = Rtr_graph.Graph
 module Damage = Rtr_failure.Damage
 module Phase1 = Rtr_core.Phase1
 module Embedding = Rtr_topo.Embedding
+module PE = Rtr_topo.Paper_example
 
 (* A planar 3x3 grid, 100 apart; the centre node (4) fails.  Node ids:
    0 1 2 / 3 4 5 / 6 7 8 (row-major, y grows upward by row). *)
@@ -204,6 +205,62 @@ let test_hop_limit_boundary () =
     (cut.Phase1.status = Phase1.Hop_limit);
   Alcotest.(check int) "hops never exceed the limit" (h - 1) cut.Phase1.hops
 
+(* A walk that straddles an episode boundary, as in the packet
+   simulator: the walker starts on the paper example under its base
+   damage, takes three hops (v6 v5 v4 v9), then keeps stepping under a
+   damage with e12,18 failed too.  v12 has not recorded yet, so the new
+   link joins the collection exactly when the walk first steps at v12;
+   what v5 and v4 recorded stays, in order, and no link of the
+   initiator ever enters. *)
+let test_walker_across_damage_change () =
+  let topo = PE.topology () in
+  let g = Rtr_topo.Topology.graph topo in
+  let base =
+    Damage.of_failed g ~nodes:[ PE.v 10 ] ~links:(PE.cut_links ())
+  in
+  let extra = PE.link 12 18 in
+  let later =
+    Damage.merge base (Damage.of_failed g ~nodes:[] ~links:[ extra ])
+  in
+  let chosen = function
+    | Phase1.Hop s -> s.Phase1.chosen
+    | Phase1.Stop _ -> Alcotest.fail "walk stopped under the base damage"
+  in
+  let w, first =
+    Phase1.start topo base ~initiator:PE.initiator ~trigger:PE.trigger
+  in
+  let early =
+    let h1 = chosen first in
+    let h2 = chosen (Phase1.step w base) in
+    [ h1; h2; chosen (Phase1.step w base) ]
+  in
+  Alcotest.(check (list int)) "v5 v4 v9 under the base damage"
+    [ PE.v 5; PE.v 4; PE.v 9 ] early;
+  let recorded = Phase1.failed_links w in
+  Alcotest.(check (list int)) "v5 and v4 recorded"
+    [ PE.link 5 10; PE.link 4 11 ]
+    recorded;
+  let rec walk seen_v12 =
+    match Phase1.step w later with
+    | Phase1.Hop s ->
+        let seen_v12 = seen_v12 || s.Phase1.at = PE.v 12 in
+        Alcotest.(check bool) "e12,18 collected iff v12 has recorded" seen_v12
+          (List.mem extra (Phase1.failed_links w));
+        walk seen_v12
+    | Phase1.Stop status -> (status, seen_v12)
+  in
+  Alcotest.(check bool) "completes through v12" true
+    (walk false = (Phase1.Completed, true));
+  let final = Phase1.failed_links w in
+  Alcotest.(check (list int)) "earlier records stay first" recorded
+    (List.filteri (fun i _ -> i < List.length recorded) final);
+  Alcotest.(check bool) "no initiator link collected" false
+    (List.exists
+       (fun id ->
+         let a, b = Graph.endpoints g id in
+         a = PE.initiator || b = PE.initiator)
+       final)
+
 let suite =
   [
     Alcotest.test_case "planar ring walk" `Quick test_planar_ring_walk;
@@ -218,4 +275,6 @@ let suite =
     QCheck_alcotest.to_alcotest theorem1_no_permanent_loops;
     QCheck_alcotest.to_alcotest collection_sound;
     QCheck_alcotest.to_alcotest walk_is_live;
+    Alcotest.test_case "walker across a damage change" `Quick
+      test_walker_across_damage_change;
   ]
