@@ -3,7 +3,8 @@
 # path end to end (an rtr_sim run emitting a trace and a metrics
 # snapshot) and fail if any emitted artifact is not valid JSON / JSONL.
 # Then the gates: the examples gate (every examples/ executable runs
-# once and exits 0), the determinism gate (RTR_JOBS / --jobs must not
+# once and exits 0), the CLI matrix gate (every rtr_sim invocation in
+# scripts/cli_matrix.txt keeps its exit code and stdout), the determinism gate (RTR_JOBS / --jobs must not
 # change a byte), the flow-engine gate, the recovery-map gate, the
 # streaming-pipeline gate (generate | evaluate | reduce must equal the
 # in-process run, shard splits and crash-resume included), the count
@@ -54,6 +55,18 @@ for ex in quickstart disaster partition multi_area igp_window live_recovery; do
 done
 
 echo "ci_smoke: examples gate OK (6 examples ran, exit 0)"
+
+# --- CLI matrix gate -------------------------------------------------
+# Every subcommand at a small size and every documented error exit:
+# each row's exit code, stdout digest and stderr line count, and the
+# digests of the files the rows write, must match the committed matrix.
+scripts/cli_matrix.sh _build/default/bin/rtr_sim.exe > "$tmp/cli_matrix.txt"
+if ! diff -u scripts/cli_matrix.txt "$tmp/cli_matrix.txt" >&2; then
+  echo "ci_smoke: FAIL — rtr_sim CLI matrix moved (diff above)" >&2
+  exit 1
+fi
+
+echo "ci_smoke: CLI matrix gate OK ($(grep -c '^[0-9]' scripts/cli_matrix.txt) invocations)"
 
 # --- determinism gate ------------------------------------------------
 # Parallel evaluation must not change a single byte of the science.
