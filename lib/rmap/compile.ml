@@ -4,6 +4,7 @@ module Scenario = Rtr_sim.Scenario
 module Rtr = Rtr_core.Rtr
 module Metrics = Rtr_obs.Metrics
 module Trace = Rtr_obs.Trace
+module Topo_cache = Rtr_routing.Topo_cache
 module Json = Rtr_obs.Json
 
 let c_scenarios = Metrics.counter "rmap.scenarios"
@@ -128,7 +129,7 @@ let run ?(log = fun _ -> ()) ?(jobs = 1) topo config =
        stats.Enum.kept stats.Enum.deduped stats.Enum.dropped stats.Enum.empty);
   (* Demand the table before sharding so workers contend on the cached
      value, not on computing it. *)
-  let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+  let table = Topo_cache.table (Topo_cache.shared topo) in
   let entries =
     Rtr_sim.Parallel.map ~jobs
       (fun (sc : Enum.scenario) ->

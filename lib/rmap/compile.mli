@@ -2,7 +2,7 @@
 
     For every enumerated failure scenario this runs RTR — phase 1 plus
     phase 2, one session per (initiator, trigger), over the shared
-    {!Rtr_sim.Topo_cache} routing table — and
+    {!Rtr_routing.Topo_cache} routing table — and
     records, per test case, exactly what the reactive protocol would
     answer at recovery time: outcome kind, the emitted source route,
     its cost in the initiator's view, and the true damaged-graph

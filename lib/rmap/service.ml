@@ -2,6 +2,7 @@ module Graph = Rtr_graph.Graph
 module Damage = Rtr_failure.Damage
 module Metrics = Rtr_obs.Metrics
 module Trace = Rtr_obs.Trace
+module Topo_cache = Rtr_routing.Topo_cache
 
 let c_fallback = Metrics.counter "rmap.fallback_reactive"
 let g_per_sec = Metrics.gauge "rmap.lookups_per_sec"
@@ -63,7 +64,7 @@ let fallback t ~links ~initiator ~trigger ~dst =
   | None -> Error "signature not in the artifact (no fallback topology)"
   | Some topo -> (
       Metrics.Counter.incr c_fallback;
-      let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+      let table = Topo_cache.table (Topo_cache.shared topo) in
       let damage =
         Damage.of_failed (Rtr_topo.Topology.graph topo) ~nodes:[] ~links
       in

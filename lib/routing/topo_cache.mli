@@ -8,8 +8,8 @@
     candidate, and by every [Rtr_des.Flowsim.context] instead of one
     per scheme.  One slot also holds the post-failure table of the
     last damage asked for ([post_table]), so the scheme contexts of one
-    failure share it.  The experiment harness reaches the same registry
-    as [Rtr_sim.Topo_cache].
+    failure share it.  [Rtr_sim.Topo_cache] re-exports this module for
+    the perfbench workloads only.
 
     Hit/miss counts are exported as [topo_cache.*] metrics. *)
 

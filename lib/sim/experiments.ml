@@ -1,5 +1,6 @@
 module Isp = Rtr_topo.Isp
 module Delay = Rtr_routing.Delay
+module Topo_cache = Rtr_routing.Topo_cache
 module Metrics = Rtr_obs.Metrics
 module Trace = Rtr_obs.Trace
 
@@ -157,13 +158,14 @@ let reduce_shards ?log ~header shards =
   in
   reduce_stream ?log ~header ~mrc results
 
+let generate config =
+  Pipeline.generate ~presets:config.presets
+    ~rec_quota:config.recoverable_per_topo
+    ~irr_quota:config.irrecoverable_per_topo ~seed:config.seed
+    ~mrc_k:config.mrc_k ()
+
 let collect ?(log = fun _ -> ()) config =
-  let header, records =
-    Pipeline.generate ~presets:config.presets
-      ~rec_quota:config.recoverable_per_topo
-      ~irr_quota:config.irrecoverable_per_topo ~seed:config.seed
-      ~mrc_k:config.mrc_k ()
-  in
+  let header, records = generate config in
   let results = Array.make header.Stream.count None in
   let remaining = ref records in
   let next () =

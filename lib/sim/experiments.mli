@@ -33,8 +33,12 @@ type topo_data = {
   irrecoverable : Runner.result list;
 }
 
+val generate : config -> Stream.header * Stream.scenario list
+(** [Pipeline.generate] over the config's presets, case quotas, seed
+    and [mrc_k]. *)
+
 val collect : ?log:(string -> unit) -> config -> topo_data list
-(** The three pipeline stages run in process: [Pipeline.generate]
+(** The three pipeline stages run in process: {!generate}
     (sequential RNG until both quotas are met), [Pipeline.evaluate]
     (streaming across [config.jobs] worker domains with bounded
     in-flight work), and {!reduce_stream}.  The returned data is

@@ -1,5 +1,6 @@
 module Isp = Rtr_topo.Isp
 module Mrc = Rtr_baselines.Mrc
+module Topo_cache = Rtr_routing.Topo_cache
 module Trace = Rtr_obs.Trace
 module Metrics = Rtr_obs.Metrics
 

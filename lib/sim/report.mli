@@ -14,5 +14,9 @@ val figure_to_csv : Experiments.figure -> string
 (** Column per series, one row per x (series are expected to share the
     x grid, as all of [Experiments]'s figures do). *)
 
+val mkdir_p : string -> unit
+(** Creates a directory and its missing parents; errors are left for the
+    first write into it to report. *)
+
 val save : dir:string -> name:string -> string -> unit
-(** Writes [dir/name], creating [dir] if needed. *)
+(** Writes [dir/name], creating [dir] with {!mkdir_p} if needed. *)

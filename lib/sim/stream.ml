@@ -146,6 +146,11 @@ let parse_header line =
   in
   let* seed = member_int "seed" j in
   let* mrc_k = req "mrc_k" (Option.bind (Json.member "mrc_k" j) as_opt_int) in
+  let* () =
+    match mrc_k with
+    | Some k when k < 2 -> Error "bad mrc_k (MRC needs at least 2 configs)"
+    | _ -> Ok ()
+  in
   let* rec_quota = member_int "rec_quota" j in
   let* irr_quota = member_int "irr_quota" j in
   let* count = member_int "count" j in

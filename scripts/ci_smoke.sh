@@ -347,7 +347,8 @@ echo "ci_smoke: count gate OK (all, flows, serve, resume, resume_footer, reduce 
 # Bad input must end a subcommand with exit 1 and a one-line message,
 # never an uncaught exception (exit 125): an unknown topology name, a
 # stream whose header or whose record is corrupt, a torn, garbage or
-# mistyped result shard, and an output path under a regular file.
+# mistyped result shard, an output path under a regular file, and a
+# missing recovery map.
 expect_exit_1() {
   what=$1
   shift
@@ -373,6 +374,12 @@ expect_exit_1 "evaluate on a corrupt stream header" evaluate \
   --stream "$streamdir/bad_header.jsonl" --out "$streamdir/bad_h.jsonl"
 expect_exit_1 "evaluate on a corrupt stream record" evaluate \
   --stream "$streamdir/bad_record.jsonl" --out "$streamdir/bad_r.jsonl"
+# A header that asks for fewer than two MRC configurations is corrupt:
+# the stream decoder rejects it before MRC is ever built.
+sed '1s/"mrc_k":null/"mrc_k":1/' "$streamdir/scenarios.jsonl" \
+  > "$streamdir/mrc_k1.jsonl"
+expect_exit_1 "evaluate on a stream header with mrc_k 1" evaluate \
+  --stream "$streamdir/mrc_k1.jsonl" --out "$streamdir/bad_k.jsonl"
 
 head -c 300 "$streamdir/whole.jsonl" > "$streamdir/torn_shard.jsonl"
 printf 'garbage\n' > "$streamdir/garbage_shard.jsonl"
@@ -405,6 +412,14 @@ expect_exit_1 "table3 --out under a regular file" table3 --cases 5 \
 expect_exit_1 "precompute --manifest under a regular file" precompute \
   --topo AS1239 --out "$streamdir/m.bin" \
   --manifest "$streamdir/regular/m.json"
+# An I/O message names its file once, whoever reports it.
+expect_exit_1 "serve on a missing map" serve --map "$streamdir/missing.bin"
+if [ "$(cat "$tmp/hostile.err")" != \
+  "rtr_sim: $streamdir/missing.bin: No such file or directory" ]; then
+  echo "ci_smoke: FAIL — serve on a missing map must name the file once" >&2
+  cat "$tmp/hostile.err" >&2
+  exit 1
+fi
 
 # A malformed RTR_JOBS warns exactly once when --jobs falls back to it,
 # and not at all when --jobs is given: only that flag's default reads
@@ -419,7 +434,7 @@ then
   exit 1
 fi
 
-echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header/record/shard, mistyped shard record, unwritable outputs exit 1, one RTR_JOBS warning)"
+echo "ci_smoke: hostile-input gate OK (unknown topology, corrupt header/record/shard, mrc_k 1 header, mistyped shard record, unwritable outputs, missing map exit 1, one RTR_JOBS warning)"
 
 # --- fuzz gate -------------------------------------------------------
 # Theorem-oracle fuzzing (lib/check): random topologies and failures

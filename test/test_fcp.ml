@@ -2,6 +2,7 @@ module Graph = Rtr_graph.Graph
 module Damage = Rtr_failure.Damage
 module Fcp = Rtr_baselines.Fcp
 module View = Rtr_graph.View
+module Topo_cache = Rtr_routing.Topo_cache
 module Path = Rtr_graph.Path
 module PE = Rtr_topo.Paper_example
 
@@ -78,7 +79,7 @@ let test_session_equals_fresh_runs () =
   List.iter
     (fun as_name ->
       let topo = Rtr_topo.Isp.load_by_name as_name in
-      let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+      let table = Topo_cache.table (Topo_cache.shared topo) in
       let rng = Rtr_util.Rng.make 29 in
       for _ = 1 to 7 do
         let sc = Rtr_sim.Scenario.generate topo table rng () in

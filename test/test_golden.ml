@@ -13,7 +13,7 @@ module Netsim = Rtr_des.Netsim
 module Damage = Rtr_failure.Damage
 module PE = Rtr_topo.Paper_example
 module Flowsim = Rtr_des.Flowsim
-module Topo_cache = Rtr_sim.Topo_cache
+module Topo_cache = Rtr_routing.Topo_cache
 module Campaign = Rtr_check.Campaign
 
 let digest = Compile.fnv64_hex
@@ -174,7 +174,7 @@ let netsim () =
   in
   let isp =
     let topo = Isp.load (preset "AS1239") in
-    let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+    let table = Topo_cache.table (Topo_cache.shared topo) in
     let rng = Rtr_util.Rng.make 7 in
     let rec draw () =
       let s = Rtr_sim.Scenario.generate topo table rng () in

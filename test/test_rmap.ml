@@ -9,6 +9,7 @@ module Store = Rtr_rmap.Store
 module Compile = Rtr_rmap.Compile
 module Service = Rtr_rmap.Service
 module Json = Rtr_obs.Json
+module Topo_cache = Rtr_routing.Topo_cache
 
 let topo = PE.topology ()
 let g = Rtr_topo.Topology.graph topo
@@ -462,7 +463,7 @@ let test_fallback_parity () =
       let topo = Rtr_topo.Isp.load_by_name name in
       let g = Rtr_topo.Topology.graph topo in
       let n = Graph.n_nodes g and n_links = Graph.n_links g in
-      let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+      let table = Topo_cache.table (Topo_cache.shared topo) in
       let empty =
         Store.encode ~topo_name:name ~n_nodes:n ~n_links []
         |> Store.of_string |> Result.get_ok

@@ -20,13 +20,7 @@ let config =
       jobs = 1;
     }
 
-let generated =
-  lazy
-    (let c = Lazy.force config in
-     Pipeline.generate ~presets:c.Experiments.presets
-       ~rec_quota:c.Experiments.recoverable_per_topo
-       ~irr_quota:c.Experiments.irrecoverable_per_topo ~seed:c.Experiments.seed
-       ~mrc_k:c.Experiments.mrc_k ())
+let generated = lazy (Experiments.generate (Lazy.force config))
 
 (* One in-process evaluation of the generated records, shared by the
    codec tests. *)
@@ -642,6 +636,8 @@ let test_hostile_headers () =
   expect_error "a record in the header's place" (record ^ "\n");
   expect_error "an unknown format tag"
     (replace_first ~sub:"rtr-stream/1" ~by:"rtr-stream/9" header ^ "\n");
+  expect_error "an MRC configuration count below 2"
+    (replace_first ~sub:{|"mrc_k":null|} ~by:{|"mrc_k":1|} header ^ "\n");
   (match Stream.read_header (Filename.concat dir "missing.jsonl") with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ());
