@@ -65,6 +65,11 @@ if ! diff -u scripts/cli_matrix.txt "$tmp/cli_matrix.txt" >&2; then
   echo "ci_smoke: FAIL — rtr_sim CLI matrix moved (diff above)" >&2
   exit 1
 fi
+# Exit 125 is an uncaught exception: no recorded row may expect one.
+if grep -q '^125 ' scripts/cli_matrix.txt; then
+  echo "ci_smoke: FAIL — the CLI matrix records an exit 125 (a crash)" >&2
+  exit 1
+fi
 
 echo "ci_smoke: CLI matrix gate OK ($(grep -c '^[0-9]' scripts/cli_matrix.txt) invocations)"
 
