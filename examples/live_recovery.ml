@@ -39,7 +39,6 @@ let () =
       t_fail = 1.0;
       t_end = 9.0;
       flows = !flows;
-      episodes = [];
     }
   in
   let show name (s : Netsim.stats) =

@@ -765,7 +765,6 @@ let flow_vs_packet_run ~inject:_ spec =
               t_fail = 0.5;
               t_end = 4.0;
               flows = packet_flows;
-              episodes = [];
             }
         in
         let fs =

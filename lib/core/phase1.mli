@@ -70,9 +70,9 @@ val hop_limit : Graph.t -> int
 (** {2 The walker}
 
     The header of one walking packet, stepped router by router.  {!run}
-    steps it under one damage; the packet simulator steps it with the
-    damage of whichever era is active when the packet arrives, so a
-    walk may straddle an episode boundary. *)
+    and the packet simulator step it under one damage; {!step} takes
+    the damage at every hop, so a walk stays well defined when the
+    damage changes under it. *)
 
 type walker
 

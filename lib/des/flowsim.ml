@@ -32,7 +32,6 @@ type config = {
   scheme : scheme;
   t_fail : float;
   t_end : float;
-  episodes : (float * Damage.t) list;
   seed : int;
   overload_factor : float;
 }
@@ -43,40 +42,9 @@ let default_config =
     scheme = Rtr_scheme;
     t_fail = 0.5;
     t_end = 30.0;
-    episodes = [];
     seed = 7;
     overload_factor = 1.25;
   }
-
-(* One ground-truth era, with its regime boundaries precomputed.  The
-   flow engine's time model is piecewise constant per era:
-
-     [e_start, e_det)   hold-down — routers forward on the pre-failure
-                        FIBs; flows whose default path crosses the
-                        damage black-hole
-     [e_det, e_conv)    recovery window — broken flows are rerouted by
-                        the configured scheme; this is where rerouted
-                        load piles onto surviving links, so this window
-                        is the congestion measurement window
-     [e_conv, e_end)    converged — everything follows the era's
-                        post-failure FIBs
-
-   Unlike the per-packet engine, detection and convergence are global
-   boundaries per era (the packet engine keeps them per link and per
-   router); the differential oracle bounds the gap.  The three
-   windows' lengths in milliseconds are the same for every flow, so
-   they are quantized once here. *)
-type era = {
-  e_start : float;
-  e_end : float;
-  e_det : float;
-  e_conv : float;
-  e_damage : Damage.t;
-  e_post : Route_table.t;
-  hold_ms : int;  (* [e_start, e_det) *)
-  rec_ms : int;  (* [e_det, e_conv) *)
-  conv_ms : int;  (* [e_conv, e_end) *)
-}
 
 (* A recovery route from its initiator on: the links in order, each
    the [Graph.find_link] of consecutive nodes, and their cost. *)
@@ -94,13 +62,35 @@ type outcome_slot = {
   mutable resolved : (flow array * route option Itbl.t) option;
 }
 
+(* The flow engine's time model is piecewise constant:
+
+     [0, t_fail)        pre-failure — everything follows the pre-failure
+                        FIBs
+     [t_fail, t_det)    hold-down — routers forward on the pre-failure
+                        FIBs; flows whose default path crosses the
+                        damage black-hole
+     [t_det, t_conv)    recovery window — broken flows are rerouted by
+                        the configured scheme; this is where rerouted
+                        load piles onto surviving links, so this window
+                        is the congestion measurement window
+     [t_conv, t_end)    converged — everything follows the
+                        post-failure FIBs
+
+   Unlike the per-packet engine, convergence is a global boundary (the
+   packet engine keeps it per router); the differential oracle bounds
+   the gap.  The windows' lengths in milliseconds are the same for
+   every flow, so they are quantized once, in [context]. *)
 type context = {
   topo : Rtr_topo.Topology.t;
   g : Graph.t;
   config : config;
+  damage : Damage.t;
   pre : Route_table.t;  (* the topology's shared pre-failure table *)
-  pre_ms : int;  (* the pre-failure window, [0, t_fail) *)
-  eras : era array;
+  post : Route_table.t;  (* the damage's shared post-failure table *)
+  pre_ms : int;  (* [0, t_fail) *)
+  hold_ms : int;  (* [t_fail, t_det) *)
+  rec_ms : int;  (* [t_det, t_conv) *)
+  conv_ms : int;  (* [t_conv, t_end) *)
   mrc : Mrc.t option;
   rr : Randroute.t option;
   outcomes : outcome_slot;
@@ -115,37 +105,15 @@ let ms_between t0 t1 =
 let context topo damage ?mrc config =
   let g = Rtr_topo.Topology.graph topo in
   let cache = Topo_cache.shared topo in
-  let timeline =
-    (config.t_fail, damage)
-    :: List.stable_sort
-         (fun (a, _) (b, _) -> Float.compare a b)
-         config.episodes
+  let conv = Convergence.compute config.igp g damage in
+  let t_det =
+    Float.min (config.t_fail +. config.igp.Rtr_igp.Igp_config.detection_s)
+      config.t_end
   in
-  let rec build = function
-    | [] -> []
-    | (e_start, e_damage) :: rest ->
-        let e_end =
-          match rest with
-          | (next, _) :: _ -> Float.min next config.t_end
-          | [] -> config.t_end
-        in
-        let conv = Convergence.compute config.igp g e_damage in
-        let e_det = e_start +. config.igp.Rtr_igp.Igp_config.detection_s in
-        let e_conv = e_start +. Convergence.finished_at conv in
-        let e_det = Float.min e_det e_end in
-        let e_conv = Float.max (Float.min e_conv e_end) e_det in
-        {
-          e_start;
-          e_end;
-          e_det;
-          e_conv;
-          e_damage;
-          e_post = Topo_cache.post_table cache e_damage;
-          hold_ms = ms_between e_start e_det;
-          rec_ms = ms_between e_det e_conv;
-          conv_ms = ms_between e_conv e_end;
-        }
-        :: build rest
+  let t_conv =
+    Float.max
+      (Float.min (config.t_fail +. Convergence.finished_at conv) config.t_end)
+      t_det
   in
   let mrc =
     match (config.scheme, mrc) with
@@ -161,9 +129,13 @@ let context topo damage ?mrc config =
     topo;
     g;
     config;
+    damage;
     pre = Topo_cache.table cache;
+    post = Topo_cache.post_table cache damage;
     pre_ms = ms_between 0.0 (Float.min config.t_fail config.t_end);
-    eras = Array.of_list (build timeline);
+    hold_ms = ms_between config.t_fail t_det;
+    rec_ms = ms_between t_det t_conv;
+    conv_ms = ms_between t_conv config.t_end;
     mrc;
     rr;
     outcomes = { lock = Mutex.create (); resolved = None };
@@ -183,14 +155,14 @@ type acc = {
   mutable blackholed : int;
   mutable dropped_recovery : int;
   mutable dropped_no_route : int;
-  mutable broken : int;  (* flow-eras whose default path crossed the damage *)
+  mutable broken : int;  (* flows whose default path crossed the damage *)
   mutable recovered : int;  (* of those, delivered during the recovery window *)
-  mutable stretch_cost : int;  (* sum of recovery route costs, recovered flow-eras *)
+  mutable stretch_cost : int;  (* sum of recovery route costs, recovered flows *)
   mutable stretch_best : int;  (* sum of converged shortest-path costs *)
   mutable stretch_max : float;
   base_loads : int array;  (* pps per link, pre-failure window *)
-  rec_loads : int array array;  (* pps per link per era, recovery window *)
-  post_loads : int array;  (* pps per link, converged windows *)
+  rec_loads : int array;  (* pps per link, recovery window *)
+  post_loads : int array;  (* pps per link, converged window *)
 }
 
 let acc_create ctx =
@@ -208,7 +180,7 @@ let acc_create ctx =
     stretch_best = 0;
     stretch_max = 0.0;
     base_loads = Array.make n_links 0;
-    rec_loads = Array.init (Array.length ctx.eras) (fun _ -> Array.make n_links 0);
+    rec_loads = Array.make n_links 0;
     post_loads = Array.make n_links 0;
   }
 
@@ -226,7 +198,7 @@ let merge a b =
   a.stretch_max <- Float.max a.stretch_max b.stretch_max;
   let add dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
   add a.base_loads b.base_loads;
-  Array.iteri (fun e src -> add a.rec_loads.(e) src) b.rec_loads;
+  add a.rec_loads b.rec_loads;
   add a.post_loads b.post_loads;
   a
 
@@ -249,11 +221,11 @@ let charge next link loads rate ~src ~stop =
     u := next.(!u)
   done
 
-(* Walks the pre-failure route from [src] against an era's ground
-   truth, charging [rate] on each link it crosses, and stops at [dst]
-   or at the last live router before the first unreachable next hop
-   (the router where the flow breaks; its next hop is the trigger).
-   [src] must have a pre-failure route. *)
+(* Walks the pre-failure route from [src] against the ground truth,
+   charging [rate] on each link it crosses, and stops at [dst] or at
+   the last live router before the first unreachable next hop (the
+   router where the flow breaks; its next hop is the trigger).  [src]
+   must have a pre-failure route. *)
 let walk_live next link damage loads rate ~src ~dst =
   let u = ref src and at = ref (-1) in
   while !at < 0 do
@@ -285,50 +257,44 @@ let route_of_nodes g nodes =
   in
   go 0 0 nodes
 
-(* A recovery outcome is a pure function of (era, initiator, trigger,
-   dst), and FCP's of (era, initiator, dst) since [Fcp.route] never
-   reads the trigger: its keys carry trigger [-1], so two triggers at
-   one router share one route.  Keys are packed into one int. *)
-let outcome_key ctx era_idx ~initiator ~trigger ~dst =
+(* A recovery outcome is a pure function of (initiator, trigger, dst),
+   and FCP's of (initiator, dst) since [Fcp.route] never reads the
+   trigger: its keys carry trigger [-1], so two triggers at one router
+   share one route.  Keys are packed into one int. *)
+let outcome_key ctx ~initiator ~trigger ~dst =
   let n = Graph.n_nodes ctx.g in
   let trigger = if ctx.config.scheme = Fcp_scheme then -1 else trigger in
-  (((((era_idx * (n + 1)) + trigger + 1) * n) + initiator) * n) + dst
+  (((trigger + 1) * n) + initiator) * n + dst
 
-(* The sessions one resolve pass routes through, keyed by era so no
-   state is consulted across a transition: RTR sessions by (era,
-   initiator, trigger), packed by [session_key], and one FCP session
-   per era. *)
-type sessions = { rtr : Rtr.t Itbl.t; fcp : Fcp.session option array }
+(* The sessions one resolve pass routes through: RTR sessions by
+   (initiator, trigger), packed into one int, and one FCP session. *)
+type sessions = { rtr : Rtr.t Itbl.t; mutable fcp : Fcp.session option }
 
-let session_key ctx era_idx ~initiator ~trigger =
-  let n = Graph.n_nodes ctx.g in
-  (((era_idx * n) + trigger) * n) + initiator
-
-let rtr_session ctx sessions era_idx era ~initiator ~trigger =
-  let key = session_key ctx era_idx ~initiator ~trigger in
+let rtr_session ctx sessions ~initiator ~trigger =
+  let key = (trigger * Graph.n_nodes ctx.g) + initiator in
   match Itbl.find sessions.rtr key with
   | s -> s
   | exception Not_found ->
-      let s = Rtr.start ctx.topo era.e_damage ~initiator ~trigger () in
+      let s = Rtr.start ctx.topo ctx.damage ~initiator ~trigger () in
       Itbl.replace sessions.rtr key s;
       s
 
-let fcp_session ctx sessions era_idx era =
-  match sessions.fcp.(era_idx) with
+let fcp_session ctx sessions =
+  match sessions.fcp with
   | Some s -> s
   | None ->
-      let s = Fcp.start ctx.topo era.e_damage in
-      sessions.fcp.(era_idx) <- Some s;
+      let s = Fcp.start ctx.topo ctx.damage in
+      sessions.fcp <- Some s;
       s
 
 (* RTR with Sec. III-E chaining, as the packet engine plays it: when a
    source route hits a failure phase 1 missed, the router at the break
    starts its own recovery session for the remaining journey. *)
-let rtr_recover ctx sessions era_idx era ~initiator ~trigger ~dst =
+let rtr_recover ctx sessions ~initiator ~trigger ~dst =
   let rec go u trigger depth carried_rev =
     if depth > 8 then None
     else
-      let s = rtr_session ctx sessions era_idx era ~initiator:u ~trigger in
+      let s = rtr_session ctx sessions ~initiator:u ~trigger in
       match Rtr.recover s ~dst with
       | Rtr.Recovered p ->
           Some (List.rev_append carried_rev (Path.nodes p))
@@ -352,21 +318,18 @@ let rtr_recover ctx sessions era_idx era ~initiator ~trigger ~dst =
 (* Computes the recovery route from [initiator] (the router where the
    flow broke) to [dst], starting at [initiator], for a scheme whose
    outcomes are resolved ahead of evaluation. *)
-let resolve_outcome ctx sessions era_idx era ~initiator ~trigger ~dst =
+let resolve_outcome ctx sessions ~initiator ~trigger ~dst =
   let nodes =
     match ctx.config.scheme with
-    | Rtr_scheme ->
-        rtr_recover ctx sessions era_idx era ~initiator ~trigger ~dst
+    | Rtr_scheme -> rtr_recover ctx sessions ~initiator ~trigger ~dst
     | Fcp_scheme ->
-        let res =
-          Fcp.route (fcp_session ctx sessions era_idx era) ~initiator ~dst
-        in
+        let res = Fcp.route (fcp_session ctx sessions) ~initiator ~dst in
         if res.Fcp.delivered then Some (Path.nodes res.Fcp.journey) else None
     | Mrc_scheme -> (
         match ctx.mrc with
         | None -> None
         | Some mrc -> (
-            match Mrc.recover mrc era.e_damage ~initiator ~trigger ~dst with
+            match Mrc.recover mrc ctx.damage ~initiator ~trigger ~dst with
             | Mrc.Delivered p -> Some (Path.nodes p)
             | Mrc.Dropped _ -> None))
     | No_recovery | Randroute_scheme -> None
@@ -377,43 +340,36 @@ let resolve_outcome ctx sessions era_idx era ~initiator ~trigger ~dst =
 
 let evaluated f = f.src <> f.dst && f.rate > 0
 
-(* Whether [src]'s flows take part in [era] at all. *)
-let in_era era src =
-  era.hold_ms + era.rec_ms + era.conv_ms > 0 && Damage.node_ok era.e_damage src
+(* Whether [src]'s flows offer load after the failure at all. *)
+let live ctx src =
+  ctx.hold_ms + ctx.rec_ms + ctx.conv_ms > 0 && Damage.node_ok ctx.damage src
 
 (* Every outcome [eval_flow] will look up for [flows], each computed
-   once: the flows are walked in index order, each era's break router
-   found by the same liveness walk [eval_flow] charges with (here at
+   once: the flows are walked in index order, each break router found
+   by the same liveness walk [eval_flow] charges with (here at
    rate 0, on a scratch array), and each distinct key resolved through
    one set of sessions, which are dropped on return.  The walk order is
    fixed, so the work counters do not depend on which slice or domain
    runs the pass. *)
 let resolve ctx flows =
   let outcomes = Itbl.create 1024 in
-  let sessions =
-    { rtr = Itbl.create 64; fcp = Array.make (Array.length ctx.eras) None }
-  in
+  let sessions = { rtr = Itbl.create 64; fcp = None } in
   let scratch = Array.make (Graph.n_links ctx.g) 0 in
   Array.iter
     (fun f ->
       let src = f.src and dst = f.dst in
       let next = Route_table.next_row ctx.pre ~dst in
-      if evaluated f && next.(src) >= 0 then begin
+      if evaluated f && next.(src) >= 0 && ctx.rec_ms > 0 && live ctx src
+      then begin
         let link = Route_table.link_row ctx.pre ~dst in
-        for era_idx = 0 to Array.length ctx.eras - 1 do
-          let era = ctx.eras.(era_idx) in
-          if era.rec_ms > 0 && in_era era src then begin
-            let at = walk_live next link era.e_damage scratch 0 ~src ~dst in
-            if at <> dst then begin
-              let trigger = next.(at) in
-              let key = outcome_key ctx era_idx ~initiator:at ~trigger ~dst in
-              if not (Itbl.mem outcomes key) then
-                Itbl.replace outcomes key
-                  (resolve_outcome ctx sessions era_idx era ~initiator:at
-                     ~trigger ~dst)
-            end
-          end
-        done
+        let at = walk_live next link ctx.damage scratch 0 ~src ~dst in
+        if at <> dst then begin
+          let trigger = next.(at) in
+          let key = outcome_key ctx ~initiator:at ~trigger ~dst in
+          if not (Itbl.mem outcomes key) then
+            Itbl.replace outcomes key
+              (resolve_outcome ctx sessions ~initiator:at ~trigger ~dst)
+        end
       end)
     flows;
   outcomes
@@ -435,7 +391,7 @@ let no_outcomes : route option Itbl.t = Itbl.create 1
 
 (* The recovery route from [initiator] to [dst]: Randroute's computed
    per flow, every other scheme's read from [outcomes]. *)
-let recover ctx outcomes ~flow_idx era_idx era ~initiator ~trigger ~dst =
+let recover ctx outcomes ~flow_idx ~initiator ~trigger ~dst =
   match ctx.config.scheme with
   | No_recovery -> None
   | Randroute_scheme -> (
@@ -444,18 +400,18 @@ let recover ctx outcomes ~flow_idx era_idx era ~initiator ~trigger ~dst =
       match ctx.rr with
       | None -> None
       | Some rr -> (
-          match Randroute.reroute rr era.e_post ~flow:flow_idx ~initiator ~dst with
+          match Randroute.reroute rr ctx.post ~flow:flow_idx ~initiator ~dst with
           | Randroute.Rerouted { nodes; _ } -> Some (route_of_nodes ctx.g nodes)
           | Randroute.No_route -> None))
   | Rtr_scheme | Fcp_scheme | Mrc_scheme -> (
-      match Itbl.find_opt outcomes (outcome_key ctx era_idx ~initiator ~trigger ~dst) with
+      match Itbl.find_opt outcomes (outcome_key ctx ~initiator ~trigger ~dst) with
       | Some r -> r
       | None ->
           invalid_arg
             (Printf.sprintf
-               "Flowsim: outcome (era %d, initiator %d, trigger %d, dst %d) \
-                was not resolved"
-               era_idx initiator trigger dst))
+               "Flowsim: outcome (initiator %d, trigger %d, dst %d) was not \
+                resolved"
+               initiator trigger dst))
 
 (* --- evaluation ------------------------------------------------------ *)
 
@@ -475,72 +431,69 @@ let eval_flow ctx acc outcomes ~flow_idx f =
     end
     else acc.dropped_no_route <- acc.dropped_no_route + v
   end;
-  for era_idx = 0 to Array.length ctx.eras - 1 do
-    let era = ctx.eras.(era_idx) in
-    let hold = rate * era.hold_ms
-    and recov = rate * era.rec_ms
-    and conv = rate * era.conv_ms in
-    if in_era era src then begin
-      acc.offered <- acc.offered + hold + recov + conv;
-      (* converged tail: the era's post-failure FIB *)
-      if era.conv_ms > 0 then begin
-        if Route_table.dist era.e_post ~src ~dst = max_int then
-          acc.dropped_no_route <- acc.dropped_no_route + conv
-        else begin
-          acc.delivered <- acc.delivered + conv;
-          charge
-            (Route_table.next_row era.e_post ~dst)
-            (Route_table.link_row era.e_post ~dst)
-            acc.post_loads rate ~src ~stop:dst
-        end
-      end;
-      (* pre-convergence: the pre-failure FIB against this era's truth;
-         the recovery window charges the default route as it is walked *)
-      if not routed then
-        acc.dropped_no_route <- acc.dropped_no_route + hold + recov
+  let hold = rate * ctx.hold_ms
+  and recov = rate * ctx.rec_ms
+  and conv = rate * ctx.conv_ms in
+  if live ctx src then begin
+    acc.offered <- acc.offered + hold + recov + conv;
+    (* converged tail: the post-failure FIB *)
+    if ctx.conv_ms > 0 then begin
+      if Route_table.dist ctx.post ~src ~dst = max_int then
+        acc.dropped_no_route <- acc.dropped_no_route + conv
       else begin
-        let loads = acc.rec_loads.(era_idx) in
-        let charged = if era.rec_ms > 0 then rate else 0 in
-        let at = walk_live next link era.e_damage loads charged ~src ~dst in
-        if at = dst then acc.delivered <- acc.delivered + hold + recov
-        else begin
-          acc.blackholed <- acc.blackholed + hold;
-          if era.rec_ms > 0 then begin
-            acc.broken <- acc.broken + 1;
-            match
-              recover ctx outcomes ~flow_idx era_idx era ~initiator:at
-                ~trigger:next.(at) ~dst
-            with
-            | Some r ->
-                (* full route: the charged default prefix src .. at (the
-                   table's link for each hop is the [Graph.find_link] of
-                   its ends — [Graph] has no parallel links — and the
-                   prefix costs the drop in table distance), then the
-                   recovery route *)
-                acc.delivered <- acc.delivered + recov;
-                acc.recovered <- acc.recovered + 1;
-                Array.iter (fun l -> loads.(l) <- loads.(l) + rate) r.links;
-                let cost =
-                  Route_table.dist ctx.pre ~src ~dst
-                  - Route_table.dist ctx.pre ~src:at ~dst
-                  + r.cost
-                in
-                let best = Route_table.dist era.e_post ~src ~dst in
-                if best > 0 && best < max_int then begin
-                  acc.stretch_cost <- acc.stretch_cost + cost;
-                  acc.stretch_best <- acc.stretch_best + best;
-                  let s = float_of_int cost /. float_of_int best in
-                  if s > acc.stretch_max then acc.stretch_max <- s
-                end
-            | None ->
-                (* dropped: give back the prefix charged on the walk *)
-                charge next link loads (-rate) ~src ~stop:at;
-                acc.dropped_recovery <- acc.dropped_recovery + recov
-          end
+        acc.delivered <- acc.delivered + conv;
+        charge
+          (Route_table.next_row ctx.post ~dst)
+          (Route_table.link_row ctx.post ~dst)
+          acc.post_loads rate ~src ~stop:dst
+      end
+    end;
+    (* pre-convergence: the pre-failure FIB against the ground truth;
+       the recovery window charges the default route as it is walked *)
+    if not routed then
+      acc.dropped_no_route <- acc.dropped_no_route + hold + recov
+    else begin
+      let loads = acc.rec_loads in
+      let charged = if ctx.rec_ms > 0 then rate else 0 in
+      let at = walk_live next link ctx.damage loads charged ~src ~dst in
+      if at = dst then acc.delivered <- acc.delivered + hold + recov
+      else begin
+        acc.blackholed <- acc.blackholed + hold;
+        if ctx.rec_ms > 0 then begin
+          acc.broken <- acc.broken + 1;
+          match
+            recover ctx outcomes ~flow_idx ~initiator:at ~trigger:next.(at)
+              ~dst
+          with
+          | Some r ->
+              (* full route: the charged default prefix src .. at (the
+                 table's link for each hop is the [Graph.find_link] of
+                 its ends — [Graph] has no parallel links — and the
+                 prefix costs the drop in table distance), then the
+                 recovery route *)
+              acc.delivered <- acc.delivered + recov;
+              acc.recovered <- acc.recovered + 1;
+              Array.iter (fun l -> loads.(l) <- loads.(l) + rate) r.links;
+              let cost =
+                Route_table.dist ctx.pre ~src ~dst
+                - Route_table.dist ctx.pre ~src:at ~dst
+                + r.cost
+              in
+              let best = Route_table.dist ctx.post ~src ~dst in
+              if best > 0 && best < max_int then begin
+                acc.stretch_cost <- acc.stretch_cost + cost;
+                acc.stretch_best <- acc.stretch_best + best;
+                let s = float_of_int cost /. float_of_int best in
+                if s > acc.stretch_max then acc.stretch_max <- s
+              end
+          | None ->
+              (* dropped: give back the prefix charged on the walk *)
+              charge next link loads (-rate) ~src ~stop:at;
+              acc.dropped_recovery <- acc.dropped_recovery + recov
         end
       end
     end
-  done
+  end
 
 let eval_slice ctx flows ~lo ~hi =
   let acc = acc_create ctx in
@@ -579,15 +532,7 @@ type stats = {
 let array_max a = Array.fold_left max 0 a
 
 let finish ctx acc =
-  let n_links = Graph.n_links ctx.g in
-  let rec_link_loads = Array.make n_links 0 in
-  Array.iter
-    (fun per_era ->
-      for l = 0 to n_links - 1 do
-        if per_era.(l) > rec_link_loads.(l) then
-          rec_link_loads.(l) <- per_era.(l)
-      done)
-    acc.rec_loads;
+  let rec_link_loads = Array.copy acc.rec_loads in
   let base_max_load = array_max acc.base_loads in
   let rec_max_load = array_max rec_link_loads in
   let capacity =
@@ -628,7 +573,6 @@ let run topo damage ?mrc config flows =
       [
         ("flows", string_of_int (Array.length flows));
         ("scheme", scheme_name config.scheme);
-        ("episodes", string_of_int (List.length config.episodes));
       ]
   @@ fun () ->
   let ctx = context topo damage ?mrc config in

@@ -4,7 +4,7 @@
     discrete-event simulation, this engine evaluates {e flows} —
     [(source, destination, rate)] triples from a synthetic demand
     matrix — against a piecewise-constant time model of the same
-    failure timeline, and accumulates {e per-link load} as flows are
+    failure, and accumulates {e per-link load} as flows are
     (re)routed during convergence.  That is what the per-packet engine
     cannot see at scale: whether a recovery scheme that delivers packets
     does so by piling every displaced flow onto the same three surviving
@@ -12,21 +12,21 @@
 
     {2 Time model}
 
-    Each ground-truth era (the initial failure at [t_fail], then each
-    episode) is split into three global windows:
+    The damage strikes at [t_fail] and holds to [t_end].  Before
+    [t_fail] every flow follows the pre-failure FIBs; after it, the run
+    is split into three global windows:
 
-    - [[e_start, e_det))] — hold-down: routers still forward on the
+    - [[t_fail, t_det))] — hold-down: routers still forward on the
       pre-failure FIBs, flows crossing the damage are blackholed;
-    - [[e_det, e_conv))] — recovery: broken flows are rerouted by the
+    - [[t_det, t_conv))] — recovery: broken flows are rerouted by the
       configured scheme; per-link load in this window is the congestion
       signal reported by {!finish};
-    - [[e_conv, e_end))] — converged: the era's post-failure FIBs.
+    - [[t_conv, t_end))] — converged: the post-failure FIBs.
 
-    [e_det = e_start + detection_s] and
-    [e_conv = e_start + Convergence.finished_at]: detection and
-    convergence are {e global} boundaries here, a deliberate coarsening
-    of the packet engine's per-link hold-down carryover and per-router
-    convergence times.  The [flow_vs_packet] oracle bounds the
+    [t_det = t_fail + detection_s] and
+    [t_conv = t_fail + Convergence.finished_at]: convergence is a
+    {e global} boundary here, a deliberate coarsening of the packet
+    engine's per-router convergence times.  The [flow_vs_packet] oracle bounds the
     resulting delivery gap on small topologies.
 
     {2 Determinism}
@@ -35,7 +35,7 @@
     products, per-link load counters), so {!merge} is associative and
     a sharded evaluation reduces to byte-identical results at every
     [--jobs].  Recovery outcomes are pure functions of
-    [(era, initiator, trigger, dst)] (plus the flow index for
+    [(initiator, trigger, dst)] (plus the flow index for
     [Randroute]), never of evaluation order or shared load state. *)
 
 module Graph = Rtr_graph.Graph
@@ -58,9 +58,6 @@ type config = {
   scheme : scheme;
   t_fail : float;
   t_end : float;
-  episodes : (float * Damage.t) list;
-      (** later ground-truth transitions, as [(start, damage)];
-          unsorted accepted *)
   seed : int;  (** seeds [Randroute]'s permutations *)
   overload_factor : float;
       (** a link is overloaded when its recovery-window load exceeds
@@ -71,15 +68,15 @@ val default_config : config
 
 type context
 (** Per-run state, shareable across evaluation shards: routing tables
-    and window boundaries for every era, immutable, plus one private
-    slot of resolved recovery outcomes.  The pre-failure table and each
-    era's post-failure table come from the topology's shared cache
+    and window boundaries, immutable, plus one private slot of resolved
+    recovery outcomes.  The pre-failure and post-failure tables come
+    from the topology's shared cache
     ({!Rtr_routing.Topo_cache}), not per-context copies: the five
     scheme contexts of one damage compute its post-failure table once.
 
     The slot holds, for the last flow array evaluated (matched by
     physical equality), the RTR, FCP or MRC route of every distinct
-    [(era, initiator, trigger, dst)] its flows break at.  It is filled
+    [(initiator, trigger, dst)] its flows break at.  It is filled
     under a [Mutex] and never written again until another array
     replaces it, so each distinct recovery is computed once per
     (context, flow array), however the array is sliced. *)
@@ -119,19 +116,19 @@ type stats = {
   dropped_recovery_ratems : int;  (** scheme failed during recovery *)
   dropped_no_route_ratems : int;  (** no route (dead source, partition) *)
   delivered_frac : float;  (** delivered / offered *)
-  broken : int;  (** flow-eras whose default path crossed the damage *)
+  broken : int;  (** flows whose default path crossed the damage *)
   recovered : int;  (** of those, delivered during the recovery window *)
   stretch_agg : float;
-      (** aggregate stretch of recovered flow-eras: sum of recovery
+      (** aggregate stretch of recovered flows: sum of recovery
           route costs over sum of converged shortest-path costs *)
-  stretch_max : float;  (** worst single recovered flow-era *)
+  stretch_max : float;  (** worst single recovered flow *)
   base_max_load : int;  (** peak link load, pre-failure window *)
-  rec_max_load : int;  (** peak link load across recovery windows *)
-  post_max_load : int;  (** peak link load, converged windows *)
+  rec_max_load : int;  (** peak link load, recovery window *)
+  post_max_load : int;  (** peak link load, converged window *)
   overloaded_links : int;
   rec_link_loads : int array;
-      (** per-link recovery-window load (max across eras), indexed by
-          link id — feed to {!Rtr_sim.Cdf} for load distributions *)
+      (** per-link recovery-window load, indexed by link id — feed to
+          {!Rtr_sim.Cdf} for load distributions *)
 }
 
 val finish : context -> acc -> stats

@@ -32,7 +32,6 @@ type config = {
   t_fail : float;
   t_end : float;
   flows : flow list;
-  episodes : (float * Damage.t) list;
 }
 
 type drop_reason =
@@ -97,32 +96,16 @@ type session =
 
 type event = Arrival of { packet : packet; at : Graph.node }
 
-(* One ground-truth era.  Epoch 0 is the base failure at [t_fail]; each
-   episode opens another.  A router's world is always the epoch active
-   at the current instant: its FIB after convergence is [e_post], its
-   convergence clock restarts at [e_start], and a link's detection
-   hold-down counts from [e_since] — the time its *current* outage
-   began, inherited across epochs while it stays down so a cascade does
-   not reset already-running detections. *)
-type epoch = {
-  e_start : float;
-  e_damage : Damage.t;
-  e_post : Route_table.t;
-  e_convergence : Convergence.t;
-  e_since : float array;  (** per link id; [infinity] while up *)
-}
-
 type sim = {
   topo : Rtr_topo.Topology.t;
   g : Graph.t;
   config : config;
+  damage : Damage.t;
   pre : Route_table.t;
-  epochs : epoch array;
-  mutable cur : int;  (** epoch active at the event being handled *)
+  post : Route_table.t;
+  convergence : Convergence.t;
   queue : event Event_queue.t;
-  sessions : (Graph.node, int * session) Hashtbl.t;
-      (** initiator -> (epoch that built it, session); stale entries are
-          discarded on lookup *)
+  sessions : (Graph.node, session) Hashtbl.t;  (** keyed by initiator *)
   (* metrics *)
   mutable generated : int;
   mutable delivered : int;
@@ -132,28 +115,6 @@ type sim = {
   mutable n_dropped : int;
   buckets : (int, int ref * int ref) Hashtbl.t;
 }
-
-let cur_epoch sim = sim.epochs.(sim.cur)
-let cur_damage sim = (cur_epoch sim).e_damage
-
-(* Events pop in time order, so the active epoch only moves forward. *)
-let set_now sim t =
-  while
-    sim.cur + 1 < Array.length sim.epochs
-    && t >= sim.epochs.(sim.cur + 1).e_start
-  do
-    sim.cur <- sim.cur + 1
-  done
-
-(* Pure lookup for the generation loop, whose times restart per flow. *)
-let epoch_at sim t =
-  let i = ref 0 in
-  while
-    !i + 1 < Array.length sim.epochs && t >= sim.epochs.(!i + 1).e_start
-  do
-    incr i
-  done;
-  sim.epochs.(!i)
 
 let bucket_width = 0.05
 
@@ -180,22 +141,20 @@ let drop sim t reason =
   | Some r -> incr r
   | None -> Hashtbl.replace sim.drops reason (ref 1)
 
-(* What a router can locally know at time [t]: failures exist from the
-   epoch that introduced them but are only observable once their
-   outage has lasted the detection hold-down. *)
+(* What a router can locally know at time [t]: failures exist from
+   [t_fail] but are only observable once they have lasted the
+   detection hold-down. *)
 let failure_active sim t = t >= sim.config.t_fail
 
 let observably_unreachable sim t v link =
-  let e = cur_epoch sim in
-  Damage.neighbor_unreachable e.e_damage v link
-  && t >= e.e_since.(link) +. sim.config.igp.Rtr_igp.Igp_config.detection_s
+  Damage.neighbor_unreachable sim.damage v link
+  && t >= sim.config.t_fail +. sim.config.igp.Rtr_igp.Igp_config.detection_s
 
 let actually_unreachable sim t v link =
-  failure_active sim t && Damage.neighbor_unreachable (cur_damage sim) v link
+  failure_active sim t && Damage.neighbor_unreachable sim.damage v link
 
 let converged sim t u =
-  let e = cur_epoch sim in
-  let c = e.e_start +. Convergence.converged_at e.e_convergence u in
+  let c = sim.config.t_fail +. Convergence.converged_at sim.convergence u in
   Float.is_finite c && t >= c
 
 let ttl_initial = 255
@@ -212,15 +171,15 @@ let forward sim t packet ~to_ =
    only. *)
 let install_ready sim initiator collected =
   let phase2 =
-    Phase2.create sim.topo (cur_damage sim) ~initiator ~removed:collected
+    Phase2.create sim.topo sim.damage ~initiator ~removed:collected
   in
-  Hashtbl.replace sim.sessions initiator (sim.cur, Ready phase2);
+  Hashtbl.replace sim.sessions initiator (Ready phase2);
   phase2
 
 (* --- per-arrival dispatch ----------------------------------------- *)
 
 let rec handle sim t packet ~at =
-  if failure_active sim t && Damage.node_failed (cur_damage sim) at then
+  if failure_active sim t && Damage.node_failed sim.damage at then
     (* the router died while the packet was in flight *)
     drop sim t Blackhole
   else if at = packet.dst then deliver sim t packet
@@ -233,9 +192,7 @@ let rec handle sim t packet ~at =
 and handle_default sim t packet ~at =
   if converged sim t at then
     (* post-convergence FIB: correct by construction *)
-    match
-      Route_table.next_hop (cur_epoch sim).e_post ~src:at ~dst:packet.dst
-    with
+    match Route_table.next_hop sim.post ~src:at ~dst:packet.dst with
     | None -> drop sim t No_route
     | Some v -> forward sim t packet ~to_:v
   else
@@ -254,20 +211,17 @@ and handle_default sim t packet ~at =
     | _ -> drop sim t No_route
 
 and start_or_join_recovery sim t packet ~at ~trigger =
-  (* A session built under an earlier epoch describes a world that no
-     longer exists: discard it and recover afresh. *)
   match Hashtbl.find_opt sim.sessions at with
-  | Some (ep, Ready phase2) when ep = sim.cur ->
-      dispatch_recovered sim t packet phase2
+  | Some (Ready phase2) -> dispatch_recovered sim t packet phase2
   | session -> (
       let trigger =
         match session with
-        | Some (ep, Collecting c) when ep = sim.cur -> c.trigger
+        | Some (Collecting c) -> c.trigger
         | _ -> trigger (* become a recovery initiator *)
       in
-      match Phase1.start sim.topo (cur_damage sim) ~initiator:at ~trigger with
+      match Phase1.start sim.topo sim.damage ~initiator:at ~trigger with
       | walker, Phase1.Hop s ->
-          Hashtbl.replace sim.sessions at (sim.cur, Collecting { trigger });
+          Hashtbl.replace sim.sessions at (Collecting { trigger });
           packet.mode <- Phase1 walker;
           if not packet.walked then begin
             packet.walked <- true;
@@ -280,14 +234,14 @@ and start_or_join_recovery sim t packet ~at ~trigger =
           dispatch_recovered sim t packet (install_ready sim at []))
 
 and handle_phase1 sim t packet walker ~at =
-  match Phase1.step walker (cur_damage sim) with
+  match Phase1.step walker sim.damage with
   | Phase1.Hop s -> forward sim t packet ~to_:s.Phase1.chosen
   | Phase1.Stop Phase1.Completed ->
       (* cycle closed: install the view if this is the first packet
          home, then source-route *)
       let phase2 =
         match Hashtbl.find_opt sim.sessions at with
-        | Some (ep, Ready p) when ep = sim.cur -> p
+        | Some (Ready p) -> p
         | _ -> install_ready sim at (Phase1.failed_links walker)
       in
       packet.mode <- Default;
@@ -328,43 +282,12 @@ and handle_sourced sim t packet remaining ~at =
 
 (* --- driver -------------------------------------------------------- *)
 
-let build_epochs cache g config damage =
-  let eras =
-    (config.t_fail, damage)
-    :: List.stable_sort
-         (fun (a, _) (b, _) -> Float.compare a b)
-         config.episodes
-  in
-  let n_links = Graph.n_links g in
-  let prev = ref None in
-  List.map
-    (fun (e_start, e_damage) ->
-      let e_since = Array.make n_links infinity in
-      for l = 0 to n_links - 1 do
-        if Damage.link_failed e_damage l then
-          e_since.(l) <-
-            (match !prev with
-            | Some p when Float.is_finite p.(l) -> p.(l)
-            | _ -> e_start)
-      done;
-      prev := Some e_since;
-      {
-        e_start;
-        e_damage;
-        e_post = Topo_cache.post_table cache e_damage;
-        e_convergence = Convergence.compute config.igp g e_damage;
-        e_since;
-      })
-    eras
-  |> Array.of_list
-
 let run topo damage config =
   Trace.with_ "netsim.run"
     ~attrs:
       [
         ("flows", string_of_int (List.length config.flows));
         ("rtr_enabled", string_of_bool config.rtr_enabled);
-        ("episodes", string_of_int (List.length config.episodes));
       ]
   @@ fun () ->
   let g = Rtr_topo.Topology.graph topo in
@@ -374,9 +297,10 @@ let run topo damage config =
       topo;
       g;
       config;
+      damage;
       pre = Topo_cache.table cache;
-      epochs = build_epochs cache g config damage;
-      cur = 0;
+      post = Topo_cache.post_table cache damage;
+      convergence = Convergence.compute config.igp g damage;
       queue = Event_queue.create ();
       sessions = Hashtbl.create 16;
       generated = 0;
@@ -399,7 +323,7 @@ let run topo damage config =
         while !t < config.t_end do
           let alive =
             (not (failure_active sim !t))
-            || Damage.node_ok (epoch_at sim !t).e_damage flow.src
+            || Damage.node_ok damage flow.src
           in
           if alive then begin
             let packet =
@@ -432,7 +356,6 @@ let run topo damage config =
         (* t_end bounds generation; packets already in flight drain
            fully so every packet ends up delivered or dropped *)
         Metrics.Counter.incr c_events;
-        set_now sim t;
         handle sim t packet ~at;
         Metrics.Gauge.set_max g_queue_depth
           (float_of_int (Event_queue.length sim.queue));

@@ -13,9 +13,8 @@
     - after detection, a router whose next hop is gone either drops the
       packet (baseline) or runs RTR: the packet carries a
       {!Rtr_core.Phase1.walker} as its phase-1 header, and each router
-      it reaches steps that walker under the damage active at that
-      instant (so a walk may straddle an episode boundary), adding its
-      local failures, until the walk closes at the initiator, which
+      it reaches steps that walker under the damage, adding its local
+      failures, until the walk closes at the initiator, which
       computes the recovery path and source-routes it (and every later
       packet for an affected destination) — the recovery path computed
       from nothing but the header contents.  A walk that gets stuck or
@@ -44,16 +43,6 @@ type config = {
   t_fail : float;  (** when the area fails *)
   t_end : float;  (** traffic generation stops here; in-flight packets drain fully *)
   flows : flow list;
-  episodes : (float * Rtr_failure.Damage.t) list;
-      (** later ground-truth eras: [(at, damage)] replaces the active
-          damage wholesale at absolute time [at] (expected after
-          [t_fail]; sorted internally).  Each era restarts the IGP
-          convergence clock and swaps the post-convergence FIB; a
-          link's detection hold-down counts from the start of its
-          current outage, carried across eras while it stays down.
-          Recovery sessions built under an earlier era are discarded
-          when next consulted.  [[]] — the default everywhere — is the
-          original single-failure simulation, bit-identically. *)
 }
 
 type drop_reason =
@@ -86,9 +75,9 @@ type stats = {
 
 val run : Rtr_topo.Topology.t -> Rtr_failure.Damage.t -> config -> stats
 (** Deterministic: no randomness is involved once the inputs are
-    fixed.  The pre-failure and each epoch's post-failure routing
-    tables come from the topology's shared
-    {!Rtr_routing.Topo_cache}. *)
+    fixed.  The damage holds unchanged from [t_fail] to the end of the
+    run.  The pre-failure and post-failure routing tables come from the
+    topology's shared {!Rtr_routing.Topo_cache}. *)
 
 val ensure_metrics_registered : unit -> unit
 (** No-op whose only purpose is to force this module to be linked (and

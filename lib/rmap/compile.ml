@@ -48,17 +48,9 @@ let eval_links topo table links =
   let damage =
     Damage.of_failed (Rtr_topo.Topology.graph topo) ~nodes:[] ~links
   in
-  let cases = Array.of_list (Scenario.cases_of_damage topo table damage) in
-  let results = Array.make (Array.length cases) None in
-  (* One RTR session per (initiator, trigger), grouped as in the
-     runner: the session's tree serves all its destinations. *)
-  List.iter
-    (fun ((initiator, trigger), idxs) ->
-      let s = Rtr.start topo damage ~initiator ~trigger () in
-      List.iter (fun i -> results.(i) <- Some (eval_case s cases.(i))) idxs)
-    (Rtr_sim.Runner.group_by_session cases (fun (c : Scenario.case) ->
-         (c.Scenario.initiator, c.Scenario.trigger)));
-  Array.map Option.get results
+  Rtr_sim.Runner.map_by_session topo damage
+    (Array.of_list (Scenario.cases_of_damage topo table damage))
+    eval_case
 
 type result = {
   artifact : string;

@@ -263,13 +263,11 @@ let of_string data =
     end
   end
 
+(* [In_channel.input_all], not [in_channel_length]: the length of a
+   directory is not a size, while reading one fails with "Is a
+   directory". *)
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | data -> of_string data
   | exception Sys_error m -> Error m
 

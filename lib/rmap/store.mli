@@ -65,7 +65,9 @@ type t
 
 val of_string : string -> (t, string) result
 val load : string -> (t, string) result
-(** [load path] reads the file and validates like [of_string]. *)
+(** [load path] reads the file and validates like [of_string].  A
+    missing or unreadable path, a directory included, is an [Error]
+    with the system's message. *)
 
 val topo_name : t -> string
 val n_nodes : t -> int

@@ -35,15 +35,14 @@ val post_table : t -> Rtr_failure.Damage.t -> Route_table.t
 (** The table the IGP converges to after [damage]:
     [Route_table.compute (Damage.view damage)], computed once and
     shared by every [Rtr_des.Flowsim.context] and [Rtr_des.Netsim.run]
-    era of that damage (the congestion sweep builds five scheme
-    contexts on one damage: one computation, four hits).
+    of that damage (the congestion sweep builds five scheme contexts on
+    one damage: one computation, four hits).
 
     The cache holds one damage per topology, the last one asked for,
     matched by physical equality: a distinct but [Damage.equal] value
     is a miss, recomputed to an equal table, and replaces the slot.
     One slot suffices because every caller asks for one damage's
     table several times in a row and never alternates between damages
-    of one topology; a multi-era timeline, whose eras carry distinct
-    damages, recomputes each era's table every time.  Counted in
+    of one topology.  Counted in
     [topo_cache.post_hits] and [topo_cache.post_misses].  Thread-safe:
     computes under the cache's lock, like [table]. *)

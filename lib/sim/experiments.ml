@@ -960,7 +960,7 @@ let congestion_data ?(log = fun _ -> ()) ?(flows_per_topo = 125_000)
              (if Rtr_failure.Damage.n_failed_links damage = 0 then
                 "no drawn disc cut a link"
               else
-                Printf.sprintf "%d broken flow-eras, none recovered" broken))
+                Printf.sprintf "%d broken flows, none recovered" broken))
       end;
       (preset, per_scheme))
     config.presets

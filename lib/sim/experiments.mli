@@ -187,7 +187,7 @@ val congestion_table :
   list ->
   table
 (** One row per (topology, scheme): delivered fraction, recovery rate
-    of broken flow-eras, aggregate and max stretch, recovery-window
+    of broken flows, aggregate and max stretch, recovery-window
     peak load relative to the pre-failure peak, overloaded links. *)
 
 val congestion_figure :

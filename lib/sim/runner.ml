@@ -128,6 +128,20 @@ let group_by_session cases key_of =
     cases;
   List.rev_map (fun (key, r) -> (key, List.rev !r)) !order
 
+(* One RTR session per (initiator, trigger): phase 1's walk starts at
+   the trigger, so two different triggers at the same initiator are
+   distinct sessions with possibly different collected failures, and
+   one session's tree serves all of its group's destinations. *)
+let map_by_session topo damage cases f =
+  let results = Array.make (Array.length cases) None in
+  List.iter
+    (fun ((initiator, trigger), idxs) ->
+      let session = Rtr.start topo damage ~initiator ~trigger () in
+      List.iter (fun i -> results.(i) <- Some (f session cases.(i))) idxs)
+    (group_by_session cases (fun (c : Scenario.case) ->
+         (c.Scenario.initiator, c.Scenario.trigger)));
+  Array.map Option.get results
+
 let run_scenario ~mrc (scenario : Scenario.t) =
   Rtr_obs.Trace.with_ "runner.scenario" @@ fun () ->
   Metrics.Counter.incr c_scenarios;
@@ -135,22 +149,10 @@ let run_scenario ~mrc (scenario : Scenario.t) =
   let topo = scenario.Scenario.topo in
   let g = Rtr_topo.Topology.graph topo in
   let damage = scenario.Scenario.damage in
-  let cases = Array.of_list scenario.Scenario.cases in
-  let results = Array.make (Array.length cases) None in
   let fcp = Fcp.start topo damage in
-  (* One RTR session per (initiator, trigger): phase 1's walk starts at
-     the trigger, so two different triggers at the same initiator are
-     distinct sessions with possibly different collected failures, and
-     one session's tree serves all of its group's destinations. *)
-  List.iter
-    (fun ((initiator, trigger), idxs) ->
-      let session = Rtr.start topo damage ~initiator ~trigger () in
-      List.iter
-        (fun i ->
-          results.(i) <- Some (run_case g ~mrc ~fcp session damage cases.(i)))
-        idxs)
-    (group_by_session cases (fun (c : Scenario.case) ->
-         (c.Scenario.initiator, c.Scenario.trigger)));
-  Array.to_list results |> List.map Option.get
+  map_by_session topo damage
+    (Array.of_list scenario.Scenario.cases)
+    (fun session case -> run_case g ~mrc ~fcp session damage case)
+  |> Array.to_list
 
 let rtr_sp_calculations r = r.rtr_calcs

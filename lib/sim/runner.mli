@@ -53,8 +53,21 @@ val run_scenario : mrc:Rtr_baselines.Mrc.t -> Scenario.t -> result list
 
 val group_by_session : 'a array -> ('a -> 'k) -> ('k * int list) list
 (** Indices of [cases] grouped by [key_of], groups in first-appearance
-    order and each group's indices ascending — the session-grouping
-    order shared with the recovery-map compiler. *)
+    order and each group's indices ascending — the order in which
+    {!map_by_session} starts its sessions. *)
+
+val map_by_session :
+  Rtr_topo.Topology.t ->
+  Rtr_failure.Damage.t ->
+  Scenario.case array ->
+  (Rtr_core.Rtr.t -> Scenario.case -> 'a) ->
+  'a array
+(** [map_by_session topo damage cases f] is [f session case] for every
+    case, in case order, where [session] is the one RTR session of the
+    case's [(initiator, trigger)]: sessions start in
+    {!group_by_session} order, and each serves its whole group before
+    the next starts.  {!run_scenario} and the recovery-map compiler
+    both evaluate through it. *)
 
 val rtr_sp_calculations : result -> int
 (** [rtr_calcs] — the paper's accounting for RTR: at most one

@@ -20,42 +20,6 @@ type t = {
   cases : case list;
 }
 
-(* Episodes are kept integer-only — centisecond offsets and element id
-   lists — so the stream codec serialises them exactly, like every
-   other scenario field. *)
-type episode = {
-  at_cs : int;
-  fail_nodes : int list;
-  fail_links : int list;
-  restore_nodes : int list;
-  restore_links : int list;
-}
-
-let apply_episode g damage e =
-  let restored =
-    if e.restore_nodes = [] && e.restore_links = [] then damage
-    else
-      Damage.restore damage ~nodes:e.restore_nodes ~links:e.restore_links ()
-  in
-  if e.fail_nodes = [] && e.fail_links = [] then restored
-  else
-    Damage.merge restored
-      (Damage.of_failed g ~nodes:e.fail_nodes ~links:e.fail_links)
-
-let timeline g base episodes =
-  let episodes =
-    List.stable_sort (fun a b -> compare a.at_cs b.at_cs) episodes
-  in
-  List.fold_left
-    (fun acc e ->
-      let current = snd (List.hd acc) in
-      let next = apply_episode g current e in
-      if Damage.equal next current then acc
-      else (float_of_int e.at_cs /. 100., next) :: acc)
-    [ (0., base) ]
-    episodes
-  |> List.rev
-
 (* The one definition of a test case: (initiator, dst) is one exactly
    when the initiator is live and its default next hop towards dst is
    locally unreachable.  [spt] is the initiator's damaged-graph SPT,

@@ -31,27 +31,6 @@ type t = {
   cases : case list;
 }
 
-(** One timed ground-truth change after the base failure, kept
-    integer-only ([at_cs] is centiseconds) so the stream codec
-    round-trips it exactly.  Restores apply before failures at the same
-    instant; restoring a link incident to a failed router leaves it
-    down ([Damage.restore] re-seals). *)
-type episode = {
-  at_cs : int;
-  fail_nodes : int list;
-  fail_links : int list;
-  restore_nodes : int list;
-  restore_links : int list;
-}
-
-val timeline :
-  Graph.t ->
-  Rtr_failure.Damage.t ->
-  episode list ->
-  (float * Rtr_failure.Damage.t) list
-(** [(0., base)] then one epoch per episode in [at_cs] order (list
-    order breaks ties), skipping episodes that change nothing. *)
-
 val generate :
   Rtr_topo.Topology.t ->
   Rtr_routing.Route_table.t ->

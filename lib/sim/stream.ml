@@ -10,7 +10,6 @@ let c_scenarios_out = Metrics.counter "stream.scenarios_out"
 let c_scenarios_in = Metrics.counter "stream.scenarios_in"
 
 let format_stream = "rtr-stream/1"
-let format_stream_v2 = "rtr-stream/2"
 let format_shard = "rtr-shard/1"
 let format_footer = "rtr-shard-footer/1"
 
@@ -37,7 +36,6 @@ type scenario = {
   area : float * float * float;
   failed_nodes : int list;
   failed_links : int list;
-  episodes : Scenario.episode list;
   cases : Scenario.case list;
 }
 
@@ -45,7 +43,7 @@ type result = { rseq : int; rtopo : int; results : Runner.result list }
 
 (* --- scenario <-> record ------------------------------------------- *)
 
-let of_scenario ~seq ~topo:ti ?(episodes = []) (s : Scenario.t) =
+let of_scenario ~seq ~topo:ti (s : Scenario.t) =
   let area =
     match s.Scenario.area with
     | Area.Disc c ->
@@ -58,7 +56,6 @@ let of_scenario ~seq ~topo:ti ?(episodes = []) (s : Scenario.t) =
     area;
     failed_nodes = Damage.failed_nodes s.Scenario.damage;
     failed_links = Damage.failed_links s.Scenario.damage;
-    episodes;
     cases = s.Scenario.cases;
   }
 
@@ -121,11 +118,11 @@ let topo_stat_of_json j =
   let* records = member_int "records" j in
   Ok { as_name; areas; rec_cases; irr_cases; records }
 
-let header_line ?(format = format_stream) h =
+let header_line h =
   Json.to_string
     (Json.Obj
        [
-         ("format", Json.String format);
+         ("format", Json.String format_stream);
          ("seed", Json.Int h.seed);
          ("mrc_k", opt_int h.mrc_k);
          ("rec_quota", Json.Int h.rec_quota);
@@ -137,11 +134,8 @@ let header_line ?(format = format_stream) h =
 let parse_header line =
   let* j = Json.parse line in
   let* () =
-    (* v2 streams only add the optional per-record "ep" field; one
-       parser reads both. *)
     match Json.member "format" j with
-    | Some (Json.String f) when f = format_stream || f = format_stream_v2 ->
-        Ok ()
+    | Some (Json.String f) when f = format_stream -> Ok ()
     | _ -> Error ("stream header is not " ^ format_stream)
   in
   let* seed = member_int "seed" j in
@@ -195,56 +189,18 @@ let case_of_json = function
       | _ -> None)
   | _ -> None
 
-(* Positional and integer-only, like a case row:
-   [at_cs, fail_nodes, fail_links, restore_nodes, restore_links]. *)
-let episode_to_json (e : Scenario.episode) =
-  Json.Arr
-    [
-      Json.Int e.Scenario.at_cs;
-      int_list e.Scenario.fail_nodes;
-      int_list e.Scenario.fail_links;
-      int_list e.Scenario.restore_nodes;
-      int_list e.Scenario.restore_links;
-    ]
-
-let episode_of_json = function
-  | Json.Arr
-      [ Json.Int at_cs; Json.Arr fn; Json.Arr fl; Json.Arr rn; Json.Arr rl ]
-    -> (
-      match
-        (all_opt as_int fn, all_opt as_int fl, all_opt as_int rn,
-         all_opt as_int rl)
-      with
-      | Some fail_nodes, Some fail_links, Some restore_nodes, Some restore_links
-        ->
-          Some
-            {
-              Scenario.at_cs;
-              fail_nodes;
-              fail_links;
-              restore_nodes;
-              restore_links;
-            }
-      | _ -> None)
-  | _ -> None
-
 let scenario_line r =
   let cx, cy, rad = r.area in
   Json.to_string
     (Json.Obj
-       ([
-          ("seq", Json.Int r.seq);
-          ("topo", Json.Int r.topo);
-          ("area", Json.Arr [ Json.Float cx; Json.Float cy; Json.Float rad ]);
-          ("nodes", int_list r.failed_nodes);
-          ("links", int_list r.failed_links);
-        ]
-       (* Episode-free records keep their v1 bytes: the field only
-          appears when a timeline is present. *)
-       @ (match r.episodes with
-         | [] -> []
-         | eps -> [ ("ep", Json.Arr (List.map episode_to_json eps)) ])
-       @ [ ("cases", Json.Arr (List.map case_to_json r.cases)) ]))
+       [
+         ("seq", Json.Int r.seq);
+         ("topo", Json.Int r.topo);
+         ("area", Json.Arr [ Json.Float cx; Json.Float cy; Json.Float rad ]);
+         ("nodes", int_list r.failed_nodes);
+         ("links", int_list r.failed_links);
+         ("cases", Json.Arr (List.map case_to_json r.cases));
+       ])
 
 let parse_scenario line =
   let* j = Json.parse line in
@@ -266,19 +222,13 @@ let parse_scenario line =
   in
   let* failed_nodes = ints "nodes" in
   let* failed_links = ints "links" in
-  let* episodes =
-    match Json.member "ep" j with
-    | None -> Ok []
-    | Some (Json.Arr xs) -> req "ep" (all_opt episode_of_json xs)
-    | Some _ -> Error "bad ep"
-  in
   let* cases =
     req "cases"
       (match Json.member "cases" j with
       | Some (Json.Arr xs) -> all_opt case_of_json xs
       | _ -> None)
   in
-  Ok { seq; topo; area; failed_nodes; failed_links; episodes; cases }
+  Ok { seq; topo; area; failed_nodes; failed_links; cases }
 
 (* A result row is positional: everything the reducer consumes is an
    exact integer or boolean; the three stretches are reconstructed from
@@ -408,16 +358,10 @@ let parse_shard_record line =
 
 let write path header records =
   let oc = open_out path in
-  (* A stream without episodes is written in v1 — byte-identical to
-     what every pre-episode build produced and reads back. *)
-  let format =
-    if List.exists (fun r -> r.episodes <> []) records then format_stream_v2
-    else format_stream
-  in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (header_line ~format header);
+      output_string oc (header_line header);
       output_char oc '\n';
       List.iter
         (fun r ->

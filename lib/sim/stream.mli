@@ -21,13 +21,6 @@
 val format_stream : string
 (** ["rtr-stream/1"], the scenario-stream header format tag. *)
 
-val format_stream_v2 : string
-(** ["rtr-stream/2"]: identical to v1 plus an optional per-record
-    episode field ["ep"].  {!write} emits v2 only when some record
-    actually carries episodes — an episode-free stream stays
-    bit-identical to a v1 writer's output — and {!parse_header}
-    accepts both. *)
-
 val format_shard : string
 (** ["rtr-shard/1"], the result-shard header format tag. *)
 
@@ -59,9 +52,6 @@ type scenario = {
   area : float * float * float;  (** (cx, cy, r), informational only *)
   failed_nodes : int list;
   failed_links : int list;
-  episodes : Scenario.episode list;
-      (** the record's ground-truth timeline after the base failure;
-          [[]] for every v1 record *)
   cases : Scenario.case list;
 }
 
@@ -69,9 +59,7 @@ type result = { rseq : int; rtopo : int; results : Runner.result list }
 (** One evaluated scenario record; [results] preserves case order, so
     the reducer's partition matches the in-memory path's. *)
 
-val of_scenario :
-  seq:int -> topo:int -> ?episodes:Scenario.episode list -> Scenario.t ->
-  scenario
+val of_scenario : seq:int -> topo:int -> Scenario.t -> scenario
 val to_scenario :
   topo:Rtr_topo.Topology.t -> table:Rtr_routing.Route_table.t -> scenario ->
   Scenario.t
@@ -81,10 +69,12 @@ val to_scenario :
     evaluate scenarios rebuilt by this function, so they run identical
     inputs by construction. *)
 
-val header_line : ?format:string -> header -> string
-(** [format] defaults to {!format_stream}. *)
+val header_line : header -> string
 
 val parse_header : string -> (header, string) Stdlib.result
+(** Accepts only a {!format_stream} header; any other format tag, and
+    an [mrc_k] below 2, is an [Error]. *)
+
 val scenario_line : scenario -> string
 val parse_scenario : string -> (scenario, string) Stdlib.result
 val result_line : result -> string

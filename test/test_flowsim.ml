@@ -370,28 +370,6 @@ let test_demand_deterministic () =
       Alcotest.(check bool) "rate in 1..9" true (f.Flowsim.rate >= 1 && f.Flowsim.rate <= 9))
     a
 
-(* A restoring episode mid-run: delivery must improve vs. letting the
-   damage stand, exercising multi-era window bookkeeping. *)
-let test_restore_episode_improves_delivery () =
-  let topo = paper_topo () in
-  let g = Rtr_topo.Topology.graph topo in
-  let damage = paper_damage g in
-  let flows = Flowsim.demand topo ~n:800 ~seed:17 in
-  let base = quick_config Flowsim.No_recovery in
-  let stays = Flowsim.run topo damage base flows in
-  let heals =
-    Flowsim.run topo damage
-      { base with episodes = [ (2.0, Damage.none g) ] }
-      flows
-  in
-  Alcotest.(check bool) "restoration improves delivery" true
-    (heals.Flowsim.delivered_ratems > stays.Flowsim.delivered_ratems);
-  (* the restored router's sources offer load again in the healed era *)
-  Alcotest.(check bool) "restoration restores offered load" true
-    (heals.Flowsim.offered_ratems >= stays.Flowsim.offered_ratems);
-  Alcotest.(check bool) "restoration improves delivered fraction" true
-    (heals.Flowsim.delivered_frac > stays.Flowsim.delivered_frac)
-
 let test_congestion_visible () =
   let topo = paper_topo () in
   let g = Rtr_topo.Topology.graph topo in
@@ -422,7 +400,5 @@ let suite =
     Alcotest.test_case "resolve once per array" `Quick test_resolve_once;
     Alcotest.test_case "two domains" `Quick test_two_domains;
     Alcotest.test_case "demand deterministic" `Quick test_demand_deterministic;
-    Alcotest.test_case "restore episode improves delivery" `Quick
-      test_restore_episode_improves_delivery;
     Alcotest.test_case "congestion visible" `Quick test_congestion_visible;
   ]

@@ -67,42 +67,6 @@ let flowsim_stats as_name scheme =
   pp_flowsim b (List.assoc scheme per_scheme);
   digest (Buffer.contents b)
 
-(* Two ground-truth eras: an AS1239 disc at t_fail, then at t = 4 s a
-   restore episode repairs one failed router and every other failed
-   link, so both eras open a recovery window (classic IGP: detection
-   1 s, convergence several seconds) against different damage. *)
-let flowsim_two_era () =
-  let topo = Isp.load (preset "AS1239") in
-  let table = Topo_cache.table (Topo_cache.shared topo) in
-  let rng = Rtr_util.Rng.make 11 in
-  let rec draw () =
-    let d = (Rtr_sim.Scenario.generate topo table rng ()).Rtr_sim.Scenario.damage in
-    if Damage.failed_nodes d <> [] && Damage.n_failed_links d >= 6 then d
-    else draw ()
-  in
-  let damage = draw () in
-  let restored =
-    Damage.restore damage
-      ~nodes:[ List.hd (Damage.failed_nodes damage) ]
-      ~links:(List.filteri (fun i _ -> i mod 2 = 0) (Damage.failed_links damage))
-      ()
-  in
-  let flows = Flowsim.demand topo ~n:3000 ~seed:5 in
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun scheme ->
-      pp_flowsim b
-        (Flowsim.run topo damage
-           {
-             Flowsim.default_config with
-             Flowsim.scheme;
-             seed = 5;
-             episodes = [ (4.0, restored) ];
-           }
-           flows))
-    Experiments.congestion_schemes;
-  digest (Buffer.contents b)
-
 let rmap () =
   let config =
     {
@@ -138,9 +102,9 @@ let pp_stats (s : Netsim.stats) =
     s.Netsim.timeline;
   Buffer.contents b
 
-(* Packet-level runs: the paper example with a cascade episode, and one
-   disc failure on AS1239 with a flow per test case, so several routers
-   become initiators. *)
+(* Packet-level runs: the paper example under its failure and under a
+   wider one that also fails v12, and one disc failure on AS1239 with a
+   flow per test case, so several routers become initiators. *)
 let netsim () =
   let config flows =
     {
@@ -149,7 +113,6 @@ let netsim () =
       t_fail = 0.5;
       t_end = 3.0;
       flows;
-      episodes = [];
     }
   in
   let paper =
@@ -169,8 +132,8 @@ let netsim () =
         { Netsim.src = PE.v 15; dst = PE.v 1; rate_pps = 40.0 };
       ]
     in
-    Netsim.run topo damage
-      { (config flows) with Netsim.episodes = [ (1.2, cascade) ] }
+    let run damage = pp_stats (Netsim.run topo damage (config flows)) in
+    run damage ^ run cascade
   in
   let isp =
     let topo = Isp.load (preset "AS1239") in
@@ -193,7 +156,7 @@ let netsim () =
     Netsim.run topo scenario.Rtr_sim.Scenario.damage
       { (config flows) with Netsim.igp = Rtr_igp.Igp_config.tuned }
   in
-  pp_stats paper ^ pp_stats isp
+  paper ^ pp_stats isp
 
 let golden =
   [
@@ -229,7 +192,7 @@ let golden =
         table
           (Experiments.instance_variance ~cases:30 ~instances:2 (config ())) );
     ("congestion_table", "0c282ba6c7460fdb", fun () -> table (congestion ()));
-    ("netsim", "7acbff42cfa2fb68", fun () -> digest (netsim ()));
+    ("netsim", "d14cbd47bc5579a5", fun () -> digest (netsim ()));
     ("rmap_artifact", "1e83753a44e7e3ea", fun () -> digest (rmap ()));
     ("survival_matrix", "286700d2900861cb", fun () -> digest (survival ()));
   ]
@@ -259,7 +222,6 @@ let golden =
             "56c4ae9fb6990278";
           ] );
       ]
-  @ [ ("flowsim_two_era", "a690eb667743b922", flowsim_two_era) ]
 
 let suite =
   List.map

@@ -39,7 +39,6 @@ let quick_config ?(rtr = true) ?(flows = []) () =
     t_fail = 0.5;
     t_end = 4.0;
     flows;
-    episodes = [];
   }
 
 let paper_topo () = Rtr_topo.Paper_example.topology ()
@@ -147,7 +146,6 @@ let packets_conserved =
             t_fail = 0.3;
             t_end = 2.0;
             flows;
-            episodes = [];
           }
       in
       stats.Netsim.generated = stats.Netsim.delivered + stats.Netsim.dropped)
@@ -176,81 +174,9 @@ let rtr_never_hurts =
             t_fail = 0.5;
             t_end = 3.0;
             flows;
-            episodes = [];
           }
       in
       (run true).Netsim.delivered >= (run false).Netsim.delivered)
-
-(* --- episode timelines ---------------------------------------------- *)
-
-let test_episode_after_drain_is_inert () =
-  (* An episode scheduled after every packet has drained never
-     activates: the multi-epoch machinery must not perturb the
-     single-failure simulation. *)
-  let topo = paper_topo () in
-  let g = Rtr_topo.Topology.graph topo in
-  let damage = paper_damage g in
-  let flows = [ { Netsim.src = v 7; dst = v 17; rate_pps = 100.0 } ] in
-  let base = quick_config ~flows () in
-  let plain = Netsim.run topo damage base in
-  let inert =
-    Netsim.run topo damage { base with Netsim.episodes = [ (100.0, Damage.none g) ] }
-  in
-  Alcotest.(check bool) "identical stats" true (plain = inert)
-
-let test_transient_restore_improves_delivery () =
-  (* A transient failure: the area comes back at t=1.0, long before the
-     IGP would have converged around it.  Packets after the repair ride
-     the pre-failure FIBs again, so delivery must beat the permanent
-     run's. *)
-  let topo = paper_topo () in
-  let g = Rtr_topo.Topology.graph topo in
-  let damage = paper_damage g in
-  let flows = [ { Netsim.src = v 7; dst = v 17; rate_pps = 100.0 } ] in
-  let base = quick_config ~rtr:false ~flows () in
-  let permanent = Netsim.run topo damage base in
-  let restored =
-    Netsim.run topo damage
-      { base with Netsim.episodes = [ (1.0, Damage.none g) ] }
-  in
-  Alcotest.(check int) "conservation"
-    restored.Netsim.generated
-    (restored.Netsim.delivered + restored.Netsim.dropped);
-  Alcotest.(check bool) "restore beats permanent failure" true
-    (restored.Netsim.delivered > permanent.Netsim.delivered)
-
-let test_cascade_cuts_delivery () =
-  (* A cascade at t=1.0 isolates the destination; recovery sessions
-     built for the first failure are stale and must be discarded, and
-     everything after the cascade drops. *)
-  let topo = paper_topo () in
-  let g = Rtr_topo.Topology.graph topo in
-  let damage = paper_damage g in
-  let cascade =
-    Damage.merge damage
-      (Damage.of_failed g ~nodes:[]
-         ~links:
-           [
-             Rtr_topo.Paper_example.link 15 17;
-             Rtr_topo.Paper_example.link 17 18;
-           ])
-  in
-  let flows = [ { Netsim.src = v 7; dst = v 17; rate_pps = 100.0 } ] in
-  let base = quick_config ~flows () in
-  let on = Netsim.run topo damage base in
-  let cascaded =
-    Netsim.run topo damage { base with Netsim.episodes = [ (1.0, cascade) ] }
-  in
-  Alcotest.(check int) "conservation"
-    cascaded.Netsim.generated
-    (cascaded.Netsim.delivered + cascaded.Netsim.dropped);
-  Alcotest.(check bool) "cascade loses packets the single failure kept" true
-    (cascaded.Netsim.delivered < on.Netsim.delivered);
-  (* Episode runs are as deterministic as static ones. *)
-  let again =
-    Netsim.run topo damage { base with Netsim.episodes = [ (1.0, cascade) ] }
-  in
-  Alcotest.(check bool) "deterministic" true (cascaded = again)
 
 (* Audit of simultaneous-event ordering (satellite of the flow-engine
    PR): the heap's comparison is [time, then insertion seq] — a total
@@ -299,43 +225,6 @@ let test_event_queue_fifo_across_interleaving () =
     (List.init 20 (fun i -> 20 + i) @ List.init 60 (fun i -> 40 + i))
     (drain [])
 
-(* Satellite regression: a link that fails, is restored, and fails
-   again mid-run must restart its detection hold-down from the second
-   failure — the restore wiped the outage, so the re-failure is a NEW
-   outage.  Observable: with classic IGP timing nothing converges
-   within this window, so blackholed packets measure hold-down length
-   exactly.  The restore-then-refail run pays one truncated hold-down
-   (0.5 s) plus one full fresh one (1.0 s); a buggy carryover of the
-   original outage start would make the second hold-down end at 1.5 s
-   and blackhole LESS than the plain single-failure run. *)
-let test_refail_restarts_hold_down () =
-  let topo = paper_topo () in
-  let g = Rtr_topo.Topology.graph topo in
-  let damage = paper_damage g in
-  let flows = [ { Netsim.src = v 7; dst = v 17; rate_pps = 100.0 } ] in
-  let blackholes (s : Netsim.stats) =
-    Option.value ~default:0
-      (List.assoc_opt Netsim.Blackhole s.Netsim.drops_by_reason)
-  in
-  let base = quick_config ~rtr:true ~flows () in
-  let plain = Netsim.run topo damage base in
-  let refail =
-    Netsim.run topo damage
-      {
-        base with
-        Netsim.episodes = [ (1.0, Damage.none g); (1.2, damage) ];
-      }
-  in
-  (* plain: hold-down [0.5, 1.5) at 100 pps *)
-  Alcotest.(check bool) "plain pays one full hold-down" true
-    (blackholes plain >= 80 && blackholes plain <= 120);
-  (* refail: [0.5, 1.0) truncated plus a fresh [1.2, 2.2) *)
-  Alcotest.(check bool) "refail pays the truncated plus a fresh hold-down"
-    true
-    (blackholes refail >= 120 && blackholes refail <= 180);
-  Alcotest.(check bool) "re-failure restarts detection from scratch" true
-    (blackholes refail > blackholes plain)
-
 let suite =
   [
     Alcotest.test_case "event queue order" `Quick test_event_queue_order;
@@ -343,8 +232,6 @@ let suite =
     QCheck_alcotest.to_alcotest event_queue_fifo;
     Alcotest.test_case "event queue fifo across interleaving" `Quick
       test_event_queue_fifo_across_interleaving;
-    Alcotest.test_case "re-failure restarts hold-down" `Quick
-      test_refail_restarts_hold_down;
     Alcotest.test_case "no failure, all delivered" `Quick
       test_no_failure_all_delivered;
     Alcotest.test_case "rtr recovers during window" `Quick
@@ -352,12 +239,6 @@ let suite =
     Alcotest.test_case "unreachable discarded early" `Quick
       test_unreachable_destination_discarded_early;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
-    Alcotest.test_case "inert episode leaves the run untouched" `Quick
-      test_episode_after_drain_is_inert;
-    Alcotest.test_case "transient restore improves delivery" `Quick
-      test_transient_restore_improves_delivery;
-    Alcotest.test_case "cascade cuts delivery" `Quick
-      test_cascade_cuts_delivery;
     QCheck_alcotest.to_alcotest packets_conserved;
     QCheck_alcotest.to_alcotest rtr_never_hurts;
   ]

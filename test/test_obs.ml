@@ -461,7 +461,6 @@ let test_netsim_counters_end_to_end () =
       t_fail = 0.5;
       t_end = 4.0;
       flows;
-      episodes = [];
     }
   in
   let before = Metrics.snapshot () in

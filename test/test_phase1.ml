@@ -205,13 +205,12 @@ let test_hop_limit_boundary () =
     (cut.Phase1.status = Phase1.Hop_limit);
   Alcotest.(check int) "hops never exceed the limit" (h - 1) cut.Phase1.hops
 
-(* A walk that straddles an episode boundary, as in the packet
-   simulator: the walker starts on the paper example under its base
-   damage, takes three hops (v6 v5 v4 v9), then keeps stepping under a
-   damage with e12,18 failed too.  v12 has not recorded yet, so the new
-   link joins the collection exactly when the walk first steps at v12;
-   what v5 and v4 recorded stays, in order, and no link of the
-   initiator ever enters. *)
+(* A walk whose damage changes under it: the walker starts on the
+   paper example under its base damage, takes three hops (v6 v5 v4
+   v9), then keeps stepping under a damage with e12,18 failed too.
+   v12 has not recorded yet, so the new link joins the collection
+   exactly when the walk first steps at v12; what v5 and v4 recorded
+   stays, in order, and no link of the initiator ever enters. *)
 let test_walker_across_damage_change () =
   let topo = PE.topology () in
   let g = Rtr_topo.Topology.graph topo in

@@ -177,11 +177,16 @@ let test_store_file_roundtrip () =
       let oc = open_out_bin path in
       output_string oc result.Compile.artifact;
       close_out oc;
-      match Store.load path with
+      (match Store.load path with
       | Error e -> Alcotest.failf "load rejected: %s" e
       | Ok store ->
           Alcotest.(check int) "same case count" result.Compile.n_cases
-            (Store.n_cases store))
+            (Store.n_cases store));
+      match Store.load (Filename.dirname path) with
+      | Ok _ -> Alcotest.fail "a directory loaded as an artifact"
+      | Error e ->
+          Alcotest.(check string) "a directory is named as one"
+            "Is a directory" e)
 
 let expect_reject what bytes =
   match Store.of_string bytes with

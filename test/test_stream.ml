@@ -492,7 +492,7 @@ let test_reader_matches_tree () =
         (Stream.parse_shard_record line = Stream.parse_result line))
     (Lazy.force result_lines)
 
-(* --- episode records and stream versioning --------------------------- *)
+(* --- stream bytes ----------------------------------------------------- *)
 
 (* Tiny synthetic fixtures: the codec is plain data, no topology
    needed. *)
@@ -507,14 +507,13 @@ let tiny_header =
     count = 1;
   }
 
-let tiny_record ~episodes =
+let tiny_record =
   {
     Stream.seq = 0;
     topo = 0;
     area = (1.0, 2.0, 3.0);
     failed_nodes = [ 1 ];
     failed_links = [ 0; 2 ];
-    episodes;
     cases =
       [
         {
@@ -527,77 +526,30 @@ let tiny_record ~episodes =
       ];
   }
 
-let tiny_episodes =
-  [
-    {
-      Rtr_sim.Scenario.at_cs = 25;
-      fail_nodes = [ 1; 2 ];
-      fail_links = [ 0 ];
-      restore_nodes = [];
-      restore_links = [ 3; 4 ];
-    };
-    {
-      Rtr_sim.Scenario.at_cs = 75;
-      fail_nodes = [];
-      fail_links = [];
-      restore_nodes = [ 1 ];
-      restore_links = [ 0 ];
-    };
-  ]
-
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let test_episode_record_roundtrip () =
-  (* Episodes are integer-only, so the round-trip is exact — including
-     empty halves and multiple events per record. *)
-  let r = tiny_record ~episodes:tiny_episodes in
-  match Stream.parse_scenario (Stream.scenario_line r) with
-  | Error e -> Alcotest.fail ("episode record did not parse: " ^ e)
-  | Ok d -> Alcotest.(check bool) "round-trips exactly" true (d = r)
-
 let test_v1_stream_bit_identical () =
   with_tmpdir @@ fun dir ->
   let path = Filename.concat dir "s.jsonl" in
-  (* Episode-free records write the v1 format, byte for byte: no "ep"
-     key, no version bump — a pre-episode reader still accepts the
-     file and old streams hash identically. *)
-  let plain = tiny_record ~episodes:[] in
-  Stream.write path tiny_header [ plain ];
+  (* [write] emits the header line and one record line each, byte for
+     byte, so streams hash identically across builds. *)
+  Stream.write path tiny_header [ tiny_record ];
   let content = In_channel.with_open_bin path In_channel.input_all in
   Alcotest.(check string) "byte-identical to a v1 writer"
-    (Stream.header_line tiny_header ^ "\n" ^ Stream.scenario_line plain ^ "\n")
+    (String.concat "\n"
+       [ Stream.header_line tiny_header; Stream.scenario_line tiny_record; "" ])
     content;
   Alcotest.(check bool) "tagged rtr-stream/1" true
     (contains content "\"rtr-stream/1\"");
-  Alcotest.(check bool) "no ep key on episode-free records" true
-    (not (contains content "\"ep\""));
   let h, next = open_stream path in
   Alcotest.(check bool) "v1 header decodes" true (h = tiny_header);
   (match next () with
-  | Some d ->
-      Alcotest.(check bool) "v1 record decodes with no episodes" true
-        (d = plain && d.Stream.episodes = [])
+  | Some d -> Alcotest.(check bool) "v1 record decodes" true (d = tiny_record)
   | None -> Alcotest.fail "record missing");
-  ignore (next ());
-  (* Any record carrying episodes promotes the whole stream to v2. *)
-  let with_ep = tiny_record ~episodes:tiny_episodes in
-  Stream.write path tiny_header [ with_ep ];
-  let v2 = In_channel.with_open_bin path In_channel.input_all in
-  Alcotest.(check string) "v2 header emitted"
-    (Stream.header_line ~format:Stream.format_stream_v2 tiny_header
-    ^ "\n"
-    ^ Stream.scenario_line with_ep
-    ^ "\n")
-    v2;
-  let h2, next2 = open_stream path in
-  Alcotest.(check bool) "v2 header decodes" true (h2 = tiny_header);
-  (match next2 () with
-  | Some d -> Alcotest.(check bool) "episodes survive the file" true (d = with_ep)
-  | None -> Alcotest.fail "record missing");
-  ignore (next2 ())
+  ignore (next ())
 
 let replace_first ~sub ~by s =
   let n = String.length s and m = String.length sub in
@@ -615,7 +567,7 @@ let test_hostile_headers () =
   with_tmpdir @@ fun dir ->
   let path = Filename.concat dir "hostile.jsonl" in
   let header = Stream.header_line tiny_header in
-  let record = Stream.scenario_line (tiny_record ~episodes:[]) in
+  let record = Stream.scenario_line tiny_record in
   let expect_error what content =
     Out_channel.with_open_bin path (fun oc ->
         Out_channel.output_string oc content);
@@ -636,6 +588,8 @@ let test_hostile_headers () =
   expect_error "a record in the header's place" (record ^ "\n");
   expect_error "an unknown format tag"
     (replace_first ~sub:"rtr-stream/1" ~by:"rtr-stream/9" header ^ "\n");
+  expect_error "an rtr-stream/2 header"
+    (replace_first ~sub:"rtr-stream/1" ~by:"rtr-stream/2" header ^ "\n");
   expect_error "an MRC configuration count below 2"
     (replace_first ~sub:{|"mrc_k":null|} ~by:{|"mrc_k":1|} header ^ "\n");
   (match Stream.read_header (Filename.concat dir "missing.jsonl") with
@@ -649,7 +603,7 @@ let test_hostile_records () =
   with_tmpdir @@ fun dir ->
   let path = Filename.concat dir "hostile.jsonl" in
   let header = Stream.header_line tiny_header in
-  let record = Stream.scenario_line (tiny_record ~episodes:[]) in
+  let record = Stream.scenario_line tiny_record in
   List.iter
     (fun (what, bad) ->
       Out_channel.with_open_bin path (fun oc ->
@@ -946,8 +900,6 @@ let test_resume_tail_edges () =
 
 let suite =
   [
-    Alcotest.test_case "episode record round-trip" `Quick
-      test_episode_record_roundtrip;
     Alcotest.test_case "v1 streams stay bit-identical" `Quick
       test_v1_stream_bit_identical;
     Alcotest.test_case "hostile headers are typed errors" `Quick
